@@ -75,17 +75,24 @@ pgo: profile
 determinism:
 	$(GO) test -race -count=1 -run 'Determinism|Shard|OrderIndependence|PartitionInvariance' ./internal/experiment/ ./internal/stats/ ./internal/cluster/
 
-# Short native-fuzz smoke (~60s): the planner over its whole input
-# envelope, batch-vs-scalar kernel equivalence on randomized
+# Short native-fuzz smoke (~2 min, 15s per target): the planner over its
+# whole input envelope, batch-vs-scalar kernel equivalence on randomized
 # configurations (byte-identical stats.Shard payloads), the
-# model-vs-simulation validators, and journal replay over arbitrary
-# bytes (must never panic, never invent completed shards). CI runs
-# this; longer local campaigns just raise -fuzztime.
+# model-vs-simulation validators, journal replay over arbitrary bytes
+# (must never panic, never invent completed shards), the stats.Shard
+# decoder every worker result passes through (never panic, accept only
+# canonical bytes, never inflate the rep ledger), the permanent-fault
+# overlay, and the ISA assembler and machine step. CI runs this; longer
+# local campaigns just raise -fuzztime.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzPlannerChoose -fuzztime 15s ./internal/core/
-	$(GO) test -run '^$$' -fuzz FuzzBatchScalarEquivalence -fuzztime 15s ./internal/core/
-	$(GO) test -run '^$$' -fuzz FuzzValidateParams -fuzztime 15s ./internal/validate/
-	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime 15s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzPlannerChoose$$' -fuzztime 15s ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzBatchScalarEquivalence$$' -fuzztime 15s ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzValidateParams$$' -fuzztime 15s ./internal/validate/
+	$(GO) test -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime 15s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzShardUnmarshal$$' -fuzztime 15s ./internal/stats/
+	$(GO) test -run '^$$' -fuzz '^FuzzPermanentOverlay$$' -fuzztime 15s ./internal/fault/
+	$(GO) test -run '^$$' -fuzz '^FuzzAssemble$$' -fuzztime 15s ./internal/isa/
+	$(GO) test -run '^$$' -fuzz '^FuzzMachineStep$$' -fuzztime 15s ./internal/isa/
 
 # The chaos soak: the serve job service under fault injection, race
 # detector on.

@@ -283,12 +283,20 @@ func checkRegressions(old, fresh report) []string {
 			continue
 		}
 		if m.NsPerRep > o.NsPerRep*(1+regressionTolerance) {
-			failures = append(failures, fmt.Sprintf("%s: %.0f ns/rep vs baseline %.0f (+%.1f%%, tolerance %.0f%%)",
+			failures = append(failures, fmt.Sprintf("%s: %.0f ns/rep vs baseline %.0f (+%.1f%%, tolerance %.0f%%; baseline host %s, this run %s)",
 				m.Name, m.NsPerRep, o.NsPerRep,
-				100*(m.NsPerRep/o.NsPerRep-1), regressionTolerance*100))
+				100*(m.NsPerRep/o.NsPerRep-1), regressionTolerance*100,
+				hostContext(old), hostContext(fresh)))
 		}
 	}
 	return failures
+}
+
+// hostContext names the toolchain and machine a report was recorded
+// on: the absolute ns/rep gate compares across hosts, so a regression
+// line must show whether the two sides are comparable at all.
+func hostContext(r report) string {
+	return fmt.Sprintf("%s %s num_cpu=%d at %s", r.GoVersion, r.GOARCH, r.NumCPU, r.GeneratedAt)
 }
 
 func printMeasurement(m measurement) {

@@ -33,11 +33,10 @@
 // a fault's surviving work is quantised to span boundaries, but t (and
 // so rd) accumulates a path-dependent mix of span, checkpoint and
 // rollback durations, and the reachable set grows combinatorially with
-// fault depth. Measured at the paper's fault-dense cells, ~4 in 5
-// replans are first sightings no matter the cache size — so the batch
-// plan cache is a compact 2048-set × 2-way array that catches the
-// recurring fifth (and the hot initial plan) cheaply, packs an entry
-// into one cache line, and otherwise leans on making the miss path
+// fault depth. The kernel plans through the same per-RunContext plan
+// cache as the scalar engine (Planner.lookup, an 8192-set × 2-way
+// array), whose hits are the hot initial plan and the recurring
+// fraction of replans; the rest lean on making the miss path
 // (Planner.compute) fast rather than on hit rate. The planning λ is
 // part of the key, so a λ sweep over one planner retains its entries
 // and the online-λ estimator's continuous rates coexist in the same
@@ -57,58 +56,13 @@ import (
 	"repro/internal/sim"
 )
 
-// batchPlanSets × batchPlanWays is the batch plan cache's entry count,
-// sized to hold a full published sub-table's planning states: Table 1a
-// at the bench harness's 50 reps/cell visits ~7k distinct states, and
-// since entries persist across table runs (planner-id keys, pooled
-// worker contexts) a steady-state re-run hits on everything that fits —
-// 16k entries turn the re-run miss rate from capacity-bound (~80% at
-// the previous 4k entries) into conflict-only. Two ways per set keep
-// the recurring classes of a fault-dense cell resident when a colliding
-// first-sighting state would otherwise evict them. At 64 bytes an entry
-// the array is 1 MiB per worker context, reused across cells and table
-// runs via planner-id tagging (no per-cell clearing).
-const (
-	batchPlanSets = 8192
-	batchPlanWays = 2
-)
-
-// batchPlanEntry is one cache way, packed into a single cache line
-// (64 bytes): the exact (rc, rd, λ) state bits, the fault budget and
-// planner id sharing a word, the planned interval lengths, and the
-// operating point coarsened to an index into the batch's speedCosts
-// table (badConfigIdx marks a BadConfig plan) — same plan inputs yield
-// the same plan, so storing the coarse index instead of the full point
-// is bit-free. The planner id in the key (instead of an invalidation
-// epoch) lets entries survive cell switches: a worker sweeping a grid
-// returns to each cell's pooled planner with its plans still resident.
-type batchPlanEntry struct {
-	rc, rd uint64
-	lam    uint64
-	rfID   uint64
-	itv    float64
-	sub    float64
-	ptIdx  int32
-	_      int32
-}
-
-// badConfigIdx is the ptIdx sentinel for a BadConfig plan.
-const badConfigIdx = -1
-
-// batchState is the per-BatchContext scratch of the adaptive kernel:
-// the plan cache bound to the cell's Planner, plus the
-// per-operating-point cost table. Every planner the context has served
-// gets a stable small id (part of each entry's key), so rebinding to a
-// previously seen planner finds its entries still valid.
+// batchState is the per-BatchContext scratch of the kernels: the
+// per-operating-point cost table and the fault-free prefix trajectory.
+// Planning state lives in the RunContext's plan cache.
 type batchState struct {
-	pl     *Planner
-	plID   uint64
-	ids    map[*Planner]uint64
-	nextID uint64
-	ents   []batchPlanEntry
-	costs  []speedCosts
+	costs []speedCosts
 
-	// Fault-free prefix trajectory scratch (see buildPrefix): snapshots
+	// Fault-free prefix trajectory scratch (see the kernels): snapshots
 	// of (t, energy, rc, x) at the top of each interval of the shared
 	// no-fault trajectory, reused across batches.
 	pxT, pxE, pxRC, pxX []float64
@@ -132,122 +86,25 @@ type speedCosts struct {
 var infTimes = []float64{math.Inf(1)}
 
 // batchScratch returns b's kernel scratch, allocating it on first use.
-// The fixed kernel uses it for the prefix-trajectory arrays alone; the
-// adaptive kernel binds it to a planner via batchStateFor.
 func batchScratch(b *sim.BatchContext) *batchState {
 	st, ok := b.Scratch().(*batchState)
 	if !ok {
-		st = &batchState{ents: make([]batchPlanEntry, batchPlanSets*batchPlanWays)}
+		st = &batchState{}
 		b.SetScratch(st)
 	}
 	return st
 }
 
-// batchPlanIDCap bounds the planner-id map: when a context has served
-// this many distinct planners the ids (and with them every cached
-// entry) reset — a rare wholesale flush that keeps long-lived workers'
-// memory bounded without per-switch invalidation.
-const batchPlanIDCap = 512
-
-// batchStateFor returns b's kernel scratch bound to pl. Each planner
-// the context serves gets a stable id that keys its cache entries, so
-// switching planners (a new cell) never invalidates anything: a grid
-// sweep returns to each cell's pooled planner — and a λ sweep to each
-// rate — with the previous batches' plans still resident.
-func batchStateFor(b *sim.BatchContext, pl *Planner) *batchState {
-	st := batchScratch(b)
-	if st.pl != pl {
-		st.pl = pl
-		id, ok := st.ids[pl]
-		if !ok {
-			if st.ids == nil {
-				st.ids = make(map[*Planner]uint64, 64)
-			} else if len(st.ids) >= batchPlanIDCap {
-				clear(st.ids)
-				clear(st.ents)
-				st.nextID = 0
-			}
-			st.nextID++ // ids start at 1: zeroed entries never match
-			id = st.nextID
-			st.ids[pl] = id
-		}
-		st.plID = id
+// plan is the batch-side plan consultation: one probe of pl's context
+// plan cache, resolved to the batch's speedCosts entry (nil iff bad) so
+// callers never re-resolve the operating point. st.costs is built from
+// model.Points() in order, so the entry's point index indexes it.
+func (st *batchState) plan(pl *Planner, rc, rd, lam float64, rf int) (sc *speedCosts, itv, subLen float64, bad bool) {
+	e := pl.lookup(rc, rd, lam, rf)
+	if e.ptIdx == badConfigIdx {
+		return nil, e.itv, e.sub, true
 	}
-	return st
-}
-
-// batchSlot hashes a (rc, rd, λ, rf) state to its cache set — same mix
-// as planKey.slot, wider modulus.
-func batchSlot(rc, rd, lam uint64, rf int) uint64 {
-	h := rc*0x9e3779b97f4a7c15 ^ rd*0xbf58476d1ce4e5b9 ^ lam*0x94d049bb133111eb ^ uint64(rf)
-	h ^= h >> 29
-	h *= 0xff51afd7ed558ccd
-	return (h >> 33) & (batchPlanSets - 1)
-}
-
-// plan is the batch-side Planner consultation: one set probe per
-// planning equivalence class, delegating to Planner.compute on a miss.
-// It returns the resolved speedCosts entry (nil iff bad) alongside the
-// interval lengths, so callers never re-resolve the operating point.
-// Way 0 holds proven-reused entries (a way-1 hit promotes by swap), way
-// 1 takes fresh insertions, so the repeat path stays one compare. Hits
-// and misses accrue
-// to the bound planner's counters, so PlannerCacheStats (and the
-// telemetry ledger built on it) keeps reporting the combined
-// scalar+batch totals.
-func (st *batchState) plan(rc, rd, lam float64, rf int) (sc *speedCosts, itv, subLen float64, bad bool) {
-	rcb, rdb, lb := math.Float64bits(rc), math.Float64bits(rd), math.Float64bits(lam)
-	rfID := uint64(uint32(rf))<<32 | st.plID
-	base := batchSlot(rcb, rdb, lb, rf) * batchPlanWays
-	ent := &st.ents[base]
-	if ent.rc == rcb && ent.rd == rdb && ent.lam == lb && ent.rfID == rfID {
-		st.pl.hits++
-		return st.entryPlan(ent)
-	}
-	alt := &st.ents[base+1]
-	if alt.rc == rcb && alt.rd == rdb && alt.lam == lb && alt.rfID == rfID {
-		*ent, *alt = *alt, *ent // promote the hit to MRU
-		st.pl.hits++
-		return st.entryPlan(ent)
-	}
-	st.pl.misses++
-	p := st.pl.compute(rc, rd, lam, rf)
-	idx := int32(badConfigIdx)
-	if !p.BadConfig {
-		idx = st.costIdx(p.Point)
-		sc = &st.costs[idx]
-	}
-	// Insert into an empty way 0 first (a valid entry's rfID is never 0:
-	// planner ids start at 1), otherwise overwrite way 1 — the LRU way,
-	// since hits promote to way 0 by swap. Never displacing way 0 on a
-	// miss is what lets a set retain two states that each recur only
-	// once per table run (the steady-state re-run pattern) instead of
-	// the last-inserted one evicting the other forever.
-	if ent.rfID == 0 {
-		alt = ent
-	}
-	alt.rc, alt.rd, alt.lam, alt.rfID = rcb, rdb, lb, rfID
-	alt.itv, alt.sub, alt.ptIdx = p.Interval, p.SubLen, idx
-	return sc, p.Interval, p.SubLen, p.BadConfig
-}
-
-// entryPlan resolves a hit entry's plan tuple.
-func (st *batchState) entryPlan(ent *batchPlanEntry) (sc *speedCosts, itv, subLen float64, bad bool) {
-	if ent.ptIdx == badConfigIdx {
-		return nil, ent.itv, ent.sub, true
-	}
-	return &st.costs[ent.ptIdx], ent.itv, ent.sub, false
-}
-
-// costIdx resolves the speedCosts index of pt, (re)built per batch from
-// the model's point list.
-func (st *batchState) costIdx(pt cpu.OperatingPoint) int32 {
-	for i := range st.costs {
-		if st.costs[i].pt == pt {
-			return int32(i)
-		}
-	}
-	panic(fmt.Sprintf("core: operating point %+v missing from batch cost table", pt))
+	return &st.costs[e.ptIdx], e.itv, e.sub, false
 }
 
 // buildCosts fills the per-point cost table from the model and cost
@@ -504,7 +361,7 @@ func (s *FixedCSCP) RunBatch(rctx *sim.RunContext, b *sim.BatchContext, p sim.Pa
 
 // RunBatch implements sim.BatchScheme: the adaptive kernel — planned
 // intervals, optional sub-checkpoints, optional DVS, online λ
-// estimation and the eager-DVS ablation — over the batch plan cache.
+// estimation and the eager-DVS ablation — over rctx's plan cache.
 func (s *Adaptive) RunBatch(rctx *sim.RunContext, b *sim.BatchContext, p sim.Params, seeds []uint64) bool {
 	return s.RunBatchArrival(rctx, b, p, seeds, p.Lambda)
 }
@@ -516,15 +373,16 @@ func (s *Adaptive) RunBatch(rctx *sim.RunContext, b *sim.BatchContext, p sim.Par
 // belief. The arrival times are bit-identical to that process's (the
 // queue draws the same exponentials in the same order), so the
 // experiment wrapper batches those cells by stripping its FaultProcess
-// and passing the true rate here.
+// and passing the true rate here. A nil rctx (no plan cache to plan
+// through) refuses the batch, as sim.RunBatch does.
 func (s *Adaptive) RunBatchArrival(rctx *sim.RunContext, b *sim.BatchContext, p sim.Params, seeds []uint64, arrival float64) bool {
-	if !batchable(p) {
+	if rctx == nil || !batchable(p) {
 		return false
 	}
 	n := len(seeds)
 	b.Grow(n)
 	pl := s.plannerFor(rctx, p)
-	st := batchStateFor(b, pl)
+	st := batchScratch(b)
 	model := p.CPUModel()
 	st.costs = buildSpeedCosts(st.costs, model, p.Costs)
 
@@ -555,7 +413,7 @@ func (s *Adaptive) RunBatchArrival(rctx *sim.RunContext, b *sim.BatchContext, p 
 
 	// The initial plan (rc = N, rd = D, full fault budget) is the same
 	// for every repetition of the cell — hoist it out of the rep loop.
-	sc0, itv0, sub0, bad0 := st.plan(N, D, lam0, k0)
+	sc0, itv0, sub0, bad0 := st.plan(pl, N, D, lam0, k0)
 	if bad0 {
 		for i := 0; i < n; i++ {
 			b.Completed[i] = false
@@ -779,7 +637,7 @@ func (s *Adaptive) RunBatchArrival(rctx *sim.RunContext, b *sim.BatchContext, p 
 				if estimate {
 					lamE = (1 + float64(det)) / (pseudo + x)
 				}
-				if pSC, pItv, pSub, pBad := st.plan(rc, rd, lamE, rf); !pBad {
+				if pSC, pItv, pSub, pBad := st.plan(pl, rc, rd, lamE, rf); !pBad {
 					if pSC != sc || pItv != itv || pSub != subLen {
 						sc = pSC
 						f = sc.pt.Freq
@@ -966,7 +824,7 @@ func (s *Adaptive) RunBatchArrival(rctx *sim.RunContext, b *sim.BatchContext, p 
 				if estimate {
 					lamR = (1 + float64(det)) / (pseudo + x)
 				}
-				if pSC, pItv, pSub, pBad := st.plan(rc, D-t, lamR, rf); !pBad {
+				if pSC, pItv, pSub, pBad := st.plan(pl, rc, D-t, lamR, rf); !pBad {
 					if pSC != sc || pItv != itv || pSub != subLen {
 						sc = pSC
 						f = sc.pt.Freq

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/cpu"
+	"repro/internal/sim"
 	"repro/internal/task"
 )
 
@@ -30,14 +31,20 @@ func foldRange(x, lo, hi float64) float64 {
 //   - every plan has a positive interval and a positive sub-interval no
 //     longer than the interval, unless the configuration is reported
 //     BadConfig;
-//   - planning is a pure function of its inputs: a fresh planner and a
-//     warm memoised planner return bit-identical plans.
+//   - planning is a pure function of its inputs: an uncached planner and
+//     a context planner replaying from the plan cache return
+//     bit-identical plans.
 func FuzzPlannerChoose(f *testing.F) {
 	f.Add(7800.0, 10000.0, 0.0014, 5, uint8(0b011))
 	f.Add(7800.0, 10000.0, 0.0, 5, uint8(0b111))
 	f.Add(1e9, 1.0, 0.5, 0, uint8(0b001))
 	f.Add(-3.0, -4.0, 0.1, 2, uint8(0b010))
 	f.Add(1e-6, 1e9, 1e-9, 100, uint8(0b101))
+	// One context across inputs (a fuzz worker runs them sequentially):
+	// its plan cache accumulates earlier inputs' planners' entries under
+	// retired generations, so every input also checks that none of them
+	// is served to the current planner.
+	rctx := sim.NewRunContext()
 	f.Fuzz(func(t *testing.T, rc, rd, lam float64, rf int, cfgBits uint8) {
 		// Fold the raw inputs into the envelope the engine can produce:
 		// finite work/deadline (including the ≤0 degenerate corner the
@@ -78,7 +85,7 @@ func FuzzPlannerChoose(f *testing.F) {
 		}
 		tk := task.Task{Name: "fuzz", Cycles: 7800, Deadline: 10000, FaultBudget: 5}
 
-		pl := NewPlanner(cfg, cpu.TwoSpeed(), costs, tk)
+		pl := cfg.plannerFor(rctx, sim.Params{Task: tk, Costs: costs})
 		plan := pl.Plan(rc, rd, lam, rf)
 		if plan.BadConfig {
 			if cfg.DVS {
@@ -98,12 +105,12 @@ func FuzzPlannerChoose(f *testing.F) {
 			t.Fatalf("non-positive planned frequency %v", plan.Point.Freq)
 		}
 
-		// Purity: the memoised replay and a cold planner agree bit-for-bit.
+		// Purity: the cached replay and an uncached planner agree
+		// bit-for-bit.
 		if again := pl.Plan(rc, rd, lam, rf); again != plan {
 			t.Fatalf("warm replan diverged: %+v vs %+v", again, plan)
 		}
 		cold := NewPlanner(cfg, cpu.TwoSpeed(), costs, tk)
-		cold.nocache = true
 		if fresh := cold.Plan(rc, rd, lam, rf); fresh != plan {
 			t.Fatalf("uncached plan diverged: %+v vs %+v", fresh, plan)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/analysis"
@@ -24,23 +25,20 @@ type Plan struct {
 	BadConfig bool
 }
 
-// planKey identifies one exact planning input state: the remaining work
-// rc, remaining deadline rd and planning fault rate λ (all as raw float
-// bits, so every distinct value — including negative zeros and NaNs —
-// keys separately) plus the remaining fault budget rf.
-type planKey struct {
-	rc, rd, lam uint64
-	rf          int
-}
+// planSets × planWays is the context plan cache's entry count. Post-fault
+// replans key on continuous (rc, rd) states and are mostly first
+// sightings, so hit rate is capacity-bound: on the cold paper tables 16k
+// entries hit ~74% of lookups where 2k hit ~56% and 512 ~38%. Two ways
+// per set keep a recurring state resident when a colliding
+// first-sighting state would otherwise evict it. At 64 bytes an entry
+// the array is 1 MiB per RunContext.
+const (
+	planSets = 8192
+	planWays = 2
+)
 
-// planCacheSize is the direct-mapped plan cache's slot count (a power
-// of two). The cache is deliberately not a Go map: post-fault replans
-// key on continuous rd values and are mostly unique, so with a map the
-// runtime's hashing and insertion machinery dominated the planning cost
-// it was meant to save. A direct-mapped array with a few-instruction
-// hash makes a hit ~free and a miss only an overwrite; the hot
-// fault-free key (one per cell) effectively never leaves its slot.
-const planCacheSize = 256
+// badConfigIdx is the planEntry.ptIdx sentinel for a BadConfig plan.
+const badConfigIdx = -1
 
 // subEnvCap bounds the pool of per-environment NumSub memos. With the
 // paper's two-speed processor and a fixed λ there are at most two
@@ -50,14 +48,15 @@ const subEnvCap = 16
 
 // Planner computes interval plans for an Adaptive scheme: the speed
 // decision (paper §3), the DATE'03 interval() procedure and the optimal
-// sub-interval count of Fig. 2. It memoises whole plans on their exact
-// inputs (rc, rd, λ, rf) — everything else a plan depends on (scheme
-// configuration, CPU model, cost model, task) is fixed at construction —
-// so the overwhelmingly common fault-free repetition of a Monte-Carlo
-// cell plans once and replays the cached decision bit-for-bit.
+// sub-interval count of Fig. 2. A planner built for a RunContext caches
+// whole plans on their exact inputs (rc, rd, λ, rf) in the context's
+// plan cache — everything else a plan depends on (scheme configuration,
+// CPU model, cost model, task) is fixed at construction — so the
+// overwhelmingly common fault-free repetition of a Monte-Carlo cell
+// plans once and replays the cached decision bit-for-bit.
 //
-// A Planner is not safe for concurrent use; schemes park one per worker
-// in the RunContext scratch slot.
+// A Planner is not safe for concurrent use; a RunContext holds one, the
+// current cell's.
 type Planner struct {
 	cfg   Adaptive
 	model *cpu.Model
@@ -68,14 +67,15 @@ type Planner struct {
 	fixedPt  cpu.OperatingPoint
 	fixedBad bool
 
-	// memo is allocated lazily on the first insertion; nocache disables
-	// it entirely for single-run planners (the uncontexted Run path),
-	// whose replans key on unique states and would only pay for the
-	// cache, never hit it.
-	memo    *[planCacheSize]planEntry
-	subs    []subEnv
-	envs    []itvEnv
-	nocache bool
+	// cache is the owning context's plan cache, nil for single-run
+	// planners (the uncontexted Run path), whose replans key on unique
+	// states and would only pay for a cache, never hit it. gen tags this
+	// planner's entries in it.
+	cache *planCache
+	gen   uint64
+
+	subs []subEnv
+	envs []itvEnv
 
 	// Speed-decision precomputation: TEst(rc, f, c, λ) factors as
 	// (rc/f)·(1+s)/(1-s) with s = sqrt(λ·c/f) constant per (point, λ).
@@ -85,19 +85,6 @@ type Planner struct {
 	teLam uint64
 	teOK  bool
 	te    []tePoint
-
-	// hits/misses count plan-cache lookups (nocache lookups count as
-	// misses). Plain fields, not atomics: a Planner is single-goroutine,
-	// and the increment must cost nothing against the few-instruction
-	// cache hit it measures.
-	hits, misses uint64
-}
-
-// planEntry is one direct-mapped cache slot.
-type planEntry struct {
-	key  planKey
-	plan Plan
-	full bool
 }
 
 // tePoint is one operating point's precomputed TEst factors. A point
@@ -127,15 +114,6 @@ type itvEnv struct {
 	env    policy.Env
 }
 
-// slot hashes a plan key to its cache slot with a few multiplies — the
-// whole point over a map is that this costs nanoseconds.
-func (k planKey) slot() uint64 {
-	h := k.rc*0x9e3779b97f4a7c15 ^ k.rd*0xbf58476d1ce4e5b9 ^ k.lam*0x94d049bb133111eb ^ uint64(k.rf)
-	h ^= h >> 29
-	h *= 0xff51afd7ed558ccd
-	return (h >> 33) % planCacheSize
-}
-
 // NewPlanner builds a planner for one scheme configuration over one
 // platform (CPU model, cost model, task). The fault rate is not part of
 // the construction state — it is a per-plan input, so one planner serves
@@ -158,53 +136,21 @@ func NewPlanner(cfg Adaptive, model *cpu.Model, costs checkpoint.Costs, tk task.
 	return pl
 }
 
-// MemoLen returns the number of occupied plan-cache slots (for tests and
-// diagnostics).
-func (pl *Planner) MemoLen() int {
-	if pl.memo == nil {
-		return 0
-	}
-	n := 0
-	for i := range pl.memo {
-		if pl.memo[i].full {
-			n++
-		}
-	}
-	return n
-}
-
 // Plan returns the planning decision for the exact state (rc remaining
 // work in cycles, rd remaining deadline in wall time, lam the planning
-// fault rate, rf the remaining fault budget), from cache when the state
-// has been planned before. Memoisation is exact-input: equal bits in,
-// bit-identical plan out.
+// fault rate, rf the remaining fault budget), from the context's plan
+// cache when the state has been planned before. Caching is exact-input:
+// equal bits in, bit-identical plan out.
 func (pl *Planner) Plan(rc, rd, lam float64, rf int) Plan {
-	if pl.nocache {
-		pl.misses++
+	if pl.cache == nil {
 		return pl.compute(rc, rd, lam, rf)
 	}
-	key := planKey{
-		rc:  math.Float64bits(rc),
-		rd:  math.Float64bits(rd),
-		lam: math.Float64bits(lam),
-		rf:  rf,
+	e := pl.lookup(rc, rd, lam, rf)
+	if e.ptIdx == badConfigIdx {
+		return Plan{BadConfig: true}
 	}
-	if pl.memo == nil {
-		pl.memo = new([planCacheSize]planEntry)
-	}
-	ent := &pl.memo[key.slot()]
-	if ent.full && ent.key == key {
-		pl.hits++
-		return ent.plan
-	}
-	pl.misses++
-	p := pl.compute(rc, rd, lam, rf)
-	ent.key, ent.plan, ent.full = key, p, true
-	return p
+	return Plan{Point: pl.model.Points()[e.ptIdx], Interval: e.itv, SubLen: e.sub}
 }
-
-// CacheStats returns the lookup counters accumulated by this planner.
-func (pl *Planner) CacheStats() (hits, misses uint64) { return pl.hits, pl.misses }
 
 // compute is the uncached planning procedure — the logic previously
 // inlined in Adaptive.Run, expression for expression, so the cached
@@ -314,103 +260,121 @@ func (pl *Planner) envFor(f, lam float64) *policy.Env {
 	return &env
 }
 
-// plannerCacheKey identifies the construction state of a Planner: one
-// scheme configuration on one platform. A RunContext's scratch slot
-// holds the planner for the key it last served; a mismatch (new cell)
-// rebuilds, a match (next rep of the same cell) reuses the warm memo.
-type plannerCacheKey struct {
-	cfg   Adaptive
-	model *cpu.Model
-	costs checkpoint.Costs
-	task  task.Task
-}
-
-// plannerPoolCap bounds the per-context planner pool: large enough to
-// hold every (scheme, grid-point) planner of a full published sub-table
-// (8 grid points × 4 columns = 32), so re-running a table — the bench
-// harness's and the serve daemon's steady state — rebuilds nothing and
-// keeps every planner's TE tables, env pools and sub-interval memos
-// warm. Beyond the cap the least-recently-used planner retires.
-const plannerPoolCap = 48
-
-// plannerMemo is the value parked in RunContext scratch: the context's
-// planner pool in most-recently-used order (a repetition's lookup hits
-// index 0; a cell switch scans, a table re-run scans once per cell).
-// hits/misses carry the cache counters of planners the pool has already
-// retired, so PlannerCacheStats reports a context-lifetime total.
-type plannerMemo struct {
-	keys         []plannerCacheKey
-	pls          []*Planner
+// planCache is a RunContext's exact-input plan cache, shared by the
+// scalar engine (Planner.Plan) and the batch kernel (batchState.plan)
+// through Planner.lookup. It holds one planner, the current cell's: a
+// configuration change builds a new planner under a fresh generation, so
+// the previous cell's entries can never hit again and need no clearing.
+// hits/misses are plain fields, not atomics: a context is
+// single-goroutine, and the increment must cost nothing against the
+// few-instruction hit it measures.
+type planCache struct {
+	pl           *Planner
+	gen          uint64
 	hits, misses uint64
+	ents         [planSets * planWays]planEntry
 }
 
-// plannerFor returns a planner for the scheme over p's platform, reusing
-// one pooled in ctx when it matches. ctx may be nil (the plain
-// uncontexted Run path), in which case a fresh planner is built — its
-// memo still serves the many replans of a single long run.
+// planEntry is one cache way, packed into a single 64-byte cache line:
+// the exact (rc, rd, λ, rf) state bits, the generation of the planner
+// that computed it (zero, never issued, marks an empty way), the planned
+// interval lengths, and the operating point as an index into
+// model.Points() — the batch kernel's speedCosts index — or
+// badConfigIdx.
+type planEntry struct {
+	rc, rd, lam uint64
+	rf          int64
+	gen         uint64
+	itv, sub    float64
+	ptIdx       int32
+	_           int32
+}
+
+// planSet hashes a planning state to its cache set with a few multiplies.
+func planSet(rc, rd, lam uint64, rf int64) uint64 {
+	h := rc*0x9e3779b97f4a7c15 ^ rd*0xbf58476d1ce4e5b9 ^ lam*0x94d049bb133111eb ^ uint64(rf)
+	h ^= h >> 29
+	h *= 0xff51afd7ed558ccd
+	return (h >> 33) & (planSets - 1)
+}
+
+// lookup returns the cache entry holding pl's plan for the exact state
+// (rc, rd, λ, rf), computing and inserting it on a miss; the entry is
+// valid until the next lookup. Way 0 holds proven-reused entries (a
+// way-1 hit promotes by swap), so the repeat path stays one compare. A
+// miss fills way 0 when it holds no live entry of pl's and otherwise
+// overwrites way 1 — never displacing a reused entry for a first
+// sighting. pl must have a cache.
+func (pl *Planner) lookup(rc, rd, lam float64, rf int) *planEntry {
+	c := pl.cache
+	rcb, rdb, lb, rfb := math.Float64bits(rc), math.Float64bits(rd), math.Float64bits(lam), int64(rf)
+	base := planSet(rcb, rdb, lb, rfb) * planWays
+	ent := &c.ents[base]
+	if ent.rc == rcb && ent.rd == rdb && ent.lam == lb && ent.rf == rfb && ent.gen == pl.gen {
+		c.hits++
+		return ent
+	}
+	alt := &c.ents[base+1]
+	if alt.rc == rcb && alt.rd == rdb && alt.lam == lb && alt.rf == rfb && alt.gen == pl.gen {
+		*ent, *alt = *alt, *ent
+		c.hits++
+		return ent
+	}
+	c.misses++
+	p := pl.compute(rc, rd, lam, rf)
+	idx := int32(badConfigIdx)
+	if !p.BadConfig {
+		idx = pl.pointIdx(p.Point)
+	}
+	if ent.gen != pl.gen {
+		alt = ent
+	}
+	*alt = planEntry{rc: rcb, rd: rdb, lam: lb, rf: rfb, gen: pl.gen, itv: p.Interval, sub: p.SubLen, ptIdx: idx}
+	return alt
+}
+
+// pointIdx returns pt's index in the planner's model.Points(). Every
+// point compute plans comes from that list.
+func (pl *Planner) pointIdx(pt cpu.OperatingPoint) int32 {
+	for i, q := range pl.model.Points() {
+		if q == pt {
+			return int32(i)
+		}
+	}
+	panic(fmt.Sprintf("core: operating point %+v missing from the CPU model", pt))
+}
+
+// plannerFor returns the planner for the scheme over p's platform: ctx's
+// current planner when its configuration matches, else a new one bound
+// to ctx's plan cache under a fresh generation. ctx may be nil (the
+// plain uncontexted Run path), in which case the planner computes every
+// plan directly.
 func (s *Adaptive) plannerFor(ctx *sim.RunContext, p sim.Params) *Planner {
-	if ctx != nil {
-		pm, ok := ctx.Scratch().(*plannerMemo)
-		if !ok {
-			pm = &plannerMemo{}
-			ctx.SetScratch(pm)
-		}
-		// Field-wise match against the pooled keys: this runs once per
-		// repetition, so it must not construct a key struct (a ~100-byte
-		// copy) just to compare it. MRU order makes the per-repetition
-		// lookup one compare; only a cell switch scans deeper.
-		model := p.CPUModel()
-		for i := range pm.keys {
-			k := &pm.keys[i]
-			if k.cfg == *s && k.model == model && k.costs == p.Costs && k.task == p.Task {
-				if i > 0 {
-					key, pl := pm.keys[i], pm.pls[i]
-					copy(pm.keys[1:i+1], pm.keys[:i])
-					copy(pm.pls[1:i+1], pm.pls[:i])
-					pm.keys[0], pm.pls[0] = key, pl
-				}
-				return pm.pls[0]
-			}
-		}
-		key := plannerCacheKey{cfg: *s, model: model, costs: p.Costs, task: p.Task}
-		pl := NewPlanner(key.cfg, key.model, key.costs, key.task)
-		if len(pm.pls) >= plannerPoolCap {
-			// Fold the retiring planner's counters into the carried total
-			// so the context's cache stats survive the eviction.
-			last := pm.pls[len(pm.pls)-1]
-			pm.hits += last.hits
-			pm.misses += last.misses
-			pm.keys = pm.keys[:len(pm.keys)-1]
-			pm.pls = pm.pls[:len(pm.pls)-1]
-		}
-		pm.keys = append(pm.keys, plannerCacheKey{})
-		pm.pls = append(pm.pls, nil)
-		copy(pm.keys[1:], pm.keys)
-		copy(pm.pls[1:], pm.pls)
-		pm.keys[0], pm.pls[0] = key, pl
+	model := p.CPUModel()
+	if ctx == nil {
+		return NewPlanner(*s, model, p.Costs, p.Task)
+	}
+	c, ok := ctx.Scratch().(*planCache)
+	if !ok {
+		c = new(planCache)
+		ctx.SetScratch(c)
+	}
+	if pl := c.pl; pl != nil && pl.cfg == *s && pl.model == model && pl.costs == p.Costs && pl.task == p.Task {
 		return pl
 	}
-	// No context to outlive the run: planning states within one run are
-	// almost never revisited (replans key on the continuous remaining
-	// deadline), so a cache would cost more than it saves — compute
-	// directly, exactly as the pre-refactor inline code did.
-	pl := NewPlanner(*s, p.CPUModel(), p.Costs, p.Task)
-	pl.nocache = true
-	return pl
+	c.gen++ // generations start at 1: empty ways never match
+	c.pl = NewPlanner(*s, model, p.Costs, p.Task)
+	c.pl.cache, c.pl.gen = c, c.gen
+	return c.pl
 }
 
 // PlannerCacheStats reports the plan-cache hit/miss totals accumulated
-// over ctx's lifetime — the pooled planners' counters plus those of
-// every planner the context has already retired. Contexts that never
-// ran an adaptive scheme report zeros. The caller owns delta
-/// bookkeeping: the totals are monotonic for a fixed context.
+// over ctx's lifetime by both the scalar and the batch path. Contexts
+// that never ran an adaptive scheme report zeros. The caller owns delta
+// bookkeeping: the totals are monotonic for a fixed context.
 func PlannerCacheStats(ctx *sim.RunContext) (hits, misses uint64) {
-	if pm, ok := ctx.Scratch().(*plannerMemo); ok {
-		hits, misses = pm.hits, pm.misses
-		for _, pl := range pm.pls {
-			hits += pl.hits
-			misses += pl.misses
-		}
+	if c, ok := ctx.Scratch().(*planCache); ok {
+		return c.hits, c.misses
 	}
-	return hits, misses
+	return 0, 0
 }

@@ -174,11 +174,11 @@ func TestAblationCellsNeverFallBack(t *testing.T) {
 	}
 }
 
-// TestWarmContextRerunBitStable pins the cross-run cache layer the
-// steady-state throughput rides on: worker contexts are pooled across
-// RunTable calls, so a re-run executes with warm planner pools and a
-// plan cache full of the previous run's entries — and must still
-// produce the identical table, bit for bit, run after run.
+// TestWarmContextRerunBitStable pins context reuse across RunTable
+// calls: worker contexts are pooled to save their allocations only, so
+// a re-run may execute on a context whose plan cache still holds the
+// previous run's entries — and must still produce the identical table,
+// bit for bit, run after run.
 func TestWarmContextRerunBitStable(t *testing.T) {
 	spec, err := TableByID("1a")
 	if err != nil {

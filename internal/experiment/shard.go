@@ -232,72 +232,25 @@ func (r Runner) runShards(ctx context.Context, cells []*cellState, onDone func(*
 	return s.firstErr
 }
 
-// workerCtx bundles a worker's reusable simulation contexts. Pooled at
-// package level so repeated table runs in one process — the bench
-// harness and the serve daemon's steady state — hand workers contexts
-// whose planner pools, plan caches and arena buffers are already warm
-// from the previous run. Warm state never changes results: planners are
-// exact-input memos and the batch plan cache keys on the full planning
-// state, both pinned by the scalar-equivalence tests.
+// workerCtx bundles a worker's reusable simulation contexts. Pooled so
+// repeated runs in one process reuse their allocations (engine buffers,
+// the 1 MiB plan cache, batch scratch) instead of rebuilding them; no
+// run relies on a context's warmth, and warm state never changes
+// results — the plan cache is exact-input and generation-tagged, pinned
+// by the scalar-equivalence tests.
 type workerCtx struct {
 	rctx *sim.RunContext
 	bctx *sim.BatchContext
 }
 
-// workerCtxs is the context pool, indexed by worker number: the unit
-// distribution is deterministic, so worker w sweeps the same cells
-// every time a table re-runs, and handing it the context it used last
-// time makes its caches hit from the first shard. Slot w being busy
-// (concurrent schedulers) degrades to any free context, then to a cold
-// build — never a wait, never a correctness difference.
-var workerCtxs struct {
-	mu   sync.Mutex
-	list []*workerCtx
-}
-
-func acquireWorkerCtx(w int) *workerCtx {
-	workerCtxs.mu.Lock()
-	defer workerCtxs.mu.Unlock()
-	if w < len(workerCtxs.list) {
-		if wc := workerCtxs.list[w]; wc != nil {
-			workerCtxs.list[w] = nil
-			return wc
-		}
-	}
-	for i, wc := range workerCtxs.list {
-		if wc != nil {
-			workerCtxs.list[i] = nil
-			return wc
-		}
-	}
+var workerCtxPool = sync.Pool{New: func() any {
 	return &workerCtx{rctx: sim.NewRunContext(), bctx: sim.NewBatchContext()}
-}
-
-func releaseWorkerCtx(w int, wc *workerCtx) {
-	workerCtxs.mu.Lock()
-	defer workerCtxs.mu.Unlock()
-	for w >= len(workerCtxs.list) {
-		workerCtxs.list = append(workerCtxs.list, nil)
-	}
-	if workerCtxs.list[w] == nil {
-		workerCtxs.list[w] = wc
-		return
-	}
-	// Home slot taken by a concurrent scheduler's release: park in the
-	// first free slot (the list only grows to peak worker concurrency).
-	for i, old := range workerCtxs.list {
-		if old == nil {
-			workerCtxs.list[i] = wc
-			return
-		}
-	}
-	workerCtxs.list = append(workerCtxs.list, wc)
-}
+}}
 
 func (s *sched) worker(w int) {
 	defer s.wg.Done()
-	wc := acquireWorkerCtx(w)
-	defer releaseWorkerCtx(w, wc)
+	wc := workerCtxPool.Get().(*workerCtx)
+	defer workerCtxPool.Put(wc)
 	rctx, bctx := wc.rctx, wc.bctx
 	var scratch stats.Shard
 	// A pooled context carries cache counters from previous runs; the

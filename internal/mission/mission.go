@@ -166,6 +166,8 @@ func Run(cfg Config, seed uint64) (Report, error) {
 	return RunCtx(context.Background(), cfg, seed)
 }
 
+var runCtxPool = sync.Pool{New: func() any { return sim.NewRunContext() }}
+
 // RunCtx is Run with cancellation: the frame loop polls ctx between
 // frames and, once it fires, returns the partial report (Reason
 // EndCancelled) together with ctx.Err(). Polling consumes no randomness,
@@ -221,8 +223,11 @@ func RunCtx(ctx context.Context, cfg Config, seed uint64) (Report, error) {
 	// experiment runner uses per repetition — so frame streams no longer
 	// chain through the mission source and future frame-sharding can
 	// reconstruct any frame's stream independently. (The mission source
-	// still serves the permanent-fault draws above.)
-	rctx := sim.NewRunContext()
+	// still serves the permanent-fault draws above.) The context comes
+	// from a pool: its plan cache is a 1 MiB array, too large to allocate
+	// per mission, and reuse is bit-identical to a fresh context.
+	rctx := runCtxPool.Get().(*sim.RunContext)
+	defer runCtxPool.Put(rctx)
 
 	for f := 0; f < cfg.MaxFrames; f++ {
 		if f&0x3f == 0 && ctx.Err() != nil {

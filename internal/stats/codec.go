@@ -65,7 +65,9 @@ func (s *Shard) MarshalBinary() ([]byte, error) {
 // cross-checked (completed ≤ trials, wrong ≤ completed, tail seen ==
 // completed, kept ≤ min(seen, capacity)) so corrupted or adversarial
 // bytes cannot decode into a shard claiming observations that never
-// happened.
+// happened, and only the canonical encoding is accepted (trimmed limb
+// windows, tail entries in heap order): accepted bytes re-encode
+// identically.
 func (s *Shard) UnmarshalBinary(data []byte) error {
 	s.Reset()
 	d := decoder{buf: data}
@@ -96,11 +98,17 @@ func (s *Shard) UnmarshalBinary(data []byte) error {
 	}
 	s.timeTail.seen = seen
 	for i := 0; i < kept; i++ {
-		key := d.u64()
-		val := math.Float64frombits(d.u64())
+		e := tailEntry{key: d.u64(), val: math.Float64frombits(d.u64())}
+		// The encoder writes the heap array verbatim, so every entry must
+		// sit no higher than its parent; anything else would decode (Add
+		// restores the heap) yet re-encode to different bytes.
+		if i > 0 && s.timeTail.entries[(i-1)/2].less(e) {
+			s.Reset()
+			return fmt.Errorf("%w: tail entry %d out of heap order", errShardCodec, i)
+		}
 		// Rebuild the heap through Add (seen is pre-credited above, so
 		// undo Add's increment).
-		s.timeTail.Add(key, val)
+		s.timeTail.Add(e.key, e.val)
 		s.timeTail.seen--
 	}
 	if d.err != nil || d.off != len(d.buf) {
@@ -153,6 +161,11 @@ func (f *FixedSum) decode(d *decoder) error {
 	f.infs = int(d.u32())
 	if d.err != nil {
 		return errShardCodec
+	}
+	// The encoder trims the window to its non-zero ends (an all-zero sum
+	// is the empty window at 0), so any other window is non-canonical.
+	if count == 0 && first != 0 || count > 0 && (f.limbs[first] == 0 || f.limbs[first+count-1] == 0) {
+		return fmt.Errorf("%w: untrimmed limb window [%d,%d)", errShardCodec, first, first+count)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"bytes"
 	"math"
 	"testing"
 )
@@ -122,6 +123,22 @@ func TestShardCodecRejectsCorruption(t *testing.T) {
 	inconsistent[1], inconsistent[2], inconsistent[3], inconsistent[4] = 0, 0, 0, 0
 	cases["counts"] = inconsistent
 
+	// Non-canonical encodings of valid state: they would decode, but
+	// re-encode to different bytes.
+	var empty Shard
+	untrimmed := empty.AppendBinary(nil)
+	untrimmed[13] = 1 // energy sum: empty window starting at limb 1
+	cases["empty window off 0"] = untrimmed
+	zeroLimb := append(append([]byte{}, untrimmed[:14]...), 1, 0, 0, 0, 0, 0, 0, 0, 0)
+	cases["zero edge limb"] = append(zeroLimb, untrimmed[15:]...)
+	var two Shard
+	two.ObserveRun(1, true, false, 1, 1, 0, 0)
+	two.ObserveRun(2, true, false, 1, 1, 0, 0)
+	swapped := two.AppendBinary(nil)
+	n := len(swapped)
+	tail := append(append([]byte{}, swapped[n-16:]...), swapped[n-32:n-16]...)
+	cases["tail out of heap order"] = append(swapped[:n-32], tail...)
+
 	for name, b := range cases {
 		var d Shard
 		if err := d.UnmarshalBinary(b); err == nil {
@@ -149,4 +166,40 @@ func TestShardCodecLimbWindow(t *testing.T) {
 	if len(b) >= 5*(2+34*8+8)+64 {
 		t.Fatalf("encoding suspiciously large: %d bytes", len(b))
 	}
+}
+
+// FuzzShardUnmarshal drives the shard decoder — the path every cluster
+// worker result and journal checkpoint takes back into the merge
+// algebra — over arbitrary bytes. It must never panic; any input it
+// accepts must be the canonical encoding of the decoded state
+// (re-encoding reproduces it byte for byte, so accepted bytes carry no
+// hidden or ambiguous content) and must not claim more completions or
+// corruptions than repetitions. A rejected input leaves the shard empty.
+func FuzzShardUnmarshal(f *testing.F) {
+	for _, n := range []int{0, 1, 7, 64} {
+		var s Shard
+		fillShard(&s, uint64(n)+1, n)
+		f.Add(s.AppendBinary(nil))
+	}
+	var special Shard
+	special.ObserveRun(1, true, false, math.Inf(1), 5, 0, 1)
+	special.ObserveRun(2, true, true, math.NaN(), 6, 2, 0)
+	special.ObserveRun(3, false, false, 0, 0, 1, 1)
+	special.ObserveRun(4, true, false, 5e-324, 1e300, 0, 0)
+	f.Add(special.AppendBinary(nil))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s Shard
+		if err := s.UnmarshalBinary(data); err != nil {
+			if s.Trials() != 0 {
+				t.Fatalf("rejected input left %d trials", s.Trials())
+			}
+			return
+		}
+		if got := s.AppendBinary(nil); !bytes.Equal(got, data) {
+			t.Fatalf("accepted input does not re-encode identically:\n in  %x\n out %x", data, got)
+		}
+		if !(s.wrong <= s.completed && s.completed <= s.Trials()) {
+			t.Fatalf("decoded counts wrong=%d completed=%d trials=%d", s.wrong, s.completed, s.Trials())
+		}
+	})
 }
