@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race check golden bench bench-check determinism fuzz-smoke chaos kill-soak cluster-soak store-soak telemetry-overhead journal-overhead profile profile-smoke pgo
+.PHONY: build test vet race check golden bench bench-check determinism fuzz-smoke chaos kill-soak cluster-soak store-soak telemetry-overhead journal-overhead profile profile-smoke pgo perfbench-build
 
 build:
 	$(GO) build ./...
@@ -75,15 +75,18 @@ pgo: profile
 determinism:
 	$(GO) test -race -count=1 -run 'Determinism|Shard|OrderIndependence|PartitionInvariance' ./internal/experiment/ ./internal/stats/ ./internal/cluster/
 
-# Short native-fuzz smoke (~2 min, 15s per target): the planner over its
+# Short native-fuzz smoke (~3 min, 15s per target): the planner over its
 # whole input envelope, batch-vs-scalar kernel equivalence on randomized
 # configurations (byte-identical stats.Shard payloads), the
 # model-vs-simulation validators, journal replay over arbitrary bytes
 # (must never panic, never invent completed shards), the stats.Shard
 # decoder every worker result passes through (never panic, accept only
 # canonical bytes, never inflate the rep ledger), the permanent-fault
-# overlay, and the ISA assembler and machine step. CI runs this; longer
-# local campaigns just raise -fuzztime.
+# overlay, the ISA assembler and machine step, and the untrusted
+# network decoders: the POST /v1/jobs spec, the worker's unit request
+# and the store config they both carry (never panic, accepted input
+# round-trips). CI runs this; longer local campaigns just raise
+# -fuzztime.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPlannerChoose$$' -fuzztime 15s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchScalarEquivalence$$' -fuzztime 15s ./internal/core/
@@ -93,6 +96,16 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPermanentOverlay$$' -fuzztime 15s ./internal/fault/
 	$(GO) test -run '^$$' -fuzz '^FuzzAssemble$$' -fuzztime 15s ./internal/isa/
 	$(GO) test -run '^$$' -fuzz '^FuzzMachineStep$$' -fuzztime 15s ./internal/isa/
+	$(GO) test -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime 15s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzUnitRequest$$' -fuzztime 15s ./internal/cluster/
+	$(GO) test -run '^$$' -fuzz '^FuzzStoreConfig$$' -fuzztime 15s ./internal/store/
+
+# Compile and vet the benchmark harness. perfbench/ is a nested module
+# (it builds against this one through a replace directive), so neither
+# `go build ./...` nor `make check` reaches it; an API change in serve
+# or cluster would otherwise surface only when the benchmark runs.
+perfbench-build:
+	cd perfbench && $(GO) vet ./...
 
 # The chaos soak: the serve job service under fault injection, race
 # detector on.

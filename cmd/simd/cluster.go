@@ -1,7 +1,6 @@
-// Cluster roles of the simd binary: a stateless worker that executes
-// (cell, rep-range) units, and a coordinator that shards grid jobs
-// across registered workers with leases, heartbeats, hedged retries and
-// a crash-safe shard journal.
+// The worker role of the simd binary: a stateless executor of (cell,
+// rep-range) units. The coordinator role is the job service of main.go
+// with the cluster's grid executor.
 
 package main
 
@@ -19,8 +18,6 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/cluster"
-	"repro/internal/serve"
-	"repro/internal/storage"
 )
 
 // runWorker serves the unit-execution API and, when a coordinator URL
@@ -76,60 +73,4 @@ func runWorker(listen, coordURL, advertise string, maxInflight int, key []byte) 
 	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	return httpSrv.Shutdown(shutCtx)
-}
-
-// runCoordinator boots the coordinator, replaying its journal so
-// unfinished jobs resume from their banked shards.
-func runCoordinator(listen, journalPath string, journalSync, unitReps int, hedgeAfter, lease, heartbeat time.Duration, key []byte) error {
-	cfg := cluster.Config{
-		UnitReps:          unitReps,
-		HedgeAfter:        hedgeAfter,
-		LeaseTimeout:      lease,
-		HeartbeatInterval: heartbeat,
-		Key:               key,
-		Logf:              log.Printf,
-	}
-	if journalPath != "" {
-		store, err := storage.OpenFileLog(journalPath)
-		if err != nil {
-			return cli.Resourcef("opening journal %s: %v", journalPath, err)
-		}
-		jl := serve.NewJournal(store, journalSync)
-		defer jl.Close()
-		data, err := store.ReadAll()
-		if err != nil {
-			return cli.Resourcef("reading journal %s: %v", journalPath, err)
-		}
-		rec := serve.ReplayJournal(data)
-		log.Printf("journal %s: %d records (%d corrupt skipped), %d jobs, %d to resume",
-			journalPath, rec.Records, rec.Corrupt, len(rec.Jobs), rec.UnfinishedJobs())
-		cfg.Journal = jl
-		cfg.Recovery = rec
-	}
-	coord := cluster.New(cfg)
-	httpSrv := &http.Server{Addr: listen, Handler: coord.Handler()}
-	errCh := make(chan error, 1)
-	go func() {
-		log.Printf("coordinator listening on %s", listen)
-		if serr := httpSrv.ListenAndServe(); !errors.Is(serr, http.ErrServerClosed) {
-			errCh <- serr
-			return
-		}
-		errCh <- nil
-	}()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errCh:
-		coord.Close()
-		return err
-	case got := <-sig:
-		log.Printf("received %v, shutting down coordinator (unfinished jobs resume from the journal)", got)
-	}
-	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	err := httpSrv.Shutdown(shutCtx)
-	coord.Close()
-	return err
 }

@@ -35,20 +35,24 @@
 // A legacy drain manifest (-manifest, from older builds) is migrated
 // into the journal once at boot and renamed *.migrated.
 //
+// Identical grid jobs (same table, reps, seed and store config) are
+// answered from a content-addressed result cache in the 202 itself.
+//
 // Cluster mode (-role): the same binary also runs as a fault-tolerant
 // coordinator/worker cluster for grid jobs.
 //
 //	simd -role=coordinator -listen :8080 -journal coord.journal
 //	simd -role=worker -listen :8081 -coordinator http://localhost:8080
 //
-// The coordinator shards each grid job into (cell, rep-range) units,
+// The coordinator is the same job service — same queue, deadlines,
+// journal, drain and HTTP API, configured by the same flags — whose
+// grid jobs run remotely: it shards each into (cell, rep-range) units,
 // dispatches them to registered workers with leases, heartbeats, hedged
-// retries and re-dispatch on failure, folds the returned shard payloads
-// with the exact merge algebra (an N-node answer is byte-identical to a
-// 1-node answer), journals banked shards for crash-safe resume, and
-// dedups identical jobs through a content-addressed result cache.
-// Workers are stateless executors; kill one mid-unit and the
-// coordinator re-dispatches the lease elsewhere.
+// retries and re-dispatch on failure, and folds the returned shard
+// payloads with the exact merge algebra (an N-node answer is
+// byte-identical to a 1-node answer). Workers are stateless executors;
+// kill one mid-unit and the coordinator re-dispatches the lease
+// elsewhere.
 //
 // Observability: GET /metrics serves the Prometheus text exposition of
 // the job ledger, journal counters, queue gauges, job-latency histogram
@@ -74,6 +78,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/cli"
+	"repro/internal/cluster"
 	"repro/internal/serve"
 	"repro/internal/storage"
 )
@@ -92,26 +97,26 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("simd", flag.ContinueOnError)
 	var (
 		listen   = fs.String("listen", ":8080", "HTTP listen address")
-		queue    = fs.Int("queue", 64, "admission queue depth (beyond it, submissions shed with 503)")
-		workers  = fs.Int("workers", 4, "concurrent job executors")
-		gridW    = fs.Int("grid-workers", 1, "worker-pool size inside one grid job")
-		deadline = fs.Duration("deadline", time.Minute, "default per-job deadline")
-		maxDl    = fs.Duration("max-deadline", 10*time.Minute, "cap on client-requested deadlines")
-		retries  = fs.Int("retries", 2, "retry budget for transient failures")
-		drain    = fs.Duration("drain", 10*time.Second, "shutdown drain deadline")
+		queue    = fs.Int("queue", 64, "single, coordinator: admission queue depth (beyond it, submissions shed with 503)")
+		workers  = fs.Int("workers", 4, "single, coordinator: concurrent job executors")
+		gridW    = fs.Int("grid-workers", 1, "single: worker-pool size inside one local grid job")
+		deadline = fs.Duration("deadline", time.Minute, "single, coordinator: default per-job deadline")
+		maxDl    = fs.Duration("max-deadline", 10*time.Minute, "single, coordinator: cap on client-requested deadlines")
+		retries  = fs.Int("retries", 2, "single, coordinator: retry budget for transient failures")
+		drain    = fs.Duration("drain", 10*time.Second, "single, coordinator: shutdown drain deadline")
 
-		journalPath = fs.String("journal", "simd.journal", "durable job-journal path; accepted jobs and grid shard checkpoints survive kill -9 and resume on the next boot (empty disables crash recovery)")
-		journalSync = fs.Int("journal-sync", serve.DefaultSyncEvery, "cap on progress records per journal fsync batch; batches otherwise group-commit on a 250ms timer (1 = fsync every record; admissions and terminal outcomes always fsync)")
-		manifest    = fs.String("manifest", "simd-manifest.json", "legacy unfinished-job manifest from pre-journal builds, migrated into the journal once and renamed *.migrated (empty disables)")
+		journalPath = fs.String("journal", "simd.journal", "single, coordinator: durable job-journal path; accepted jobs and grid shard checkpoints survive kill -9 and resume on the next boot (empty disables crash recovery)")
+		journalSync = fs.Int("journal-sync", serve.DefaultSyncEvery, "single, coordinator: cap on progress records per journal fsync batch; batches otherwise group-commit on a 250ms timer (1 = fsync every record; admissions and terminal outcomes always fsync)")
+		manifest    = fs.String("manifest", "simd-manifest.json", "single, coordinator: legacy unfinished-job manifest from pre-journal builds, migrated into the journal once and renamed *.migrated (empty disables)")
 
-		chaosPanic    = fs.Float64("chaos-panic", 0, "inject synthetic panics at this rate (self-test)")
-		chaosError    = fs.Float64("chaos-error", 0, "inject transient failures at this rate")
-		chaosCancel   = fs.Float64("chaos-cancel", 0, "inject spurious cancellations at this rate")
-		chaosStraggle = fs.Float64("chaos-straggle", 0, "inject straggler delays at this rate")
-		chaosDelay    = fs.Duration("chaos-delay", 50*time.Millisecond, "straggler delay")
-		chaosSeed     = fs.Uint64("chaos-seed", 1, "chaos draw seed")
+		chaosPanic    = fs.Float64("chaos-panic", 0, "single, coordinator: inject synthetic panics at this rate (self-test)")
+		chaosError    = fs.Float64("chaos-error", 0, "single, coordinator: inject transient failures at this rate")
+		chaosCancel   = fs.Float64("chaos-cancel", 0, "single, coordinator: inject spurious cancellations at this rate")
+		chaosStraggle = fs.Float64("chaos-straggle", 0, "single, coordinator: inject straggler delays at this rate")
+		chaosDelay    = fs.Duration("chaos-delay", 50*time.Millisecond, "single, coordinator: straggler delay")
+		chaosSeed     = fs.Uint64("chaos-seed", 1, "single, coordinator: chaos draw seed")
 
-		role        = fs.String("role", "single", "process role: single (self-contained daemon), coordinator (shards grid jobs across workers) or worker (stateless unit executor)")
+		role        = fs.String("role", "single", "process role: single (self-contained daemon), coordinator (the same daemon, grid jobs sharded across workers) or worker (stateless unit executor)")
 		coordURL    = fs.String("coordinator", "", "worker: coordinator base URL to register with (empty skips registration)")
 		advertise   = fs.String("advertise", "", "worker: base URL the coordinator should dial back (default http://127.0.0.1:<listen port>)")
 		maxInflight = fs.Int("max-inflight", 0, "worker: concurrent unit bound, 503+Retry-After beyond it (0 = GOMAXPROCS)")
@@ -137,12 +142,10 @@ func run(args []string) error {
 	}
 
 	switch *role {
-	case "single":
-		// fall through to the self-contained daemon below
+	case "single", "coordinator":
+		// the job service below; a coordinator adds the cluster executor
 	case "worker":
 		return runWorker(*listen, *coordURL, *advertise, *maxInflight, []byte(*clusterKey))
-	case "coordinator":
-		return runCoordinator(*listen, *journalPath, *journalSync, *unitReps, *hedgeAfter, *lease, *heartbeat, []byte(*clusterKey))
 	default:
 		return cli.Usagef("unknown -role %q (want single, coordinator or worker)", *role)
 	}
@@ -195,13 +198,31 @@ func run(args []string) error {
 			*chaosPanic, *chaosError, *chaosCancel, *chaosStraggle)
 	}
 
-	srv := serve.New(cfg)
-	httpSrv := &http.Server{Addr: *listen, Handler: srv.Handler()}
+	var srv *serve.Server
+	var handler http.Handler
+	if *role == "coordinator" {
+		coord := cluster.NewWithServer(cluster.Config{
+			UnitReps:          *unitReps,
+			HedgeAfter:        *hedgeAfter,
+			LeaseTimeout:      *lease,
+			HeartbeatInterval: *heartbeat,
+			Key:               []byte(*clusterKey),
+			Logf:              log.Printf,
+		}, cfg)
+		// After the drain below (or on a listen failure) this stops the
+		// heartbeats; unfinished jobs resume from the journal.
+		defer coord.Close()
+		srv, handler = coord.Server(), coord.Handler()
+	} else {
+		srv = serve.New(cfg)
+		handler = srv.Handler()
+	}
+	httpSrv := &http.Server{Addr: *listen, Handler: handler}
 
 	errCh := make(chan error, 1)
 	go func() {
-		log.Printf("listening on %s (queue %d, %d workers, %v default deadline)",
-			*listen, *queue, *workers, *deadline)
+		log.Printf("%s listening on %s (queue %d, %d workers, %v default deadline)",
+			*role, *listen, *queue, *workers, *deadline)
 		if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 			errCh <- err
 			return

@@ -15,13 +15,16 @@ func TestRunExitsResourceCodeWhenJournalUnopenable(t *testing.T) {
 	// A directory where the journal file should be: open fails, and the
 	// process must exit 3 (resource) so supervisors can tell "fix my
 	// disk" from a crash (1) or a flag typo (2).
+	// The coordinator role boots through the same journal path.
 	dir := t.TempDir()
-	err := run([]string{"-journal", dir, "-manifest", ""})
-	if err == nil {
-		t.Fatal("run succeeded with an unopenable journal")
-	}
-	if got := cli.ExitCode(err); got != 3 {
-		t.Fatalf("exit code = %d (%v), want 3", got, err)
+	for _, role := range []string{"single", "coordinator"} {
+		err := run([]string{"-role", role, "-journal", dir, "-manifest", ""})
+		if err == nil {
+			t.Fatalf("%s: run succeeded with an unopenable journal", role)
+		}
+		if got := cli.ExitCode(err); got != 3 {
+			t.Fatalf("%s: exit code = %d (%v), want 3", role, got, err)
+		}
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"runtime"
 	"runtime/debug"
 )
 
@@ -62,8 +63,13 @@ func ExitCode(err error) int {
 
 // Version returns the build identity of the running binary, assembled
 // from the metadata the Go linker embeds: module version, VCS revision
-// (with a +dirty marker for modified trees) and toolchain. It never
-// fails — a binary built without build info reports "unknown".
+// (with a +dirty marker for modified trees), toolchain and target
+// architecture with its GOAMD64/GOARM64 level — e.g. "devel 1a2b3c4d5e6f
+// go1.24.0 amd64/v1". The architecture is part of the identity because
+// the float semantics are: the compiler may fuse x*y+z into one FMA on
+// arm64 (and on amd64 at v3), so the same revision built for another
+// target can produce different result bits. It never fails — a binary
+// built without build info reports "unknown".
 func Version() string {
 	bi, ok := debug.ReadBuildInfo()
 	if !ok {
@@ -73,7 +79,7 @@ func Version() string {
 	if v == "" || v == "(devel)" {
 		v = "devel"
 	}
-	var rev, dirty string
+	var rev, dirty, level string
 	for _, s := range bi.Settings {
 		switch s.Key {
 		case "vcs.revision":
@@ -82,6 +88,8 @@ func Version() string {
 			if s.Value == "true" {
 				dirty = "+dirty"
 			}
+		case "GOAMD64", "GOARM64":
+			level = "/" + s.Value
 		}
 	}
 	if len(rev) > 12 {
@@ -90,7 +98,7 @@ func Version() string {
 	if rev != "" {
 		v += " " + rev + dirty
 	}
-	return v + " " + bi.GoVersion
+	return v + " " + bi.GoVersion + " " + runtime.GOARCH + level
 }
 
 // VersionFlag registers -version on the default flag set. The returned

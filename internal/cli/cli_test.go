@@ -4,6 +4,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -45,6 +46,10 @@ func TestVersionIsWellFormed(t *testing.T) {
 	}
 	if !strings.Contains(v, "go1") {
 		t.Errorf("Version() = %q, missing toolchain identity", v)
+	}
+	fields := strings.Fields(v)
+	if arch := fields[len(fields)-1]; arch != runtime.GOARCH && !strings.HasPrefix(arch, runtime.GOARCH+"/") {
+		t.Errorf("Version() = %q, missing target architecture %s", v, runtime.GOARCH)
 	}
 	if v2 := Version(); v2 != v {
 		t.Errorf("Version() not stable: %q then %q", v, v2)

@@ -1,6 +1,7 @@
 // Package cluster promotes the single-process simulation service into a
-// fault-tolerant coordinator/worker cluster. The coordinator shards a
-// grid job into (cell, rep-range) work units — addressable from nothing
+// fault-tolerant coordinator/worker cluster. The coordinator is a
+// serve.Server whose grid executor is remote: it shards each grid
+// job into (cell, rep-range) work units — addressable from nothing
 // but the base seed and the cell's grid coordinates, because every
 // repetition's rng stream is a counter-based pure function of
 // (CellSeed, rep) — dispatches them over HTTP/JSON to registered
@@ -30,27 +31,20 @@
 //     stats codec and must claim exactly Trials() == End-Start; anything
 //     suspect is rejected and the unit re-dispatched. A malicious or
 //     corrupted worker can cost time, never correctness.
-//   - Crash-safe coordination: with a journal configured, every banked
-//     shard is durable (the serve write-ahead journal), and a
+//   - Crash-safe coordination: with a journal configured on the server,
+//     every banked shard is durable (through its OnShard hook), and a
 //     coordinator restart resumes each unfinished job from its banked
 //     shards — merging checkpoints and dispatching only the gaps — with
 //     a bit-identical final table.
-//   - Content-addressed results: finished tables are cached by the
-//     canonical job hash, so an identical JobSpec from a million users
-//     costs one computation.
+//
+// Everything job-shaped — admission, deadlines, cancellation, the
+// journal, the content-addressed result cache, /v1/jobs — is the
+// embedded server's; this package adds membership and dispatch.
 package cluster
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
-	"fmt"
-	"net/http"
 	"strings"
-	"sync"
 
-	"repro/internal/experiment"
-	"repro/internal/serve"
 	"repro/internal/store"
 )
 
@@ -121,65 +115,6 @@ type UnitResult struct {
 	Auth string `json:"auth,omitempty"`
 }
 
-// JobKey is the canonical content hash of a grid job: the fields that
-// determine the result bits (table, repetitions, base seed) and nothing
-// else — shard size, deadline and retry budget are scheduling knobs
-// that cannot change a single output bit, so specs differing only there
-// hash identically and share one cached computation.
-func JobKey(spec serve.JobSpec) string {
-	reps := spec.Reps
-	if reps <= 0 {
-		reps = experiment.DefaultReps
-	}
-	key := fmt.Appendf(nil, "grid|%s|%d|%d", spec.Table, reps, spec.Seed)
-	// The store config changes the result bits, so it is part of the
-	// content address; the canonical JSON keeps the hash stable across
-	// processes. Nil appends nothing — pre-store keys are unchanged.
-	if spec.Store != nil {
-		key = append(key, '|')
-		key = append(key, spec.Store.CanonicalJSON()...)
-	}
-	h := sha256.Sum256(key)
-	return hex.EncodeToString(h[:])
-}
-
-// resultCache is the coordinator's bounded content-addressed result
-// store: canonical job hash → finished result JSON. FIFO eviction — the
-// point is dedup of identical hot requests, not a general cache.
-type resultCache struct {
-	mu    sync.Mutex
-	cap   int
-	m     map[string]json.RawMessage
-	order []string
-}
-
-func newResultCache(capacity int) *resultCache {
-	return &resultCache{cap: capacity, m: make(map[string]json.RawMessage)}
-}
-
-func (rc *resultCache) get(key string) (json.RawMessage, bool) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	blob, ok := rc.m[key]
-	return blob, ok
-}
-
-func (rc *resultCache) put(key string, blob json.RawMessage) {
-	if len(blob) == 0 {
-		return
-	}
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if _, ok := rc.m[key]; !ok {
-		rc.order = append(rc.order, key)
-	}
-	rc.m[key] = blob
-	for rc.cap > 0 && len(rc.order) > rc.cap {
-		delete(rc.m, rc.order[0])
-		rc.order = rc.order[1:]
-	}
-}
-
 // normalizeAddr canonicalises a worker address into a base URL.
 func normalizeAddr(addr string) string {
 	addr = strings.TrimSuffix(strings.TrimSpace(addr), "/")
@@ -191,12 +126,4 @@ func normalizeAddr(addr string) string {
 
 type errorBody struct {
 	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
 }

@@ -5,8 +5,9 @@ package cluster_test
 // byte-identical to the 1-node and local answers, exact rep
 // accounting through redispatch/hedging/byzantine noise, the
 // content-addressed result cache, Retry-After propagation, the
-// registration handshake, journal-backed coordinator resume, and
-// /metrics-vs-/statusz consistency.
+// registration handshake, journal-backed coordinator resume,
+// /metrics-vs-/statusz consistency, and the job-service behaviour the
+// coordinator inherits from serve (cancellation, bounded admission).
 
 import (
 	"bytes"
@@ -19,6 +20,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -83,14 +85,20 @@ func startWorker(t *testing.T, cfg cluster.WorkerConfig, wrapExecute func(http.H
 	return w, ts
 }
 
-// startCoordinator serves a coordinator and registers the given worker
-// URLs through the real handshake.
+// startCoordinator serves a coordinator with a default job front end
+// and registers the given worker URLs through the real handshake.
 func startCoordinator(t *testing.T, cfg cluster.Config, workerURLs ...string) (*cluster.Coordinator, *httptest.Server) {
+	t.Helper()
+	return startCoordinatorWith(t, cfg, serve.Config{}, workerURLs...)
+}
+
+// startCoordinatorWith is startCoordinator with a job front-end config.
+func startCoordinatorWith(t *testing.T, cfg cluster.Config, scfg serve.Config, workerURLs ...string) (*cluster.Coordinator, *httptest.Server) {
 	t.Helper()
 	if cfg.Logf == nil {
 		cfg.Logf = t.Logf
 	}
-	c := cluster.New(cfg)
+	c := cluster.NewWithServer(cfg, scfg)
 	t.Cleanup(c.Close)
 	ts := httptest.NewServer(c.Handler())
 	t.Cleanup(ts.Close)
@@ -105,16 +113,47 @@ func startCoordinator(t *testing.T, cfg cluster.Config, workerURLs ...string) (*
 	return c, ts
 }
 
+// The server's job-ledger families the coordinator now reports through.
+const (
+	metricJobsAccepted    = "simd_jobs_accepted_total"
+	metricJobsCompleted   = "simd_jobs_completed_total"
+	metricJobsFailed      = "simd_jobs_failed_total"
+	metricJobsResumed     = "simd_jobs_resumed_total"
+	metricShardsRecovered = "simd_shards_recovered_total"
+	metricCacheHits       = "simd_result_cache_hits_total"
+)
+
 func counter(c *cluster.Coordinator, name string) int64 {
-	return c.Metrics().Counter(name, "").Value()
+	return c.Server().Metrics().Counter(name, "").Value()
+}
+
+// enqueue admits a job through the coordinator's server.
+func enqueue(t *testing.T, c *cluster.Coordinator, spec serve.JobSpec) string {
+	t.Helper()
+	job, err := c.Server().Enqueue(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return job.ID
+}
+
+// resultJSON is a view's result in its compact wire encoding — the
+// bytes the local reference is compared against.
+func resultJSON(t *testing.T, v serve.View) []byte {
+	t.Helper()
+	blob, err := json.Marshal(v.Result)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
 }
 
 // waitDone polls a job to terminal state.
-func waitDone(t *testing.T, c *cluster.Coordinator, id string, timeout time.Duration) cluster.JobView {
+func waitDone(t *testing.T, c *cluster.Coordinator, id string, timeout time.Duration) serve.View {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for {
-		v, ok := c.Lookup(id)
+		v, ok := c.Server().Lookup(id)
 		if !ok {
 			t.Fatalf("job %s vanished", id)
 		}
@@ -162,16 +201,12 @@ func TestClusterDeterminismNodeCount(t *testing.T) {
 			urls = append(urls, ts.URL)
 		}
 		c, _ := startCoordinator(t, cluster.Config{HedgeAfter: -1}, urls...)
-		v, err := c.Enqueue(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v = waitDone(t, c, v.ID, 30*time.Second)
+		v := waitDone(t, c, enqueue(t, c, spec), 30*time.Second)
 		assertLedgerExact(t, c, spec)
 		if got := counter(c, experiment.MetricRepsRecovered); got != 0 {
 			t.Errorf("%d-worker run recovered %d reps from nowhere", nWorkers, got)
 		}
-		return v.Result
+		return resultJSON(t, v)
 	}
 
 	one := run(1)
@@ -192,12 +227,12 @@ func TestClusterDeterminismNodeCount(t *testing.T) {
 func TestClusterStoreConfig(t *testing.T) {
 	spec := testSpec()
 	spec.Store = store.DefaultConfig(4)
-	if cluster.JobKey(spec) == cluster.JobKey(testSpec()) {
+	if serve.JobKey(spec) == serve.JobKey(testSpec()) {
 		t.Fatal("store config not part of the job key — cached store-free results would serve store jobs")
 	}
 	alt := testSpec()
 	alt.Store = store.DefaultConfig(2)
-	if cluster.JobKey(spec) == cluster.JobKey(alt) {
+	if serve.JobKey(spec) == serve.JobKey(alt) {
 		t.Fatal("different store configs share a job key")
 	}
 
@@ -208,73 +243,99 @@ func TestClusterStoreConfig(t *testing.T) {
 		urls = append(urls, ts.URL)
 	}
 	c, _ := startCoordinator(t, cluster.Config{HedgeAfter: -1}, urls...)
-	v, err := c.Enqueue(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v = waitDone(t, c, v.ID, 30*time.Second)
+	got := resultJSON(t, waitDone(t, c, enqueue(t, c, spec), 30*time.Second))
 	assertLedgerExact(t, c, spec)
-	if !bytes.Equal(v.Result, want) {
+	if !bytes.Equal(got, want) {
 		t.Error("store-configured cluster result differs from the local engine")
 	}
-	if bytes.Equal(v.Result, localGridJSON(t, testSpec())) {
+	if bytes.Equal(got, localGridJSON(t, testSpec())) {
 		t.Error("store-configured result identical to the store-free one — config not reaching workers")
 	}
 }
 
 // TestClusterCacheHit pins the content-addressed result cache: an
 // identical canonical job — even with different scheduling knobs —
-// is served finished, byte-identical, with zero new dispatches.
+// is answered in its 202, finished and byte-identical, with zero new
+// dispatches.
 func TestClusterCacheHit(t *testing.T) {
 	spec := testSpec()
 	_, wts := startWorker(t, cluster.WorkerConfig{}, nil)
-	c, _ := startCoordinator(t, cluster.Config{HedgeAfter: -1}, wts.URL)
+	c, ts := startCoordinator(t, cluster.Config{HedgeAfter: -1}, wts.URL)
 
-	v1, err := c.Enqueue(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1 = waitDone(t, c, v1.ID, 30*time.Second)
+	first := resultJSON(t, waitDone(t, c, enqueue(t, c, spec), 30*time.Second))
 
 	dispatched := counter(c, cluster.MetricUnitsDispatched)
 	resub := spec
 	resub.ShardSize = 7       // scheduling knobs must not miss the cache:
 	resub.DeadlineMS = 90_000 // they cannot change a result bit
-	v2, err := c.Enqueue(resub)
+	blob, err := json.Marshal(resub)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v2.State != serve.StateDone || !v2.CacheHit {
-		t.Fatalf("resubmission state %s cacheHit %v, want immediate done cache hit", v2.State, v2.CacheHit)
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(v2.Result, v1.Result) {
+	defer resp.Body.Close()
+	var v2 struct {
+		State    serve.JobState  `json:"state"`
+		CacheHit bool            `json:"cache_hit"`
+		Result   json.RawMessage `json:"result"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&v2); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusAccepted || v2.State != serve.StateDone || !v2.CacheHit {
+		t.Fatalf("resubmission: status %d state %s cacheHit %v, want a 202 carrying a done cache hit",
+			resp.StatusCode, v2.State, v2.CacheHit)
+	}
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, v2.Result); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(compact.Bytes(), first) {
 		t.Error("cached result differs from the computed one")
 	}
 	if got := counter(c, cluster.MetricUnitsDispatched); got != dispatched {
 		t.Errorf("cache hit dispatched %d new units, want 0", got-dispatched)
 	}
-	if got := counter(c, cluster.MetricCacheHits); got != 1 {
-		t.Errorf("%s = %d, want 1", cluster.MetricCacheHits, got)
+	if got := counter(c, metricCacheHits); got != 1 {
+		t.Errorf("%s = %d, want 1", metricCacheHits, got)
 	}
 
 	// A spec differing in a result-determining field must miss.
 	miss := spec
 	miss.Seed++
-	v3, err := c.Enqueue(miss)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v3.CacheHit {
+	id := enqueue(t, c, miss)
+	if v3, _ := c.Server().Lookup(id); v3.CacheHit {
 		t.Error("different seed hit the cache — content address ignores result bits")
 	}
-	waitDone(t, c, v3.ID, 30*time.Second)
+	waitDone(t, c, id, 30*time.Second)
 }
 
-// TestClusterRegisterHandshake pins satellite 1: protocol or build
-// version skew is refused with 400 (and counted, and the worker never
-// joins the pool), on both the coordinator and worker sides.
+// otherArch rewrites a build version to the same revision and toolchain
+// built for a different target architecture — a worker whose float
+// semantics may differ (FMA fusion) while everything else matches.
+func otherArch(t *testing.T, version string) string {
+	t.Helper()
+	i := strings.LastIndexByte(version, ' ')
+	if i < 0 || !strings.HasPrefix(version[i+1:], runtime.GOARCH) {
+		t.Fatalf("version %q does not end in the target architecture %s", version, runtime.GOARCH)
+	}
+	if runtime.GOARCH == "arm64" {
+		return version[:i] + " amd64/v1"
+	}
+	return version[:i] + " arm64/v8.0"
+}
+
+// TestClusterRegisterHandshake pins that protocol or build version
+// skew — including the same revision built for another architecture —
+// is refused with 400 (and counted, and the worker never joins the
+// pool), on both the coordinator and worker sides.
 func TestClusterRegisterHandshake(t *testing.T) {
 	c, ts := startCoordinator(t, cluster.Config{})
+	version := c.Status().Version
+	crossArch := otherArch(t, version)
 
 	post := func(body string) *http.Response {
 		t.Helper()
@@ -288,14 +349,17 @@ func TestClusterRegisterHandshake(t *testing.T) {
 	if resp := post(fmt.Sprintf(`{"addr":"http://127.0.0.1:1","proto":%d,"version":"bogus-build"}`, cluster.ProtocolVersion)); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("version-skewed register: status %d, want 400", resp.StatusCode)
 	}
-	if resp := post(fmt.Sprintf(`{"addr":"http://127.0.0.1:1","proto":%d,"version":%q}`, cluster.ProtocolVersion+1, c.Status().Version)); resp.StatusCode != http.StatusBadRequest {
+	if resp := post(fmt.Sprintf(`{"addr":"http://127.0.0.1:1","proto":%d,"version":%q}`, cluster.ProtocolVersion+1, version)); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("proto-skewed register: status %d, want 400", resp.StatusCode)
+	}
+	if resp := post(fmt.Sprintf(`{"addr":"http://127.0.0.1:1","proto":%d,"version":%q}`, cluster.ProtocolVersion, crossArch)); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("other-arch register (%q): status %d, want 400", crossArch, resp.StatusCode)
 	}
 	if resp := post(`{"proto":1,"version":"x"}`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty-addr register: status %d, want 400", resp.StatusCode)
 	}
-	if got := counter(c, cluster.MetricRegisterRejected); got != 2 {
-		t.Errorf("%s = %d, want 2 (skew rejections only)", cluster.MetricRegisterRejected, got)
+	if got := counter(c, cluster.MetricRegisterRejected); got != 3 {
+		t.Errorf("%s = %d, want 3 (skew rejections only)", cluster.MetricRegisterRejected, got)
 	}
 	if got := len(c.Workers()); got != 0 {
 		t.Errorf("%d workers joined through rejected handshakes", got)
@@ -303,15 +367,17 @@ func TestClusterRegisterHandshake(t *testing.T) {
 
 	// The worker side refuses skewed unit requests the same way.
 	_, wts := startWorker(t, cluster.WorkerConfig{}, nil)
-	body := fmt.Sprintf(`{"proto":%d,"version":"bogus-build","table":"2b","col":0,"u":0.92,"lambda":1e-4,"seed":1,"start":0,"end":8}`, cluster.ProtocolVersion)
-	resp, err := http.Post(wts.URL+"/cluster/v1/execute", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	msg, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "version skew") {
-		t.Errorf("skewed execute: status %d body %s, want 400 version skew", resp.StatusCode, msg)
+	for _, skewed := range []string{"bogus-build", crossArch} {
+		body := fmt.Sprintf(`{"proto":%d,"version":%q,"table":"2b","col":0,"u":0.92,"lambda":1e-4,"seed":1,"start":0,"end":8}`, cluster.ProtocolVersion, skewed)
+		resp, err := http.Post(wts.URL+"/cluster/v1/execute", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "version skew") {
+			t.Errorf("skewed execute (%q): status %d body %s, want 400 version skew", skewed, resp.StatusCode, msg)
+		}
 	}
 }
 
@@ -339,12 +405,9 @@ func TestClusterRedispatchOnWorkerDeath(t *testing.T) {
 		RetryBase:         5 * time.Millisecond,
 	}, w1.URL, w2.URL)
 
-	v, err := c.Enqueue(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	id := enqueue(t, c, spec)
 	for {
-		cur, _ := c.Lookup(v.ID)
+		cur, _ := c.Server().Lookup(id)
 		if cur.UnitsDone >= 10 {
 			break
 		}
@@ -352,8 +415,8 @@ func TestClusterRedispatchOnWorkerDeath(t *testing.T) {
 	}
 	w1.Close() // the kill: connection refused from here on
 
-	v = waitDone(t, c, v.ID, 60*time.Second)
-	if !bytes.Equal(v.Result, want) {
+	v := waitDone(t, c, id, 60*time.Second)
+	if !bytes.Equal(resultJSON(t, v), want) {
 		t.Error("post-death result differs from the local engine")
 	}
 	assertLedgerExact(t, c, spec)
@@ -383,18 +446,17 @@ func TestClusterHedgedDispatch(t *testing.T) {
 			h.ServeHTTP(rw, r)
 		})
 	}
-	_, slow := startWorker(t, cluster.WorkerConfig{}, stall)
-	_, fast := startWorker(t, cluster.WorkerConfig{}, nil)
+	// Both workers take more than the coordinator's 4 units in flight: a
+	// worker bounded at GOMAXPROCS sheds on a small host, and a
+	// Retry-After hold on the fast worker would leave no hedge target.
+	_, slow := startWorker(t, cluster.WorkerConfig{MaxInflight: 8}, stall)
+	_, fast := startWorker(t, cluster.WorkerConfig{MaxInflight: 8}, nil)
 	c, _ := startCoordinator(t, cluster.Config{
 		HedgeAfter: 25 * time.Millisecond,
 	}, slow.URL, fast.URL)
 
-	v, err := c.Enqueue(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v = waitDone(t, c, v.ID, 60*time.Second)
-	if !bytes.Equal(v.Result, want) {
+	v := waitDone(t, c, enqueue(t, c, spec), 60*time.Second)
+	if !bytes.Equal(resultJSON(t, v), want) {
 		t.Error("hedged result differs from the local engine")
 	}
 	assertLedgerExact(t, c, spec)
@@ -444,12 +506,8 @@ func TestClusterByzantineShardRejected(t *testing.T) {
 		RetryBase:  2 * time.Millisecond,
 	}, evil.URL, good.URL)
 
-	v, err := c.Enqueue(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v = waitDone(t, c, v.ID, 60*time.Second)
-	if !bytes.Equal(v.Result, want) {
+	v := waitDone(t, c, enqueue(t, c, spec), 60*time.Second)
+	if !bytes.Equal(resultJSON(t, v), want) {
 		t.Error("byzantine worker changed the table bits")
 	}
 	assertLedgerExact(t, c, spec)
@@ -481,12 +539,8 @@ func TestClusterShardAuth(t *testing.T) {
 		Key:        key,
 	}, keyless.URL, wrongKey.URL, keyed.URL)
 
-	v, err := c.Enqueue(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v = waitDone(t, c, v.ID, 60*time.Second)
-	if !bytes.Equal(v.Result, want) {
+	v := waitDone(t, c, enqueue(t, c, spec), 60*time.Second)
+	if !bytes.Equal(resultJSON(t, v), want) {
 		t.Error("authenticated cluster result differs from the local engine")
 	}
 	assertLedgerExact(t, c, spec)
@@ -500,65 +554,54 @@ func TestClusterShardAuth(t *testing.T) {
 	}
 }
 
-// TestClusterRetryAfterPropagation pins satellite 2: a worker shedding
-// with 503 + Retry-After moves its own next-eligible time out on the
+// TestClusterRetryAfterPropagation pins that a worker shedding with
+// 503 + Retry-After moves its own next-eligible time out on the
 // coordinator, counted per applied hold, while the rest of the pool
-// finishes the job.
+// finishes the job. The shedding worker's wrapper answers its first
+// shedK execute calls with 503 itself, so the case runs every time:
+// the coordinator's first assignment pass fills both workers to their
+// inflight bound of 4, so the shedder sees shedK calls at once.
 func TestClusterRetryAfterPropagation(t *testing.T) {
+	const shedK = 3
 	spec := testSpec()
 	spec.Reps, spec.ShardSize = 20, 10 // 32 units
 	want := localGridJSON(t, spec)
 
-	// One single-slot worker that sheds under the coordinator's 4-deep
-	// dispatch pressure, one wide-open worker.
-	var sheds atomic.Int64
-	countSheds := func(h http.Handler) http.Handler {
+	// The shedder's own inflight bound sits far above the coordinator's
+	// per-worker bound, so every 503 it returns is one the wrapper
+	// injected.
+	var calls, sheds atomic.Int64
+	shedFirst := func(h http.Handler) http.Handler {
 		return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, r)
-			if rec.Code == http.StatusServiceUnavailable {
-				sheds.Add(1)
+			if calls.Add(1) > shedK {
+				h.ServeHTTP(rw, r)
+				return
 			}
-			for k, vs := range rec.Header() {
-				for _, hv := range vs {
-					rw.Header().Add(k, hv)
-				}
-			}
-			rw.WriteHeader(rec.Code)
-			rw.Write(rec.Body.Bytes())
+			sheds.Add(1)
+			rw.Header().Set("Retry-After", "1")
+			rw.WriteHeader(http.StatusServiceUnavailable)
 		})
 	}
-	slowExec := func(h http.Handler) http.Handler {
-		inner := countSheds(h)
-		return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-			time.Sleep(5 * time.Millisecond) // hold the one slot long enough to shed
-			inner.ServeHTTP(rw, r)
-		})
-	}
-	_, tiny := startWorker(t, cluster.WorkerConfig{MaxInflight: 1, RetryAfter: time.Second}, slowExec)
+	_, shedder := startWorker(t, cluster.WorkerConfig{MaxInflight: 64}, shedFirst)
 	_, wide := startWorker(t, cluster.WorkerConfig{}, nil)
 	c, _ := startCoordinator(t, cluster.Config{
 		HedgeAfter: -1,
 		RetryBase:  2 * time.Millisecond,
-	}, tiny.URL, wide.URL)
+	}, shedder.URL, wide.URL)
 
-	v, err := c.Enqueue(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v = waitDone(t, c, v.ID, 60*time.Second)
-	if !bytes.Equal(v.Result, want) {
+	v := waitDone(t, c, enqueue(t, c, spec), 60*time.Second)
+	if !bytes.Equal(resultJSON(t, v), want) {
 		t.Error("result differs from the local engine under load shedding")
 	}
 	assertLedgerExact(t, c, spec)
-	holds := counter(c, cluster.MetricRetryAfterHolds)
-	if sheds.Load() > 0 && holds == 0 {
-		t.Errorf("worker shed %d requests but no Retry-After hold was applied", sheds.Load())
+	if got := sheds.Load(); got != shedK {
+		t.Errorf("shedder answered %d calls with 503, want exactly %d", got, shedK)
 	}
-	if sheds.Load() == 0 {
-		t.Skip("shed never triggered on this scheduling — nothing to assert")
+	// The wide worker may shed too (a dispatch can land before its
+	// handler released the previous slot), hence at least shedK.
+	if holds := counter(c, cluster.MetricRetryAfterHolds); holds < shedK {
+		t.Errorf("%s = %d, want ≥ %d — sheds without applied holds", cluster.MetricRetryAfterHolds, holds, shedK)
 	}
-	t.Logf("sheds %d, holds applied %d", sheds.Load(), holds)
 }
 
 // TestCoordinatorJournalResume crashes the coordinator mid-job
@@ -587,20 +630,17 @@ func TestCoordinatorJournalResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	jl1 := serve.NewJournal(store1, 2)
-	c1 := cluster.New(cluster.Config{
-		HedgeAfter: -1, Journal: jl1, Logf: t.Logf,
+	c1 := cluster.NewWithServer(cluster.Config{
+		HedgeAfter: -1, Logf: t.Logf,
 		MaxInflightPerWorker: 2,
-	})
+	}, serve.Config{Journal: jl1})
 	ts1 := httptest.NewServer(c1.Handler())
 	if err := cluster.Register(context.Background(), nil, ts1.URL, wts.URL); err != nil {
 		t.Fatal(err)
 	}
-	v, err := c1.Enqueue(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	id := enqueue(t, c1, spec)
 	for {
-		cur, _ := c1.Lookup(v.ID)
+		cur, _ := c1.Server().Lookup(id)
 		if cur.UnitsDone >= 15 {
 			break
 		}
@@ -637,9 +677,8 @@ func TestCoordinatorJournalResume(t *testing.T) {
 	}
 	jl2 := serve.NewJournal(store2, 2)
 	defer jl2.Close()
-	c2 := cluster.New(cluster.Config{
-		HedgeAfter: -1, Journal: jl2, Recovery: rec, Logf: t.Logf,
-	})
+	c2 := cluster.NewWithServer(cluster.Config{HedgeAfter: -1, Logf: t.Logf},
+		serve.Config{Journal: jl2, Recovery: rec})
 	t.Cleanup(c2.Close)
 	ts2 := httptest.NewServer(c2.Handler())
 	t.Cleanup(ts2.Close)
@@ -647,11 +686,11 @@ func TestCoordinatorJournalResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	v2 := waitDone(t, c2, v.ID, 60*time.Second)
+	v2 := waitDone(t, c2, id, 60*time.Second)
 	if !v2.Resumed {
 		t.Error("finished job not marked resumed")
 	}
-	if !bytes.Equal(v2.Result, want) {
+	if !bytes.Equal(resultJSON(t, v2), want) {
 		t.Error("resumed result differs from the local engine")
 	}
 	assertLedgerExact(t, c2, spec)
@@ -659,13 +698,147 @@ func TestCoordinatorJournalResume(t *testing.T) {
 	if recovered == 0 {
 		t.Error("successor recovered nothing from the journal")
 	}
-	if got := counter(c2, cluster.MetricJobsResumed); got != 1 {
-		t.Errorf("%s = %d, want 1", cluster.MetricJobsResumed, got)
+	if got := counter(c2, metricJobsResumed); got != 1 {
+		t.Errorf("%s = %d, want 1", metricJobsResumed, got)
 	}
-	if got := counter(c2, cluster.MetricShardsRecovered); got == 0 {
-		t.Errorf("%s = 0, want > 0", cluster.MetricShardsRecovered)
+	if got := counter(c2, metricShardsRecovered); got == 0 {
+		t.Errorf("%s = 0, want > 0", metricShardsRecovered)
 	}
 	t.Logf("crash after %d banked units; successor recovered %d reps", banked1, recovered)
+}
+
+// TestCoordinatorCancelRunningJob drives DELETE /v1/jobs/{id} — which
+// the coordinator inherits from the server — on a running remote grid
+// job: it ends canceled, the journal holds its canceled finished
+// record, and no unit is dispatched after the cancel lands.
+func TestCoordinatorCancelRunningJob(t *testing.T) {
+	spec := testSpec()
+	spec.Reps, spec.ShardSize = 200, 10 // 320 units at ≥5ms: seconds of work
+	slow := func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			time.Sleep(5 * time.Millisecond)
+			h.ServeHTTP(rw, r)
+		})
+	}
+	_, wts := startWorker(t, cluster.WorkerConfig{}, slow)
+	mem := storage.NewMemLog()
+	jl := serve.NewJournal(mem, 1)
+	c, ts := startCoordinatorWith(t, cluster.Config{HedgeAfter: -1, MaxInflightPerWorker: 2},
+		serve.Config{Journal: jl}, wts.URL)
+
+	id := enqueue(t, c, spec)
+	for {
+		v, _ := c.Server().Lookup(id)
+		if v.UnitsDone >= 5 {
+			break
+		}
+		if v.State.Terminal() {
+			t.Fatalf("job ended %s before the cancel", v.State)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+id, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("DELETE: status %d, want 200", resp.StatusCode)
+	}
+
+	deadline := time.Now().Add(10 * time.Second)
+	v, _ := c.Server().Lookup(id)
+	for !v.State.Terminal() {
+		if time.Now().After(deadline) {
+			t.Fatalf("canceled job still %s after 10s", v.State)
+		}
+		time.Sleep(time.Millisecond)
+		v, _ = c.Server().Lookup(id)
+	}
+	if v.State != serve.StateCanceled {
+		t.Fatalf("canceled job ended %s (%s), want canceled", v.State, v.Error)
+	}
+	if v.UnitsDone >= v.UnitsTotal {
+		t.Fatalf("all %d units banked before the cancel landed — nothing was canceled", v.UnitsTotal)
+	}
+	dispatched := counter(c, cluster.MetricUnitsDispatched)
+	time.Sleep(100 * time.Millisecond) // 20 unit round trips' worth
+	if got := counter(c, cluster.MetricUnitsDispatched); got != dispatched {
+		t.Errorf("%d units dispatched after the job was canceled", got-dispatched)
+	}
+
+	blob, err := mem.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := serve.ReplayJournal(blob)
+	var found bool
+	for _, rj := range rec.Jobs {
+		if rj.ID == id {
+			found = true
+			if rj.State != serve.StateCanceled {
+				t.Errorf("journal records %s as %s, want canceled", id, rj.State)
+			}
+		}
+	}
+	if !found {
+		t.Errorf("journal has no record of %s", id)
+	}
+}
+
+// TestCoordinatorQueueFullSheds fills a small admission queue on a
+// coordinator and checks that the next submission sheds with 503 and a
+// Retry-After hint — bounded admission the coordinator inherits from
+// the server.
+func TestCoordinatorQueueFullSheds(t *testing.T) {
+	// No workers: an admitted grid job holds the one job executor,
+	// waiting for a worker to dispatch to.
+	c, ts := startCoordinatorWith(t, cluster.Config{}, serve.Config{QueueDepth: 1, Workers: 1})
+	post := func(seed uint64) *http.Response {
+		t.Helper()
+		spec := testSpec()
+		spec.Seed = seed // distinct seeds: no cache hits
+		blob, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(blob))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { resp.Body.Close() })
+		return resp
+	}
+	running := post(1)
+	if running.StatusCode != http.StatusAccepted {
+		t.Fatalf("first submit: status %d", running.StatusCode)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		if v, _ := c.Server().Lookup("job-000001"); v.State == serve.StateRunning {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("first job never started")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if resp := post(2); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("second submit (fills the queue): status %d", resp.StatusCode)
+	}
+	resp := post(3)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("submit past the queue bound: status %d, want 503", resp.StatusCode)
+	}
+	if ra := resp.Header.Get("Retry-After"); ra == "" {
+		t.Error("shed response missing Retry-After")
+	}
+	if got := c.Server().Counters().Shed; got != 1 {
+		t.Errorf("shed counter %d, want 1", got)
+	}
 }
 
 // --- /metrics vs /statusz consistency (satellite 4) ---
@@ -731,22 +904,19 @@ func parseExposition(body string) (map[string]float64, error) {
 }
 
 // TestClusterStatuszMatchesMetrics: /metrics and /statusz render the
-// same registry, so every counter must agree exactly, and the
-// exposition must be strictly well-formed — the coordinator twin of
-// the serve ledger-consistency test.
+// same registry — the server's job ledger and the cluster section alike
+// — so every counter must agree exactly, and the exposition must be
+// strictly well-formed: the coordinator twin of the serve
+// ledger-consistency test.
 func TestClusterStatuszMatchesMetrics(t *testing.T) {
 	spec := testSpec()
 	_, wts := startWorker(t, cluster.WorkerConfig{}, nil)
-	c, ts := startCoordinator(t, cluster.Config{HedgeAfter: -1}, wts.URL)
+	// An (empty) replayed journal, so the recovery section is present.
+	c, ts := startCoordinatorWith(t, cluster.Config{HedgeAfter: -1},
+		serve.Config{Recovery: serve.ReplayJournal(nil)}, wts.URL)
 
-	v, err := c.Enqueue(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitDone(t, c, v.ID, 30*time.Second)
-	if _, err := c.Enqueue(spec); err != nil { // a cache hit, to move that counter too
-		t.Fatal(err)
-	}
+	waitDone(t, c, enqueue(t, c, spec), 30*time.Second)
+	enqueue(t, c, spec) // a cache hit, to move that counter too
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -770,33 +940,40 @@ func TestClusterStatuszMatchesMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sresp.Body.Close()
-	var st cluster.Status
+	var st struct {
+		serve.Status
+		Cluster cluster.Status `json:"cluster"`
+	}
 	if err := json.NewDecoder(sresp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
+	if st.Recovery == nil {
+		t.Fatal("/statusz has no recovery section")
+	}
+	cs := st.Cluster.Counters
 
 	for name, want := range map[string]int64{
-		cluster.MetricWorkersRegistered: st.Counters.WorkersRegistered,
-		cluster.MetricRegisterRejected:  st.Counters.RegisterRejected,
-		cluster.MetricWorkerDeaths:      st.Counters.WorkerDeaths,
-		cluster.MetricHeartbeatMisses:   st.Counters.HeartbeatMisses,
-		cluster.MetricUnitsDispatched:   st.Counters.UnitsDispatched,
-		cluster.MetricUnitsCompleted:    st.Counters.UnitsCompleted,
-		cluster.MetricUnitsRedispatched: st.Counters.UnitsRedispatched,
-		cluster.MetricUnitsHedged:       st.Counters.UnitsHedged,
-		cluster.MetricHedgesWon:         st.Counters.HedgesWon,
-		cluster.MetricUnitsRejected:     st.Counters.UnitsRejected,
-		cluster.MetricUnitsRejectedAuth: st.Counters.UnitsRejectedAuth,
-		cluster.MetricUnitsDuplicate:    st.Counters.UnitsDuplicate,
-		cluster.MetricRetryAfterHolds:   st.Counters.RetryAfterHolds,
-		cluster.MetricCacheHits:         st.Counters.CacheHits,
-		cluster.MetricJobsAccepted:      st.Counters.JobsAccepted,
-		cluster.MetricJobsCompleted:     st.Counters.JobsCompleted,
-		cluster.MetricJobsFailed:        st.Counters.JobsFailed,
-		cluster.MetricJobsResumed:       st.Counters.JobsResumed,
-		cluster.MetricShardsRecovered:   st.Counters.ShardsRecovered,
-		experiment.MetricReps:           st.Counters.RepsMerged,
-		experiment.MetricRepsRecovered:  st.Counters.RepsRecovered,
+		cluster.MetricWorkersRegistered: cs.WorkersRegistered,
+		cluster.MetricRegisterRejected:  cs.RegisterRejected,
+		cluster.MetricWorkerDeaths:      cs.WorkerDeaths,
+		cluster.MetricHeartbeatMisses:   cs.HeartbeatMisses,
+		cluster.MetricUnitsDispatched:   cs.UnitsDispatched,
+		cluster.MetricUnitsCompleted:    cs.UnitsCompleted,
+		cluster.MetricUnitsRedispatched: cs.UnitsRedispatched,
+		cluster.MetricUnitsHedged:       cs.UnitsHedged,
+		cluster.MetricHedgesWon:         cs.HedgesWon,
+		cluster.MetricUnitsRejected:     cs.UnitsRejected,
+		cluster.MetricUnitsRejectedAuth: cs.UnitsRejectedAuth,
+		cluster.MetricUnitsDuplicate:    cs.UnitsDuplicate,
+		cluster.MetricRetryAfterHolds:   cs.RetryAfterHolds,
+		metricCacheHits:                 st.Counters.CacheHits,
+		metricJobsAccepted:              st.Counters.Accepted,
+		metricJobsCompleted:             st.Counters.Completed,
+		metricJobsFailed:                st.Counters.Failed,
+		metricJobsResumed:               st.Recovery.JobsResumed,
+		metricShardsRecovered:           st.Recovery.ShardsRecovered,
+		experiment.MetricReps:           cs.RepsMerged,
+		experiment.MetricRepsRecovered:  cs.RepsRecovered,
 	} {
 		got, ok := samples[name]
 		if !ok {
@@ -807,11 +984,11 @@ func TestClusterStatuszMatchesMetrics(t *testing.T) {
 			t.Errorf("%s: /metrics %v vs /statusz %d", name, got, want)
 		}
 	}
-	if got, ok := samples[cluster.MetricWorkersLive]; !ok || int(got) != st.WorkersLive {
-		t.Errorf("%s: /metrics %v (present %v) vs /statusz %d", cluster.MetricWorkersLive, got, ok, st.WorkersLive)
+	if got, ok := samples[cluster.MetricWorkersLive]; !ok || int(got) != st.Cluster.WorkersLive {
+		t.Errorf("%s: /metrics %v (present %v) vs /statusz %d", cluster.MetricWorkersLive, got, ok, st.Cluster.WorkersLive)
 	}
 	// Sanity: the workload actually moved the interesting counters.
-	if st.Counters.UnitsCompleted == 0 || st.Counters.CacheHits == 0 || st.Counters.JobsCompleted != 2 {
-		t.Errorf("workload left counters unmoved: %+v", st.Counters)
+	if cs.UnitsCompleted == 0 || st.Counters.CacheHits == 0 || st.Counters.Completed != 2 {
+		t.Errorf("workload left counters unmoved: cluster %+v, jobs %+v", cs, st.Counters)
 	}
 }

@@ -1,6 +1,7 @@
-// The coordinator: owns the worker pool (registration, heartbeats,
-// liveness), the job table, the write-ahead journal and the result
-// cache; the dispatch engine itself lives in dispatch.go.
+// The coordinator: worker membership (registration, heartbeats,
+// liveness, acquire/release/hold) and the wiring that mounts the remote
+// grid executor (dispatch.go) under a serve.Server, which owns the job
+// table, admission, the journal and the result cache.
 
 package cluster
 
@@ -16,19 +17,17 @@ import (
 	"time"
 
 	"repro/internal/cli"
-	"repro/internal/experiment"
 	"repro/internal/serve"
 )
 
-// Config configures a Coordinator. Zero values take the defaults noted
-// on each field.
+// Config configures a Coordinator's membership and dispatch. The job
+// front end is configured separately, through the serve.Config handed
+// to NewWithServer. Zero values take the defaults noted on each field.
 type Config struct {
 	// UnitReps is the repetitions per dispatched work unit when the job
 	// spec does not set ShardSize. Purely a scheduling knob — results
 	// are bit-identical for every value. Default 2000.
 	UnitReps int
-	// DefaultTimeout bounds a job with no DeadlineMS. Default 10m.
-	DefaultTimeout time.Duration
 	// LeaseTimeout is a dispatched unit's lease: the per-dispatch HTTP
 	// deadline. A worker that dies or hangs holds a unit for at most
 	// this long before the dispatch errors and the unit becomes
@@ -50,15 +49,6 @@ type Config struct {
 	// law: exponential, capped, deterministic jitter). Defaults 50ms/2s.
 	RetryBase time.Duration
 	RetryMax  time.Duration
-	// CacheCapacity bounds the content-addressed result cache (finished
-	// tables). Default 128.
-	CacheCapacity int
-	// Journal, when set, makes coordination crash-safe: accepted jobs
-	// and banked shards are durable, and the next boot resumes via
-	// Recovery. The caller owns the journal's lifecycle.
-	Journal *serve.Journal
-	// Recovery, when set, is a replayed journal to resume from.
-	Recovery *serve.Recovery
 	// Transport overrides the dispatch/heartbeat transport — the chaos
 	// hook. Default http.DefaultTransport.
 	Transport http.RoundTripper
@@ -78,9 +68,6 @@ type Config struct {
 func (cfg Config) withDefaults() Config {
 	if cfg.UnitReps <= 0 {
 		cfg.UnitReps = 2000
-	}
-	if cfg.DefaultTimeout <= 0 {
-		cfg.DefaultTimeout = 10 * time.Minute
 	}
 	if cfg.LeaseTimeout <= 0 {
 		cfg.LeaseTimeout = 15 * time.Second
@@ -103,9 +90,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.RetryMax <= 0 {
 		cfg.RetryMax = 2 * time.Second
 	}
-	if cfg.CacheCapacity <= 0 {
-		cfg.CacheCapacity = 128
-	}
 	if cfg.Transport == nil {
 		cfg.Transport = http.DefaultTransport
 	}
@@ -127,8 +111,6 @@ type workerState struct {
 	// nextEligible is the Retry-After hold: a saturated worker's own
 	// estimate of when it is worth dispatching to it again.
 	nextEligible time.Time
-	registered   time.Time
-	lastSeen     time.Time
 
 	unitsDone, failures int64
 }
@@ -143,114 +125,76 @@ type WorkerView struct {
 	Failures  int64  `json:"failures"`
 }
 
-// Job is the coordinator's record of one accepted grid job.
-type Job struct {
-	ID   string
-	Spec serve.JobSpec
-	Key  string
-
-	State                 serve.JobState
-	Error                 string
-	UnitsDone, UnitsTotal int
-	CacheHit              bool
-	Resumed               bool
-	Result                json.RawMessage
-
-	Enqueued, Started, Finished time.Time
-
-	// recovered holds the journal-replayed shard checkpoints of a
-	// resumed job, keyed by cell seed; runJob merges them and dispatches
-	// only the gaps.
-	recovered map[uint64][]experiment.ShardCheckpoint
-}
-
-// JobView is the JSON projection of a Job.
-type JobView struct {
-	ID         string          `json:"id"`
-	State      serve.JobState  `json:"state"`
-	UnitsDone  int             `json:"units_done,omitempty"`
-	UnitsTotal int             `json:"units_total,omitempty"`
-	CacheHit   bool            `json:"cache_hit,omitempty"`
-	Resumed    bool            `json:"resumed,omitempty"`
-	Error      string          `json:"error,omitempty"`
-	Result     json.RawMessage `json:"result,omitempty"`
-	ElapsedMS  int64           `json:"elapsed_ms,omitempty"`
-}
-
-func (j *Job) view() JobView {
-	v := JobView{
-		ID: j.ID, State: j.State,
-		UnitsDone: j.UnitsDone, UnitsTotal: j.UnitsTotal,
-		CacheHit: j.CacheHit, Resumed: j.Resumed,
-		Error: j.Error, Result: j.Result,
-	}
-	if !j.Started.IsZero() {
-		end := j.Finished
-		if end.IsZero() {
-			end = time.Now()
-		}
-		v.ElapsedMS = end.Sub(j.Started).Milliseconds()
-	}
-	return v
-}
-
-// Coordinator shards grid jobs across registered workers and folds the
-// results. Create with New, mount Handler, Close to stop.
+// Coordinator is a serve.Server whose grid jobs are dispatched to
+// registered workers. Create with New or NewWithServer, mount Handler,
+// stop with Server().Shutdown (graceful) and then Close.
 type Coordinator struct {
 	cfg Config
+	srv *serve.Server
 
 	mu         sync.Mutex
 	workers    map[string]*workerState // by normalized addr
-	jobs       map[string]*Job
-	order      []string
-	nextID     int
 	nextWorker int
 
-	cache  *resultCache
 	client *http.Client
 	met    *clusterMetrics
 	mux    *http.ServeMux
-	start  time.Time
+	// ready closes once the instruments exist: the server's workers may
+	// start resumed jobs before New returns.
+	ready chan struct{}
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 	wg         sync.WaitGroup
 }
 
-// New builds a coordinator, applies any journal recovery (terminal jobs
-// restored and fed to the cache, unfinished jobs re-queued with their
-// banked shards) and starts the heartbeat loop.
-func New(cfg Config) *Coordinator {
+// New builds a coordinator whose job front end runs with the serve
+// defaults (no journal).
+func New(cfg Config) *Coordinator { return NewWithServer(cfg, serve.Config{}) }
+
+// NewWithServer builds a coordinator: a serve.Server configured by scfg
+// with this coordinator's dispatcher as its grid executor, sharing one
+// telemetry registry, plus the worker registry and heartbeat loop.
+// Journal replay (scfg.Recovery) is the server's: resumed grid jobs
+// reach the dispatcher with their banked shards through the grid hooks.
+func NewWithServer(cfg Config, scfg serve.Config) *Coordinator {
 	cfg = cfg.withDefaults()
 	c := &Coordinator{
 		cfg:     cfg,
 		workers: make(map[string]*workerState),
-		jobs:    make(map[string]*Job),
-		cache:   newResultCache(cfg.CacheCapacity),
 		client:  &http.Client{Transport: cfg.Transport},
 		mux:     http.NewServeMux(),
-		start:   time.Now(),
+		ready:   make(chan struct{}),
 	}
 	c.baseCtx, c.baseCancel = context.WithCancel(context.Background())
-	c.initTelemetry()
+	if scfg.Logf == nil {
+		scfg.Logf = cfg.Logf
+	}
+	scfg.Grid = c.executeGrid
+	c.srv = serve.New(scfg)
+	c.initTelemetry(c.srv.Metrics())
 	c.routes()
-	resumed := c.applyRecovery()
+	close(c.ready)
 	c.wg.Add(1)
 	go c.heartbeatLoop()
-	for _, job := range resumed {
-		c.wg.Add(1)
-		go c.runJob(job)
-	}
 	return c
 }
 
-// Handler returns the coordinator's HTTP surface.
+// Server returns the job front end.
+func (c *Coordinator) Server() *serve.Server { return c.srv }
+
+// Handler returns the coordinator's HTTP surface: the /cluster/v1/*
+// membership routes, a /statusz that adds a cluster section to the
+// server's, and everything else of the server's API.
 func (c *Coordinator) Handler() http.Handler { return c.mux }
 
-// Close stops the coordinator: heartbeats end, running jobs abandon
-// their dispatch loops without writing finished records — which is
-// exactly what makes them resumable from the journal on the next boot.
+// Close stops the coordinator as a crash would: the server is closed
+// (running jobs abandon their dispatch loops without finished records,
+// and no clean-shutdown record is written — exactly what makes them
+// resumable from the journal on the next boot), then heartbeats end.
+// For a graceful stop, Server().Shutdown first.
 func (c *Coordinator) Close() {
+	c.srv.Close()
 	c.baseCancel()
 	c.wg.Wait()
 }
@@ -259,131 +203,6 @@ func (c *Coordinator) logf(format string, args ...any) {
 	if c.cfg.Logf != nil {
 		c.cfg.Logf(format, args...)
 	}
-}
-
-// applyRecovery rebuilds the job table from a replayed journal.
-func (c *Coordinator) applyRecovery() []*Job {
-	rec := c.cfg.Recovery
-	if rec == nil {
-		return nil
-	}
-	var resumed []*Job
-	for i := range rec.Jobs {
-		rj := &rec.Jobs[i]
-		if rj.Spec.Kind != serve.JobGrid {
-			continue // a coordinator journal only holds grid jobs
-		}
-		var n int
-		if _, err := fmt.Sscanf(rj.ID, "cjob-%d", &n); err == nil && n > c.nextID {
-			c.nextID = n
-		}
-		job := &Job{
-			ID: rj.ID, Spec: rj.Spec, Key: JobKey(rj.Spec),
-			Resumed: true, Enqueued: time.Now(),
-		}
-		if rj.State.Terminal() {
-			job.State = rj.State
-			job.Error = rj.Error
-			job.Result = rj.Result
-			if rj.State == serve.StateDone {
-				c.cache.put(job.Key, rj.Result)
-			}
-		} else {
-			job.State = serve.StateQueued
-			job.recovered = rj.Shards
-			shards := 0
-			for _, cps := range rj.Shards {
-				shards += len(cps)
-			}
-			c.met.jobsResumed.Inc()
-			c.met.shardsRecovered.Add(int64(shards))
-			resumed = append(resumed, job)
-		}
-		c.jobs[job.ID] = job
-		c.order = append(c.order, job.ID)
-	}
-	if len(resumed) > 0 {
-		c.logf("cluster: resuming %d unfinished job(s) from journal", len(resumed))
-	}
-	return resumed
-}
-
-// Enqueue accepts a grid job: journal it, serve it from the result
-// cache when the canonical hash is known, otherwise start its dispatch
-// loop.
-func (c *Coordinator) Enqueue(spec serve.JobSpec) (JobView, error) {
-	if spec.Kind != serve.JobGrid {
-		return JobView{}, fmt.Errorf("cluster: coordinator accepts grid jobs only (got %q)", spec.Kind)
-	}
-	if err := spec.Validate(); err != nil {
-		return JobView{}, err
-	}
-	if c.baseCtx.Err() != nil {
-		return JobView{}, fmt.Errorf("cluster: coordinator is shut down")
-	}
-	now := time.Now()
-	c.mu.Lock()
-	c.nextID++
-	job := &Job{
-		ID: fmt.Sprintf("cjob-%06d", c.nextID), Spec: spec, Key: JobKey(spec),
-		State: serve.StateQueued, Enqueued: now,
-	}
-	c.jobs[job.ID] = job
-	c.order = append(c.order, job.ID)
-	c.mu.Unlock()
-	c.met.jobsAccepted.Inc()
-	if jl := c.cfg.Journal; jl != nil {
-		if err := jl.AppendAccepted(job.ID, spec); err != nil {
-			c.logf("cluster: journal accepted %s: %v", job.ID, err)
-		}
-	}
-	if blob, ok := c.cache.get(job.Key); ok {
-		// Content-addressed hit: same canonical job, same bits — no unit
-		// is dispatched, the finished table is returned as-is.
-		c.met.cacheHits.Inc()
-		c.met.jobsCompleted.Inc()
-		c.mu.Lock()
-		job.State = serve.StateDone
-		job.CacheHit = true
-		job.Result = blob
-		job.Started, job.Finished = now, time.Now()
-		v := job.view()
-		c.mu.Unlock()
-		if jl := c.cfg.Journal; jl != nil {
-			if err := jl.AppendFinished(job.ID, serve.StateDone, "", 0, blob); err != nil {
-				c.logf("cluster: journal finished %s: %v", job.ID, err)
-			}
-		}
-		return v, nil
-	}
-	c.mu.Lock()
-	v := job.view()
-	c.mu.Unlock()
-	c.wg.Add(1)
-	go c.runJob(job)
-	return v, nil
-}
-
-// Lookup returns a job's view.
-func (c *Coordinator) Lookup(id string) (JobView, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	job, ok := c.jobs[id]
-	if !ok {
-		return JobView{}, false
-	}
-	return job.view(), true
-}
-
-// Jobs lists every job in admission order.
-func (c *Coordinator) Jobs() []JobView {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]JobView, 0, len(c.order))
-	for _, id := range c.order {
-		out = append(out, c.jobs[id].view())
-	}
-	return out
 }
 
 // Workers lists the registered workers, sorted by id.
@@ -453,7 +272,6 @@ func (c *Coordinator) releaseWorker(w *workerState, ok bool) {
 	if ok {
 		w.misses = 0
 		w.live = true
-		w.lastSeen = time.Now()
 		w.unitsDone++
 	} else {
 		w.failures++
@@ -511,7 +329,6 @@ func (c *Coordinator) beat() {
 		}(i, w.addr)
 	}
 	wg.Wait()
-	now := time.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for i, w := range targets {
@@ -521,7 +338,6 @@ func (c *Coordinator) beat() {
 			}
 			w.live = true
 			w.misses = 0
-			w.lastSeen = now
 			continue
 		}
 		w.misses++
@@ -565,49 +381,14 @@ func (c *Coordinator) probe(addr string) bool {
 // --- HTTP surface ---
 
 func (c *Coordinator) routes() {
-	c.mux.HandleFunc("POST /v1/jobs", c.handleSubmit)
-	c.mux.HandleFunc("GET /v1/jobs", c.handleJobs)
-	c.mux.HandleFunc("GET /v1/jobs/{id}", c.handleJob)
 	c.mux.HandleFunc("POST /cluster/v1/register", c.handleRegister)
 	c.mux.HandleFunc("GET /cluster/v1/workers", c.handleWorkers)
-	c.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, Hello{Proto: ProtocolVersion, Version: c.cfg.Version})
-	})
 	c.mux.HandleFunc("GET /statusz", c.handleStatusz)
-	c.mux.HandleFunc("GET /metrics", c.handleMetrics)
-}
-
-func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	var spec serve.JobSpec
-	if err := dec.Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad job spec: " + err.Error()})
-		return
-	}
-	view, err := c.Enqueue(spec)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusAccepted, view)
-}
-
-func (c *Coordinator) handleJobs(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.Jobs())
-}
-
-func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
-	view, ok := c.Lookup(r.PathValue("id"))
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "no such job"})
-		return
-	}
-	writeJSON(w, http.StatusOK, view)
+	c.mux.Handle("/", c.srv.Handler())
 }
 
 func (c *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.Workers())
+	serve.WriteJSON(w, http.StatusOK, c.Workers())
 }
 
 // handleRegister is the registration handshake. Protocol or build
@@ -618,36 +399,34 @@ func (c *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad register request: " + err.Error()})
+		serve.WriteJSON(w, http.StatusBadRequest, errorBody{Error: "bad register request: " + err.Error()})
 		return
 	}
 	if strings.TrimSpace(req.Addr) == "" {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "register: empty worker addr"})
+		serve.WriteJSON(w, http.StatusBadRequest, errorBody{Error: "register: empty worker addr"})
 		return
 	}
 	if req.Proto != ProtocolVersion || req.Version != c.cfg.Version {
 		c.met.registerRejected.Inc()
 		c.logf("cluster: rejected worker %s: proto %d (want %d), version %q (want %q)",
 			req.Addr, req.Proto, ProtocolVersion, req.Version, c.cfg.Version)
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf(
+		serve.WriteJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf(
 			"version skew: got proto %d version %q, want proto %d version %q",
 			req.Proto, req.Version, ProtocolVersion, c.cfg.Version)})
 		return
 	}
 	addr := normalizeAddr(req.Addr)
-	now := time.Now()
 	c.mu.Lock()
 	w0, ok := c.workers[addr]
 	if !ok {
 		c.nextWorker++
-		w0 = &workerState{id: fmt.Sprintf("w-%03d", c.nextWorker), addr: addr, registered: now}
+		w0 = &workerState{id: fmt.Sprintf("w-%03d", c.nextWorker), addr: addr}
 		c.workers[addr] = w0
 		c.met.workersRegistered.Inc()
 		c.logf("cluster: worker %s registered at %s", w0.id, addr)
 	}
 	w0.live = true
 	w0.misses = 0
-	w0.lastSeen = now
 	c.mu.Unlock()
-	writeJSON(w, http.StatusOK, RegisterResponse{ID: w0.id, Proto: ProtocolVersion, Version: c.cfg.Version})
+	serve.WriteJSON(w, http.StatusOK, RegisterResponse{ID: w0.id, Proto: ProtocolVersion, Version: c.cfg.Version})
 }

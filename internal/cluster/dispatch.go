@@ -1,8 +1,11 @@
-// The dispatch engine: one goroutine per job owns all unit state and
-// drives the assign → dispatch → bank loop; dispatch goroutines do HTTP
-// only and report on a channel, so every invariant (lease expiry →
-// re-dispatch, hedging, first-writer-wins dedup, structural validation,
-// exact rep accounting) lives in single-threaded code.
+// The remote grid executor: serve's job worker running a grid attempt
+// owns all unit state and drives the assign → dispatch → bank loop;
+// dispatch goroutines do HTTP only and report on a channel, so every
+// invariant (lease expiry → re-dispatch, hedging, first-writer-wins
+// dedup, structural validation, exact rep accounting) lives in
+// single-threaded code. Admission, deadlines, the journal and the
+// result cache are the server's; banked shards go out through its
+// OnShard hook and resumed ones come in through Recovered.
 //
 // The rep ledger is the same one the local engine keeps:
 //
@@ -34,7 +37,7 @@ import (
 const assignTick = 25 * time.Millisecond
 
 // cellAgg is the coordinator-side accumulation point of one grid cell.
-// Only the job's dispatch goroutine touches it.
+// Only the attempt's goroutine touches it.
 type cellAgg struct {
 	rowIdx, colIdx int
 	u, lambda      float64
@@ -44,8 +47,8 @@ type cellAgg struct {
 }
 
 // unitState is one (cell, rep-range) work unit's scheduling state. Only
-// the job's dispatch goroutine touches it; dispatch goroutines get a
-// copy of req.
+// the attempt's goroutine touches it; dispatch goroutines get a copy of
+// req.
 type unitState struct {
 	cellIdx int
 	req     UnitRequest
@@ -62,7 +65,7 @@ type unitState struct {
 	notBefore time.Time
 }
 
-// unitOutcome is one dispatch's report back to the job goroutine.
+// unitOutcome is one dispatch's report back to the attempt goroutine.
 type unitOutcome struct {
 	idx        int
 	worker     *workerState
@@ -72,20 +75,22 @@ type unitOutcome struct {
 	err        error
 }
 
-// runJob is a job's dispatch loop, from unit construction to the
-// finished (or failed, or abandoned-for-resume) record.
-func (c *Coordinator) runJob(job *Job) {
-	defer c.wg.Done()
-	tspec, err := experiment.TableByID(job.Spec.Table)
+// executeGrid is the serve.GridExecutor: one attempt of a grid job,
+// from unit construction to the folded table. It returns when every
+// unit is banked, or with ctx's error once the deadline, a client
+// cancel or a shutdown ends the attempt — the server classifies that
+// and decides what the journal records.
+func (c *Coordinator) executeGrid(ctx context.Context, spec serve.JobSpec, hooks serve.GridHooks) (serve.GridResult, error) {
+	<-c.ready
+	tspec, err := experiment.TableByID(spec.Table)
 	if err != nil {
-		c.failJob(job, err) // unreachable for validated specs
-		return
+		return serve.GridResult{}, err // unreachable for validated specs
 	}
-	reps := job.Spec.Reps
+	reps := spec.Reps
 	if reps <= 0 {
 		reps = experiment.DefaultReps
 	}
-	unitReps := job.Spec.ShardSize
+	unitReps := spec.ShardSize
 	if unitReps <= 0 {
 		unitReps = c.cfg.UnitReps
 	}
@@ -100,77 +105,59 @@ func (c *Coordinator) runJob(job *Job) {
 			for ci, s := range schemes {
 				cells = append(cells, &cellAgg{
 					rowIdx: rows, colIdx: ci, u: u, lambda: lam, scheme: s.Name(),
-					seed: experiment.CellSeed(job.Spec.Seed, tspec.ID, u, lam, s.Name()),
+					seed: experiment.CellSeed(spec.Seed, tspec.ID, u, lam, s.Name()),
 				})
 			}
 			rows++
 		}
 	}
 
-	// Units: full coverage, or — on resume — only the gaps left after
-	// merging the journal's banked shards through the same validation
-	// gauntlet the local resume path applies.
+	// Units cover only the gaps left after merging the shards the job
+	// already banked (none on a first attempt) through the same
+	// validation gauntlet the local resume path applies.
 	var units []*unitState
 	recovered := 0
 	for idx, cell := range cells {
-		var gaps []experiment.ShardRange
-		if job.recovered != nil {
-			var rec int
-			rec, gaps = experiment.RecoverInto(&cell.agg, job.recovered[cell.seed], reps, unitReps)
-			recovered += rec
-		} else {
-			for s := 0; s < reps; s += unitReps {
-				e := s + unitReps
-				if e > reps {
-					e = reps
-				}
-				gaps = append(gaps, experiment.ShardRange{Start: s, End: e})
-			}
+		var cps []experiment.ShardCheckpoint
+		if hooks.Recovered != nil {
+			cps = hooks.Recovered(cell.seed)
 		}
+		rec, gaps := experiment.RecoverInto(&cell.agg, cps, reps, unitReps)
+		recovered += rec
 		for _, g := range gaps {
 			units = append(units, &unitState{
 				cellIdx: idx,
 				req: UnitRequest{
 					Proto: ProtocolVersion, Version: c.cfg.Version,
 					Table: tspec.ID, Col: cell.colIdx, U: cell.u, Lambda: cell.lambda,
-					Seed: job.Spec.Seed, Start: g.Start, End: g.End,
-					Store: job.Spec.Store,
+					Seed: spec.Seed, Start: g.Start, End: g.End,
+					Store: spec.Store,
 				},
 			})
 		}
 	}
-	if recovered > 0 {
-		c.met.repsRecovered.Add(int64(recovered))
-	}
-
-	c.mu.Lock()
-	job.State = serve.StateRunning
-	job.Started = time.Now()
-	job.UnitsTotal = len(units)
-	c.mu.Unlock()
-
-	deadline := c.cfg.DefaultTimeout
-	if job.Spec.DeadlineMS > 0 {
-		deadline = time.Duration(job.Spec.DeadlineMS) * time.Millisecond
-	}
-	jobCtx, cancel := context.WithTimeout(c.baseCtx, deadline)
-	defer cancel()
+	c.met.repsRecovered.Add(int64(recovered))
+	hooks.Progress(0, len(units))
 
 	results := make(chan unitOutcome)
 	outstanding, banked := 0, 0
+	bank := func(out unitOutcome) {
+		outstanding--
+		if c.handleOutcome(cells, units, out, hooks.OnShard) {
+			banked++
+			hooks.Progress(banked, len(units))
+		}
+	}
 	ticker := time.NewTicker(assignTick)
 	defer ticker.Stop()
 loop:
 	for banked < len(units) {
-		c.assign(jobCtx, job, units, results, &outstanding)
+		c.assign(ctx, units, results, &outstanding)
 		select {
 		case out := <-results:
-			outstanding--
-			if c.handleOutcome(job, cells, units, out) {
-				banked++
-			}
+			bank(out)
 		case <-ticker.C:
-		case <-jobCtx.Done():
+		case <-ctx.Done():
 			break loop
 		}
 	}
@@ -178,29 +165,19 @@ loop:
 	// completing during the drain still banks (and with it, possibly,
 	// the job).
 	for outstanding > 0 {
-		out := <-results
-		outstanding--
-		if c.handleOutcome(job, cells, units, out) {
-			banked++
-		}
+		bank(<-results)
 	}
-	switch {
-	case banked == len(units):
-		c.completeJob(job, tspec, reps, rows, len(schemes), cells)
-	case c.baseCtx.Err() != nil:
-		// Coordinator shutdown (or crash simulation): write no finished
-		// record — the journal's accepted record plus the banked shards
-		// are exactly what the next boot resumes.
-		return
-	default:
-		c.failJob(job, fmt.Errorf("cluster: job deadline exceeded with %d/%d units banked", banked, len(units)))
+	if banked < len(units) {
+		return serve.GridResult{}, fmt.Errorf("cluster: %d/%d units banked: %w", banked, len(units), ctx.Err())
 	}
+	c.logf("cluster: grid %s seed %d done (%d units)", tspec.ID, spec.Seed, len(units))
+	return assemble(tspec, reps, rows, len(schemes), cells), nil
 }
 
 // assign scans the unit table once and dispatches everything eligible:
 // idle units past their backoff to the best worker, and single-inflight
 // stragglers past the hedge threshold to a second worker.
-func (c *Coordinator) assign(ctx context.Context, job *Job, units []*unitState, results chan<- unitOutcome, outstanding *int) {
+func (c *Coordinator) assign(ctx context.Context, units []*unitState, results chan<- unitOutcome, outstanding *int) {
 	now := time.Now()
 	for i, u := range units {
 		if u.banked {
@@ -291,11 +268,12 @@ func (c *Coordinator) callExecute(ctx context.Context, addr string, ureq UnitReq
 
 // handleOutcome applies one dispatch result to the unit table and
 // reports whether a new unit was banked. First writer wins: the first
-// structurally valid payload for (cellSeed, start, end) merges and
-// journals; every later arrival — hedge twin, duplicated response,
-// re-dispatch of a lease that turned out alive — is counted and
-// dropped, so no repetition can ever merge twice.
-func (c *Coordinator) handleOutcome(job *Job, cells []*cellAgg, units []*unitState, out unitOutcome) bool {
+// structurally valid payload for (cellSeed, start, end) merges and goes
+// to onShard (the server's journal hook, nil without a journal); every
+// later arrival — hedge twin, duplicated response, re-dispatch of a
+// lease that turned out alive — is counted and dropped, so no
+// repetition can ever merge twice.
+func (c *Coordinator) handleOutcome(cells []*cellAgg, units []*unitState, out unitOutcome, onShard func(cellSeed uint64, start, end int, data []byte)) bool {
 	u := units[out.idx]
 	u.inflight--
 	backoff := func() {
@@ -357,24 +335,19 @@ func (c *Coordinator) handleOutcome(job *Job, cells []*cellAgg, units []*unitSta
 	if out.hedge {
 		c.met.hedgesWon.Inc()
 	}
-	if jl := c.cfg.Journal; jl != nil {
-		if err := jl.AppendShard(job.ID, cell.seed, u.req.Start, u.req.End, res.Data); err != nil {
-			c.logf("cluster: journal shard %s cell %x: %v", job.ID, cell.seed, err)
-		}
+	if onShard != nil {
+		onShard(cell.seed, u.req.Start, u.req.End, res.Data)
 	}
 	cell.agg.Merge(&sh)
 	c.met.unitsCompleted.Inc()
 	c.met.repsMerged.Add(int64(u.req.End - u.req.Start))
-	c.mu.Lock()
-	job.UnitsDone++
-	c.mu.Unlock()
 	return true
 }
 
-// completeJob assembles the folded table — positionally, in the exact
-// layout a local RunTableCtx builds — renders it through the serve
-// encoder, journals the finished record and feeds the result cache.
-func (c *Coordinator) completeJob(job *Job, tspec experiment.Spec, reps, nrows, ncols int, cells []*cellAgg) {
+// assemble builds the folded table — positionally, in the exact layout
+// a local RunTableCtx builds — and renders it through the serve
+// encoder.
+func assemble(tspec experiment.Spec, reps, nrows, ncols int, cells []*cellAgg) serve.GridResult {
 	rows := make([]experiment.Row, nrows)
 	for _, cell := range cells {
 		if rows[cell.rowIdx].Cells == nil {
@@ -387,38 +360,5 @@ func (c *Coordinator) completeJob(job *Job, tspec experiment.Spec, reps, nrows, 
 			Scheme: cell.scheme, Done: true, Summary: cell.agg.Summary(),
 		}
 	}
-	result := serve.GridResultFromTable(experiment.Table{Spec: tspec, Reps: reps, Rows: rows})
-	blob, err := json.Marshal(result)
-	if err != nil {
-		c.failJob(job, fmt.Errorf("cluster: encode result: %w", err))
-		return
-	}
-	c.cache.put(job.Key, blob)
-	c.met.jobsCompleted.Inc()
-	c.mu.Lock()
-	job.State = serve.StateDone
-	job.Result = blob
-	job.Finished = time.Now()
-	c.mu.Unlock()
-	if jl := c.cfg.Journal; jl != nil {
-		if err := jl.AppendFinished(job.ID, serve.StateDone, "", 1, blob); err != nil {
-			c.logf("cluster: journal finished %s: %v", job.ID, err)
-		}
-	}
-	c.logf("cluster: job %s done (%d units)", job.ID, job.UnitsTotal)
-}
-
-func (c *Coordinator) failJob(job *Job, ferr error) {
-	c.met.jobsFailed.Inc()
-	c.mu.Lock()
-	job.State = serve.StateFailed
-	job.Error = ferr.Error()
-	job.Finished = time.Now()
-	c.mu.Unlock()
-	if jl := c.cfg.Journal; jl != nil {
-		if err := jl.AppendFinished(job.ID, serve.StateFailed, ferr.Error(), 1, nil); err != nil {
-			c.logf("cluster: journal finished %s: %v", job.ID, err)
-		}
-	}
-	c.logf("cluster: job %s failed: %v", job.ID, ferr)
+	return serve.GridResultFromTable(experiment.Table{Spec: tspec, Reps: reps, Rows: rows})
 }

@@ -195,16 +195,15 @@ func TestClusterSoakKillRecover(t *testing.T) {
 	flaky := chaos.NewFlakyTransport(chaos.TransportConfig{
 		Seed: 7, DropProb: 0.05, DupProb: 0.05, DelayProb: 0.10, Delay: 5 * time.Millisecond,
 	}, nil)
-	c1 := cluster.New(cluster.Config{
+	c1 := cluster.NewWithServer(cluster.Config{
 		LeaseTimeout:      10 * time.Second,
 		HedgeAfter:        150 * time.Millisecond,
 		HeartbeatInterval: 100 * time.Millisecond,
 		RetryBase:         10 * time.Millisecond,
 		RetryMax:          500 * time.Millisecond,
-		Journal:           jl1,
 		Transport:         flaky,
 		Logf:              t.Logf,
-	})
+	}, serve.Config{Journal: jl1})
 	ts1 := httptest.NewServer(c1.Handler())
 
 	w1 := spawnWorkerChild(t, dir, "w1", ts1.URL, "worker.unit:3")
@@ -226,7 +225,9 @@ func TestClusterSoakKillRecover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var view cluster.JobView
+	var view struct {
+		ID string `json:"id"`
+	}
 	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
 		t.Fatal(err)
 	}
@@ -242,13 +243,13 @@ func TestClusterSoakKillRecover(t *testing.T) {
 	// ...and the journal must hold real banked progress before the
 	// coordinator itself "crashes".
 	unitsCompleted := func() int64 {
-		return c1.Metrics().Counter(cluster.MetricUnitsCompleted, "").Value()
+		return c1.Server().Metrics().Counter(cluster.MetricUnitsCompleted, "").Value()
 	}
 	for deadline := time.Now().Add(120 * time.Second); unitsCompleted() < 60; {
 		if time.Now().After(deadline) {
 			t.Fatalf("only %d units banked, want >= 60", unitsCompleted())
 		}
-		if v, _ := c1.Lookup(jobID); v.State.Terminal() {
+		if v, _ := c1.Server().Lookup(jobID); v.State.Terminal() {
 			t.Fatalf("job finished before the coordinator crash (%s)", v.State)
 		}
 		time.Sleep(10 * time.Millisecond)
@@ -259,7 +260,8 @@ func TestClusterSoakKillRecover(t *testing.T) {
 		t.Fatal(err)
 	}
 	banked1 := unitsCompleted()
-	redispatched1 := c1.Metrics().Counter(cluster.MetricUnitsRedispatched, "").Value()
+	crashed, _ := c1.Server().Lookup(jobID)
+	redispatched1 := c1.Server().Metrics().Counter(cluster.MetricUnitsRedispatched, "").Value()
 	if got := flaky.Stats().Injected(); got == 0 {
 		t.Error("chaos transport injected nothing — the soak ran in calm weather")
 	}
@@ -285,17 +287,15 @@ func TestClusterSoakKillRecover(t *testing.T) {
 	flaky2 := chaos.NewFlakyTransport(chaos.TransportConfig{
 		Seed: 8, DropProb: 0.03, DupProb: 0.03, DelayProb: 0.05, Delay: 2 * time.Millisecond,
 	}, nil)
-	c2 := cluster.New(cluster.Config{
+	c2 := cluster.NewWithServer(cluster.Config{
 		LeaseTimeout:      10 * time.Second,
 		HedgeAfter:        150 * time.Millisecond,
 		HeartbeatInterval: 100 * time.Millisecond,
 		RetryBase:         10 * time.Millisecond,
 		RetryMax:          500 * time.Millisecond,
-		Journal:           jl2,
-		Recovery:          rec,
 		Transport:         flaky2,
 		Logf:              t.Logf,
-	})
+	}, serve.Config{Journal: jl2, Recovery: rec})
 	t.Cleanup(c2.Close)
 	ts2 := httptest.NewServer(c2.Handler())
 	t.Cleanup(ts2.Close)
@@ -310,12 +310,12 @@ func TestClusterSoakKillRecover(t *testing.T) {
 	if !v.Resumed {
 		t.Error("finished job not marked resumed")
 	}
-	if !bytes.Equal(v.Result, want) {
+	if !bytes.Equal(resultJSON(t, v), want) {
 		t.Error("distributed result differs from the local single-process engine")
 	}
 
-	merged := c2.Metrics().Counter(experiment.MetricReps, "").Value()
-	recovered := c2.Metrics().Counter(experiment.MetricRepsRecovered, "").Value()
+	merged := c2.Server().Metrics().Counter(experiment.MetricReps, "").Value()
+	recovered := c2.Server().Metrics().Counter(experiment.MetricRepsRecovered, "").Value()
 	tspec, err := experiment.TableByID(soakSpec.Table)
 	if err != nil {
 		t.Fatal(err)
@@ -330,14 +330,14 @@ func TestClusterSoakKillRecover(t *testing.T) {
 	if merged == 0 {
 		t.Error("successor merged nothing — the job was already complete at the crash")
 	}
-	redispatched2 := c2.Metrics().Counter(cluster.MetricUnitsRedispatched, "").Value()
+	redispatched2 := c2.Server().Metrics().Counter(cluster.MetricUnitsRedispatched, "").Value()
 	if redispatched1+redispatched2 == 0 {
 		t.Error("no unit was ever re-dispatched across two SIGKILLed workers")
 	}
-	if got := c2.Metrics().Counter(cluster.MetricJobsResumed, "").Value(); got != 1 {
-		t.Errorf("cluster_jobs_resumed_total = %d, want 1", got)
+	if got := c2.Server().Metrics().Counter(metricJobsResumed, "").Value(); got != 1 {
+		t.Errorf("%s = %d, want 1", metricJobsResumed, got)
 	}
 	t.Logf("soak: crash at %d/%d banked units; successor merged %d + recovered %d reps; redispatched %d+%d; chaos injected %d+%d faults",
-		banked1, view.UnitsTotal, merged, recovered, redispatched1, redispatched2,
+		banked1, crashed.UnitsTotal, merged, recovered, redispatched1, redispatched2,
 		flaky.Stats().Injected(), flaky2.Stats().Injected())
 }

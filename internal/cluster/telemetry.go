@@ -1,22 +1,24 @@
-// Coordinator telemetry: one registry feeds both /metrics (Prometheus
-// text exposition) and /statusz (JSON) — the two surfaces render the
-// same instruments and cannot disagree, pinned by
-// TestClusterStatuszMatchesMetrics.
+// Coordinator telemetry: the cluster families live on the embedded
+// server's registry, so one registry feeds both /metrics (Prometheus
+// text exposition) and /statusz (JSON, with a cluster section) — the
+// two surfaces render the same instruments and cannot disagree, pinned
+// by TestClusterStatuszMatchesMetrics. The job ledger is the server's
+// simd_* families.
 
 package cluster
 
 import (
 	"net/http"
-	"time"
 
 	"repro/internal/experiment"
+	"repro/internal/serve"
 	"repro/internal/telemetry"
 )
 
 // Coordinator metric families. The rep ledger reuses the experiment
 // names (grid_reps_total / grid_reps_recovered_total) with the same
-// exactness contract: their sum equals cells × reps for every finished
-// job, resumed or not.
+// exactness contract: their sum equals cells × reps for every job the
+// dispatcher finished, resumed or not.
 const (
 	MetricWorkersLive       = "cluster_workers_live"
 	MetricWorkersRegistered = "cluster_workers_registered_total"
@@ -32,18 +34,10 @@ const (
 	MetricUnitsRejectedAuth = "cluster_units_rejected_auth_total"
 	MetricUnitsDuplicate    = "cluster_units_duplicate_total"
 	MetricRetryAfterHolds   = "cluster_retry_after_holds_total"
-	MetricCacheHits         = "cluster_cache_hits_total"
-	MetricJobsAccepted      = "cluster_jobs_accepted_total"
-	MetricJobsCompleted     = "cluster_jobs_completed_total"
-	MetricJobsFailed        = "cluster_jobs_failed_total"
-	MetricJobsResumed       = "cluster_jobs_resumed_total"
-	MetricShardsRecovered   = "cluster_shards_recovered_total"
 	MetricUnitSeconds       = "cluster_unit_seconds"
 )
 
 type clusterMetrics struct {
-	reg *telemetry.Registry
-
 	workersRegistered *telemetry.Counter
 	registerRejected  *telemetry.Counter
 	workerDeaths      *telemetry.Counter
@@ -57,21 +51,13 @@ type clusterMetrics struct {
 	unitsRejectedAuth *telemetry.Counter
 	unitsDuplicate    *telemetry.Counter
 	retryAfterHolds   *telemetry.Counter
-	cacheHits         *telemetry.Counter
-	jobsAccepted      *telemetry.Counter
-	jobsCompleted     *telemetry.Counter
-	jobsFailed        *telemetry.Counter
-	jobsResumed       *telemetry.Counter
-	shardsRecovered   *telemetry.Counter
 	repsMerged        *telemetry.Counter
 	repsRecovered     *telemetry.Counter
 	unitSeconds       *telemetry.Histogram
 }
 
-func (c *Coordinator) initTelemetry() {
-	reg := telemetry.NewRegistry()
+func (c *Coordinator) initTelemetry(reg *telemetry.Registry) {
 	c.met = &clusterMetrics{
-		reg:               reg,
 		workersRegistered: reg.Counter(MetricWorkersRegistered, "workers accepted through the registration handshake"),
 		registerRejected:  reg.Counter(MetricRegisterRejected, "registrations rejected for protocol or build-version skew"),
 		workerDeaths:      reg.Counter(MetricWorkerDeaths, "workers marked dead after missed heartbeats"),
@@ -85,33 +71,16 @@ func (c *Coordinator) initTelemetry() {
 		unitsRejectedAuth: reg.Counter(MetricUnitsRejectedAuth, "unit responses rejected for a missing or invalid HMAC tag"),
 		unitsDuplicate:    reg.Counter(MetricUnitsDuplicate, "valid unit responses dropped because the unit was already banked"),
 		retryAfterHolds:   reg.Counter(MetricRetryAfterHolds, "worker Retry-After hints applied to dispatch eligibility"),
-		cacheHits:         reg.Counter(MetricCacheHits, "jobs served from the content-addressed result cache without dispatching"),
-		jobsAccepted:      reg.Counter(MetricJobsAccepted, "grid jobs accepted by the coordinator"),
-		jobsCompleted:     reg.Counter(MetricJobsCompleted, "jobs finished in state done (cache hits included)"),
-		jobsFailed:        reg.Counter(MetricJobsFailed, "jobs finished in state failed"),
-		jobsResumed:       reg.Counter(MetricJobsResumed, "unfinished jobs re-queued from the journal at boot"),
-		shardsRecovered:   reg.Counter(MetricShardsRecovered, "shard checkpoints restored from the journal at boot"),
 		repsMerged:        reg.Counter(experiment.MetricReps, "repetitions merged from banked work units"),
 		repsRecovered:     reg.Counter(experiment.MetricRepsRecovered, "repetitions restored from journaled checkpoints instead of re-executed"),
 		unitSeconds:       reg.Histogram(MetricUnitSeconds, "per-dispatch round-trip wall time", nil),
 	}
 	reg.GaugeFunc(MetricWorkersLive, "registered workers currently passing heartbeats",
 		func() float64 { return float64(c.WorkersLive()) })
-	reg.GaugeFunc("cluster_uptime_seconds", "seconds since the coordinator started",
-		func() float64 { return time.Since(c.start).Seconds() })
 }
 
-// Metrics returns the coordinator's registry — the same instance
-// /metrics renders.
-func (c *Coordinator) Metrics() *telemetry.Registry { return c.met.reg }
-
-func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = c.met.reg.WritePrometheus(w)
-}
-
-// StatusCounters is the counter block of /statusz, re-read from the
-// same registry instruments /metrics renders.
+// StatusCounters is the counter block of the /statusz cluster section,
+// re-read from the same registry instruments /metrics renders.
 type StatusCounters struct {
 	WorkersRegistered int64 `json:"workers_registered"`
 	RegisterRejected  int64 `json:"register_rejected"`
@@ -126,28 +95,20 @@ type StatusCounters struct {
 	UnitsRejectedAuth int64 `json:"units_rejected_auth"`
 	UnitsDuplicate    int64 `json:"units_duplicate"`
 	RetryAfterHolds   int64 `json:"retry_after_holds"`
-	CacheHits         int64 `json:"cache_hits"`
-	JobsAccepted      int64 `json:"jobs_accepted"`
-	JobsCompleted     int64 `json:"jobs_completed"`
-	JobsFailed        int64 `json:"jobs_failed"`
-	JobsResumed       int64 `json:"jobs_resumed"`
-	ShardsRecovered   int64 `json:"shards_recovered"`
 	RepsMerged        int64 `json:"reps_merged"`
 	RepsRecovered     int64 `json:"reps_recovered"`
 }
 
-// Status is the /statusz body.
+// Status is the cluster section of /statusz.
 type Status struct {
-	Proto         int            `json:"proto"`
-	Version       string         `json:"version"`
-	UptimeSeconds float64        `json:"uptime_seconds"`
-	WorkersLive   int            `json:"workers_live"`
-	WorkersTotal  int            `json:"workers_total"`
-	Jobs          int            `json:"jobs"`
-	Counters      StatusCounters `json:"counters"`
+	Proto        int            `json:"proto"`
+	Version      string         `json:"version"`
+	WorkersLive  int            `json:"workers_live"`
+	WorkersTotal int            `json:"workers_total"`
+	Counters     StatusCounters `json:"counters"`
 }
 
-// Status snapshots the coordinator state.
+// Status snapshots the membership and dispatch state.
 func (c *Coordinator) Status() Status {
 	m := c.met
 	c.mu.Lock()
@@ -158,15 +119,12 @@ func (c *Coordinator) Status() Status {
 			live++
 		}
 	}
-	jobs := len(c.jobs)
 	c.mu.Unlock()
 	return Status{
-		Proto:         ProtocolVersion,
-		Version:       c.cfg.Version,
-		UptimeSeconds: time.Since(c.start).Seconds(),
-		WorkersLive:   live,
-		WorkersTotal:  total,
-		Jobs:          jobs,
+		Proto:        ProtocolVersion,
+		Version:      c.cfg.Version,
+		WorkersLive:  live,
+		WorkersTotal: total,
 		Counters: StatusCounters{
 			WorkersRegistered: m.workersRegistered.Value(),
 			RegisterRejected:  m.registerRejected.Value(),
@@ -181,18 +139,17 @@ func (c *Coordinator) Status() Status {
 			UnitsRejectedAuth: m.unitsRejectedAuth.Value(),
 			UnitsDuplicate:    m.unitsDuplicate.Value(),
 			RetryAfterHolds:   m.retryAfterHolds.Value(),
-			CacheHits:         m.cacheHits.Value(),
-			JobsAccepted:      m.jobsAccepted.Value(),
-			JobsCompleted:     m.jobsCompleted.Value(),
-			JobsFailed:        m.jobsFailed.Value(),
-			JobsResumed:       m.jobsResumed.Value(),
-			ShardsRecovered:   m.shardsRecovered.Value(),
 			RepsMerged:        m.repsMerged.Value(),
 			RepsRecovered:     m.repsRecovered.Value(),
 		},
 	}
 }
 
+// handleStatusz serves the server's /statusz body with the cluster
+// section added.
 func (c *Coordinator) handleStatusz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.Status())
+	serve.WriteJSON(w, http.StatusOK, struct {
+		serve.Status
+		Cluster Status `json:"cluster"`
+	}{c.srv.Status(), c.Status()})
 }

@@ -18,6 +18,7 @@ import (
 	"io"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
 	"time"
 
@@ -114,42 +115,50 @@ func (w *Worker) logf(format string, args ...any) {
 }
 
 func (w *Worker) handleHealthz(rw http.ResponseWriter, r *http.Request) {
-	writeJSON(rw, http.StatusOK, Hello{Proto: ProtocolVersion, Version: w.version})
+	serve.WriteJSON(rw, http.StatusOK, Hello{Proto: ProtocolVersion, Version: w.version})
 }
 
-func (w *Worker) handleExecute(rw http.ResponseWriter, r *http.Request) {
-	var req UnitRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		w.rejected.Inc()
-		writeJSON(rw, http.StatusBadRequest, errorBody{Error: "bad unit request: " + err.Error()})
-		return
+// maxUnitEnd caps a unit's rep range at the job spec's repetition cap.
+const maxUnitEnd = 1_000_000
+
+// decodeUnit decodes and validates an untrusted unit request before any
+// work: the build must match (the handshake's guarantee, re-checked per
+// unit), the table and store config must be valid, and the address must
+// lie in the table — a scheme column, one of its (u, λ) grid points, a
+// non-empty rep range within the spec cap. It returns the table spec
+// with the store applied, ready for ExecUnit, and the unit's cell seed.
+func decodeUnit(r io.Reader, version string) (req UnitRequest, tspec experiment.Spec, cellSeed uint64, err error) {
+	if err := json.NewDecoder(r).Decode(&req); err != nil {
+		return req, tspec, 0, fmt.Errorf("bad unit request: %w", err)
 	}
-	if req.Proto != ProtocolVersion || req.Version != w.version {
-		w.rejected.Inc()
-		writeJSON(rw, http.StatusBadRequest, errorBody{Error: fmt.Sprintf(
-			"version skew: got proto %d version %q, want proto %d version %q",
-			req.Proto, req.Version, ProtocolVersion, w.version)})
-		return
+	if req.Proto != ProtocolVersion || req.Version != version {
+		return req, tspec, 0, fmt.Errorf("version skew: got proto %d version %q, want proto %d version %q",
+			req.Proto, req.Version, ProtocolVersion, version)
 	}
-	tspec, err := experiment.TableByID(req.Table)
-	if err != nil {
-		w.rejected.Inc()
-		writeJSON(rw, http.StatusBadRequest, errorBody{Error: err.Error()})
-		return
+	if tspec, err = experiment.TableByID(req.Table); err != nil {
+		return req, tspec, 0, err
 	}
 	// The store config is part of the unit's cell semantics: the worker
 	// must simulate exactly what the coordinator will merge and bank.
 	if err := req.Store.Validate(); err != nil {
-		w.rejected.Inc()
-		writeJSON(rw, http.StatusBadRequest, errorBody{Error: err.Error()})
-		return
+		return req, tspec, 0, err
 	}
 	tspec.Store = req.Store
 	schemes := tspec.Schemes()
-	if req.Col < 0 || req.Col >= len(schemes) || req.Start < 0 || req.End <= req.Start {
+	if req.Col < 0 || req.Col >= len(schemes) ||
+		!slices.Contains(tspec.Us, req.U) || !slices.Contains(tspec.Lambdas, req.Lambda) ||
+		req.Start < 0 || req.End <= req.Start || req.End > maxUnitEnd {
+		return req, tspec, 0, fmt.Errorf("bad unit address: col %d u %v λ %v range [%d,%d)",
+			req.Col, req.U, req.Lambda, req.Start, req.End)
+	}
+	return req, tspec, experiment.CellSeed(req.Seed, tspec.ID, req.U, req.Lambda, schemes[req.Col].Name()), nil
+}
+
+func (w *Worker) handleExecute(rw http.ResponseWriter, r *http.Request) {
+	req, tspec, cellSeed, err := decodeUnit(io.LimitReader(r.Body, 1<<20), w.version)
+	if err != nil {
 		w.rejected.Inc()
-		writeJSON(rw, http.StatusBadRequest, errorBody{Error: fmt.Sprintf(
-			"bad unit address: col %d range [%d,%d)", req.Col, req.Start, req.End)})
+		serve.WriteJSON(rw, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return
 	}
 	select {
@@ -157,15 +166,15 @@ func (w *Worker) handleExecute(rw http.ResponseWriter, r *http.Request) {
 		defer func() { <-w.sem }()
 	default:
 		w.busy.Inc()
-		rw.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(w.cfg.RetryAfter)))
-		writeJSON(rw, http.StatusServiceUnavailable, errorBody{Error: "worker at inflight bound"})
+		rw.Header().Set("Retry-After", strconv.Itoa(serve.RetryAfterSeconds(w.cfg.RetryAfter)))
+		serve.WriteJSON(rw, http.StatusServiceUnavailable, errorBody{Error: "worker at inflight bound"})
 		return
 	}
 	data, err := experiment.ExecUnit(r.Context(), tspec, req.Col, req.U, req.Lambda, req.Seed, req.Start, req.End)
 	if err != nil {
 		w.logf("cluster worker: unit %s[%d] u=%v λ=%v [%d,%d): %v",
 			req.Table, req.Col, req.U, req.Lambda, req.Start, req.End, err)
-		writeJSON(rw, http.StatusInternalServerError, errorBody{Error: err.Error()})
+		serve.WriteJSON(rw, http.StatusInternalServerError, errorBody{Error: err.Error()})
 		return
 	}
 	// The worst-case kill site: the unit is fully computed but the reply
@@ -175,7 +184,7 @@ func (w *Worker) handleExecute(rw http.ResponseWriter, r *http.Request) {
 	crashpoint.Hit("worker.unit")
 	w.executed.Inc()
 	res := UnitResult{
-		CellSeed: experiment.CellSeed(req.Seed, tspec.ID, req.U, req.Lambda, schemes[req.Col].Name()),
+		CellSeed: cellSeed,
 		Start:    req.Start,
 		End:      req.End,
 		Data:     data,
@@ -183,15 +192,7 @@ func (w *Worker) handleExecute(rw http.ResponseWriter, r *http.Request) {
 	if len(w.cfg.Key) > 0 {
 		res.Auth = signUnit(w.cfg.Key, res.CellSeed, res.Start, res.End, res.Data)
 	}
-	writeJSON(rw, http.StatusOK, res)
-}
-
-func retryAfterSeconds(d time.Duration) int {
-	s := int((d + time.Second - 1) / time.Second)
-	if s < 1 {
-		s = 1
-	}
-	return s
+	serve.WriteJSON(rw, http.StatusOK, res)
 }
 
 // Register performs one registration handshake with a coordinator,

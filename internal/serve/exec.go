@@ -113,35 +113,48 @@ type MissionResult struct {
 	FinalCharge jsonFloat `json:"final_charge"`
 }
 
-// gridHooks carries the crash-recovery plumbing of a grid attempt into
-// the experiment runner: onShard journals each completed rep-shard,
-// recovered replays the checkpoints banked by earlier attempts or a
-// previous boot. Both nil when journalling is off or the job holds no
-// checkpoints.
-type gridHooks struct {
-	onShard   func(cellSeed uint64, start, end int, data []byte)
-	recovered func(cellSeed uint64) []experiment.ShardCheckpoint
+// GridHooks carries a grid attempt's progress and crash-recovery
+// plumbing into whichever engine runs it. Progress receives work-item
+// counts (cells in the local engine, dispatched units in a remote one)
+// and is always set. OnShard journals each newly completed rep-shard;
+// Recovered replays the checkpoints banked by earlier attempts or a
+// previous boot. Both are nil when journalling is off or the job holds
+// no checkpoints.
+type GridHooks struct {
+	Progress  func(done, total int)
+	OnShard   func(cellSeed uint64, start, end int, data []byte)
+	Recovered func(cellSeed uint64) []experiment.ShardCheckpoint
 }
 
-// executeSpec runs one attempt of a job's workload under ctx. progress
-// receives grid cell counts (serialised by the experiment runner's
-// lock); it is ignored for the other kinds. sink, when non-nil,
-// receives the engines' own telemetry (grid cell and mission frame
-// accounting) — the server passes its registry sink so engine metrics
-// land on /metrics alongside the job ledger.
-func executeSpec(ctx context.Context, spec JobSpec, gridWorkers int, progress func(done, total int), sink telemetry.Sink, hooks gridHooks) (any, error) {
+// GridExecutor runs one attempt of a grid job outside the server's own
+// experiment runner — the cluster coordinator dispatching (cell,
+// rep-range) units to workers. It must honour the hooks as the local
+// engine does: merge what Recovered returns instead of recomputing it,
+// report every newly banked shard through OnShard, and return an error
+// wrapping ctx.Err() when ctx ends the attempt.
+type GridExecutor func(ctx context.Context, spec JobSpec, hooks GridHooks) (GridResult, error)
+
+// execute runs one attempt of a job's workload under ctx. Grid jobs go
+// to the configured GridExecutor, or to the local experiment runner
+// when there is none. The engines report their own telemetry (grid cell
+// and mission frame accounting) through the server's sink, so engine
+// metrics land on /metrics alongside the job ledger.
+func (s *Server) execute(ctx context.Context, spec JobSpec, hooks GridHooks) (any, error) {
 	switch spec.Kind {
 	case JobGrid:
-		return executeGrid(ctx, spec, gridWorkers, progress, sink, hooks)
+		if s.cfg.Grid != nil {
+			return s.cfg.Grid(ctx, spec, hooks)
+		}
+		return executeGrid(ctx, spec, s.cfg.GridWorkers, s.sink, hooks)
 	case JobSingle:
 		return executeSingle(ctx, spec)
 	case JobMission:
-		return executeMission(ctx, spec, sink)
+		return executeMission(ctx, spec, s.sink)
 	}
 	return nil, fmt.Errorf("serve: unknown job kind %q", spec.Kind)
 }
 
-func executeGrid(ctx context.Context, spec JobSpec, workers int, progress func(done, total int), sink telemetry.Sink, hooks gridHooks) (any, error) {
+func executeGrid(ctx context.Context, spec JobSpec, workers int, sink telemetry.Sink, hooks GridHooks) (any, error) {
 	tspec, err := experiment.TableByID(spec.Table)
 	if err != nil {
 		return nil, err
@@ -154,10 +167,10 @@ func executeGrid(ctx context.Context, spec JobSpec, workers int, progress func(d
 		Seed:      spec.Seed,
 		Workers:   workers,
 		ShardSize: spec.ShardSize,
-		OnCell:    progress,
+		OnCell:    hooks.Progress,
 		Sink:      sink,
-		OnShard:   hooks.onShard,
-		Recovered: hooks.recovered,
+		OnShard:   hooks.OnShard,
+		Recovered: hooks.Recovered,
 	}
 	tbl, err := runner.RunTableCtx(ctx, tspec)
 	if err != nil {
@@ -167,7 +180,7 @@ func executeGrid(ctx context.Context, spec JobSpec, workers int, progress func(d
 }
 
 // GridResultFromTable projects a finished experiment table into the
-// service's JSON result shape. Exported so the cluster coordinator
+// service's JSON result shape. Exported so the cluster's GridExecutor
 // renders the table it folded from remote shards through the identical
 // encoder — byte-identical result JSON is the cluster's core invariant,
 // and it must not depend on which process does the rendering.

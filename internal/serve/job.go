@@ -27,6 +27,13 @@
 //     every completed grid shard is durable; a kill -9 at any point
 //     resumes on the next boot with bit-identical results (pinned by the
 //     kill-and-recover soak).
+//   - Content-addressed results: a finished grid table is cached under
+//     its JobKey, so an identical grid job is answered in its 202
+//     without running.
+//
+// Grid jobs run on the local experiment runner, or on a GridExecutor
+// (Config.Grid) — the cluster coordinator's remote dispatcher — behind
+// the same front end.
 package serve
 
 import (
@@ -224,8 +231,13 @@ type Job struct {
 	// PanicStack is the recovered goroutine stack of the last panicking
 	// attempt, if any.
 	PanicStack string
-	// CellsDone/CellsTotal report grid progress while running.
+	// CellsDone/CellsTotal report local grid progress while running;
+	// UnitsDone/UnitsTotal report it when a GridExecutor runs the job.
 	CellsDone, CellsTotal int
+	UnitsDone, UnitsTotal int
+	// CacheHit marks a grid job answered from the result cache at
+	// admission, without running.
+	CacheHit bool
 	// Result is the kind-specific outcome (GridResult, SingleResult,
 	// MissionResult) once State is done.
 	Result any
@@ -246,6 +258,8 @@ type Job struct {
 	cancelRequested bool
 	// cancel aborts the running job's context; nil until the job starts.
 	cancel func()
+	// key is the job's result-cache address ("" for non-grid jobs).
+	key string
 	// prevAttempts is the attempt count carried over from before a
 	// restart, so attempt numbering continues across boots.
 	prevAttempts int
@@ -266,6 +280,9 @@ type View struct {
 	Panicked   bool     `json:"panicked,omitempty"`
 	CellsDone  int      `json:"cells_done,omitempty"`
 	CellsTotal int      `json:"cells_total,omitempty"`
+	UnitsDone  int      `json:"units_done,omitempty"`
+	UnitsTotal int      `json:"units_total,omitempty"`
+	CacheHit   bool     `json:"cache_hit,omitempty"`
 	Result     any      `json:"result,omitempty"`
 	Resumed    bool     `json:"resumed,omitempty"`
 	ElapsedMS  int64    `json:"elapsed_ms,omitempty"`
@@ -281,6 +298,9 @@ func (j *Job) view() View {
 		Panicked:   j.PanicStack != "",
 		CellsDone:  j.CellsDone,
 		CellsTotal: j.CellsTotal,
+		UnitsDone:  j.UnitsDone,
+		UnitsTotal: j.UnitsTotal,
+		CacheHit:   j.CacheHit,
 		Result:     j.Result,
 		Resumed:    j.Resumed,
 	}

@@ -33,6 +33,7 @@ type testView struct {
 	Panicked   bool            `json:"panicked"`
 	CellsDone  int             `json:"cells_done"`
 	CellsTotal int             `json:"cells_total"`
+	CacheHit   bool            `json:"cache_hit"`
 	Result     json.RawMessage `json:"result"`
 }
 
@@ -433,6 +434,72 @@ func TestSpuriousAttemptCancellationIsRetried(t *testing.T) {
 	}
 	if got.Attempts < 2 {
 		t.Errorf("attempts = %d, want ≥ 2", got.Attempts)
+	}
+}
+
+// TestGridResultCache pins the content-addressed result cache: an
+// identical grid job (scheduling knobs aside) is answered in its 202,
+// done and byte-identical, with no executor call; other job kinds are
+// never cached; and a server booted from the journal refills the cache
+// from the finished grid jobs it replays.
+func TestGridResultCache(t *testing.T) {
+	var execs atomic.Int64
+	count := func(ctx context.Context, cancel context.CancelFunc, spec serve.JobSpec, next serve.Exec) (any, error) {
+		execs.Add(1)
+		return next(ctx)
+	}
+	mem := storage.NewMemLog()
+	jl := serve.NewJournal(mem, 1)
+	srv, ts := newTestServer(t, serve.Config{Workers: 1, Journal: jl, Intercept: count})
+	compact := func(raw json.RawMessage) string {
+		var b bytes.Buffer
+		if err := json.Compact(&b, raw); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+
+	v, _ := submit(t, ts, `{"kind":"grid","table":"2b","reps":20,"seed":3}`)
+	first := waitTerminal(t, ts, v.ID, 30*time.Second)
+	if first.State != serve.StateDone || first.CacheHit {
+		t.Fatalf("first grid job: state %s cache_hit %v", first.State, first.CacheHit)
+	}
+	hit, resp := submit(t, ts, `{"kind":"grid","table":"2b","reps":20,"seed":3,"shard_size":7}`)
+	if resp.StatusCode != http.StatusAccepted || hit.State != serve.StateDone || !hit.CacheHit {
+		t.Fatalf("resubmission: status %d state %s cache_hit %v, want a 202 carrying a done cache hit",
+			resp.StatusCode, hit.State, hit.CacheHit)
+	}
+	if compact(hit.Result) != compact(first.Result) {
+		t.Error("cached result differs from the computed one")
+	}
+	for i := 0; i < 2; i++ {
+		sv, _ := submit(t, ts, `{"kind":"single","scheme":"A_D_S","u":0.78,"lambda":0.0014,"seed":4}`)
+		if got := waitTerminal(t, ts, sv.ID, 10*time.Second); got.CacheHit {
+			t.Error("single job answered from the cache")
+		}
+	}
+	if got := execs.Load(); got != 3 {
+		t.Errorf("%d executor calls, want 3 (one grid, two singles)", got)
+	}
+	if c := srv.Counters(); c.CacheHits != 1 || c.Accepted != 4 || c.Completed != 4 {
+		t.Errorf("counters %+v, want 1 cache hit among 4 accepted and completed", c)
+	}
+
+	blob, err := mem.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv2 := serve.New(serve.Config{Recovery: serve.ReplayJournal(blob), Intercept: count})
+	defer srv2.Close()
+	job, err := srv2.Enqueue(serve.JobSpec{Kind: serve.JobGrid, Table: "2b", Reps: 20, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := srv2.Lookup(job.ID); v.State != serve.StateDone || !v.CacheHit {
+		t.Errorf("after replay: state %s cache_hit %v, want the cache refilled from the journal", v.State, v.CacheHit)
+	}
+	if got := execs.Load(); got != 3 {
+		t.Errorf("replayed server ran the executor %d more times", got-3)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"runtime/debug"
@@ -58,6 +59,10 @@ type Config struct {
 	// Intercept, when non-nil, wraps every job attempt — the chaos
 	// harness's injection point.
 	Intercept Interceptor
+	// Grid, when non-nil, runs grid jobs in place of the local experiment
+	// runner: the cluster coordinator's remote executor. Admission,
+	// deadlines, retries, the journal and the result cache stay here.
+	Grid GridExecutor
 	// TraceCapacity bounds the /trace ring buffer (events, not bytes).
 	// Zero means telemetry.DefaultTraceCapacity.
 	TraceCapacity int
@@ -161,6 +166,7 @@ type CounterSnapshot struct {
 	Canceled  int64 `json:"canceled"`
 	Retries   int64 `json:"retries"`
 	Panics    int64 `json:"panics"`
+	CacheHits int64 `json:"cache_hits"`
 }
 
 func (m *serveMetrics) snapshot() CounterSnapshot {
@@ -172,6 +178,7 @@ func (m *serveMetrics) snapshot() CounterSnapshot {
 		Canceled:  m.canceled.Value(),
 		Retries:   m.retries.Value(),
 		Panics:    m.panics.Value(),
+		CacheHits: m.cacheHits.Value(),
 	}
 }
 
@@ -186,6 +193,7 @@ type Server struct {
 	queue    chan *Job
 	draining bool
 	nextID   int
+	cache    resultCache
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -256,7 +264,7 @@ func (s *Server) applyRecovery(rec *Recovery) {
 			s.nextID = n
 		}
 		job := &Job{
-			ID: rj.ID, Spec: rj.Spec,
+			ID: rj.ID, Spec: rj.Spec, key: cacheKey(rj.Spec),
 			Attempts: rj.Attempts, prevAttempts: rj.Attempts,
 			Enqueued: time.Now(),
 		}
@@ -271,6 +279,7 @@ func (s *Server) applyRecovery(rec *Recovery) {
 			switch rj.State {
 			case StateDone:
 				s.met.completed.Inc()
+				s.cache.put(job.key, rj.Result)
 			case StateFailed:
 				s.met.failed.Inc()
 			case StateCanceled:
@@ -320,7 +329,8 @@ func (s *Server) Counters() CounterSnapshot { return s.met.snapshot() }
 // Enqueue admits a job, or sheds it: ErrDraining while shutting down,
 // ErrQueueFull when the bounded queue is at capacity. A shed submission
 // leaves no trace beyond the shed counter — it was never accepted, and
-// the caller is told so synchronously.
+// the caller is told so synchronously. A grid job whose JobKey is in
+// the result cache is admitted already done, without a queue slot.
 func (s *Server) Enqueue(spec JobSpec) (*Job, error) {
 	spec = spec.withDefaults()
 	if err := spec.Validate(); err != nil {
@@ -339,6 +349,11 @@ func (s *Server) Enqueue(spec JobSpec) (*Job, error) {
 		Spec:     spec,
 		State:    StateQueued,
 		Enqueued: time.Now(),
+		key:      cacheKey(spec),
+	}
+	if blob, ok := s.cache.m[job.key]; ok {
+		s.admitCached(job, blob)
+		return job, nil
 	}
 	select {
 	case s.queue <- job:
@@ -359,6 +374,30 @@ func (s *Server) Enqueue(spec JobSpec) (*Job, error) {
 		"id": job.ID, "kind": string(spec.Kind), "queue_depth": len(s.queue),
 	})
 	return job, nil
+}
+
+// admitCached records a job answered from the result cache: same
+// canonical job, same bits, so it is done on admission and no executor
+// runs. It is journaled as accepted and finished like any completed
+// job, and stays out of the latency histogram (it never ran). Called
+// with s.mu held.
+func (s *Server) admitCached(job *Job, blob json.RawMessage) {
+	job.State = StateDone
+	job.CacheHit = true
+	job.Result = blob
+	job.Started, job.Finished = job.Enqueued, job.Enqueued
+	s.jobs[job.ID] = job
+	s.order = append(s.order, job.ID)
+	s.met.accepted.Inc()
+	s.met.completed.Inc()
+	s.met.cacheHits.Inc()
+	if s.cfg.Journal != nil {
+		s.journalErr(s.cfg.Journal.AppendAccepted(job.ID, job.Spec))
+		s.journalErr(s.cfg.Journal.AppendFinished(job.ID, StateDone, "", 0, blob))
+	}
+	s.trace("job.done", map[string]any{
+		"id": job.ID, "state": string(StateDone), "attempts": 0, "seconds": 0.0, "cache_hit": true,
+	})
 }
 
 // Lookup returns the view of a job by ID.
@@ -550,14 +589,9 @@ func (s *Server) attempt(jobCtx context.Context, job *Job) (out any, err error) 
 			err = &PanicError{Value: p, Stack: stack}
 		}
 	}()
-	progress := func(done, total int) {
-		s.mu.Lock()
-		job.CellsDone, job.CellsTotal = done, total
-		s.mu.Unlock()
-	}
 	hooks := s.gridHooks(job)
 	next := func(ctx context.Context) (any, error) {
-		return executeSpec(ctx, job.Spec, s.cfg.GridWorkers, progress, s.sink, hooks)
+		return s.execute(ctx, job.Spec, hooks)
 	}
 	if s.cfg.Intercept != nil {
 		return s.cfg.Intercept(attemptCtx, attemptCancel, job.Spec, next)
@@ -565,15 +599,25 @@ func (s *Server) attempt(jobCtx context.Context, job *Job) (out any, err error) 
 	return next(attemptCtx)
 }
 
-// gridHooks builds the checkpoint plumbing of one grid-job attempt:
-// Recovered replays the shards the job already holds (restored at boot
-// or completed by an earlier attempt in this process — both merge
-// bit-identically), OnShard journals each newly completed shard and
-// remembers it for the next attempt or the next boot.
-func (s *Server) gridHooks(job *Job) gridHooks {
-	var h gridHooks
+// gridHooks builds the progress and checkpoint plumbing of one grid-job
+// attempt: Progress feeds the job view (cells locally, units for a
+// GridExecutor), Recovered replays the shards the job already holds
+// (restored at boot or completed by an earlier attempt in this process
+// — both merge bit-identically), OnShard journals each newly completed
+// shard and remembers it for the next attempt or the next boot.
+func (s *Server) gridHooks(job *Job) GridHooks {
+	var h GridHooks
 	if job.Spec.Kind != JobGrid {
 		return h
+	}
+	done, total := &job.CellsDone, &job.CellsTotal
+	if s.cfg.Grid != nil {
+		done, total = &job.UnitsDone, &job.UnitsTotal
+	}
+	h.Progress = func(d, t int) {
+		s.mu.Lock()
+		*done, *total = d, t
+		s.mu.Unlock()
 	}
 	s.mu.Lock()
 	snap := make(map[uint64][]experiment.ShardCheckpoint, len(job.shards))
@@ -582,10 +626,10 @@ func (s *Server) gridHooks(job *Job) gridHooks {
 	}
 	s.mu.Unlock()
 	if len(snap) > 0 {
-		h.recovered = func(cellSeed uint64) []experiment.ShardCheckpoint { return snap[cellSeed] }
+		h.Recovered = func(cellSeed uint64) []experiment.ShardCheckpoint { return snap[cellSeed] }
 	}
 	if s.cfg.Journal != nil {
-		h.onShard = func(cell uint64, start, end int, data []byte) {
+		h.OnShard = func(cell uint64, start, end int, data []byte) {
 			s.journalErr(s.cfg.Journal.AppendShard(job.ID, cell, start, end, data))
 			crashpoint.Hit("journal.shard")
 			s.mu.Lock()
@@ -634,6 +678,7 @@ func (s *Server) finish(job *Job, result any, err error) {
 	if state == StateDone && job.Result != nil {
 		if blob, merr := json.Marshal(job.Result); merr == nil {
 			resultJSON = blob
+			s.cache.put(job.key, blob)
 		}
 	}
 	// Terminal: the banked checkpoints are no longer needed.
@@ -758,6 +803,22 @@ func (s *Server) Shutdown(ctx context.Context) (Manifest, error) {
 	return m, nil
 }
 
+// Close stops the server the way a crash would: admission stops, every
+// queued or running job is aborted through the base context, and
+// nothing more is journaled — aborted jobs get no finished record and
+// the journal gets no clean-shutdown record — so the next boot resumes
+// exactly as after a kill -9. Close after Shutdown only waits.
+func (s *Server) Close() {
+	s.mu.Lock()
+	if !s.draining {
+		s.draining = true
+		close(s.queue)
+	}
+	s.mu.Unlock()
+	s.baseCancel()
+	s.wg.Wait()
+}
+
 // --- HTTP layer ---
 
 func (s *Server) initMux() {
@@ -787,7 +848,9 @@ func (s *Server) initMux() {
 //	GET    /debug/pprof  the standard Go profiling endpoints
 func (s *Server) Handler() http.Handler { return s.mux }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON writes v as the indented JSON body of a response with the
+// given status code.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -800,12 +863,20 @@ type errorBody struct {
 	Shed  bool   `json:"shed,omitempty"`
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeSpec decodes a submitted JobSpec: unknown fields are an error,
+// so a misspelt knob is a 400 rather than a silently ignored field.
+func decodeSpec(r io.Reader) (JobSpec, error) {
 	var spec JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad job spec: " + err.Error()})
+	err := dec.Decode(&spec)
+	return spec, err
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	spec, err := decodeSpec(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err != nil {
+		WriteJSON(w, http.StatusBadRequest, errorBody{Error: "bad job spec: " + err.Error()})
 		return
 	}
 	job, err := s.Enqueue(spec)
@@ -814,20 +885,22 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// Load shed: explicit, counted, and with a retry hint — the
 		// contract overload buys instead of an unbounded queue.
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterHint()))
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error(), Shed: true})
+		WriteJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error(), Shed: true})
 		return
 	case err != nil:
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+		WriteJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return
 	}
 	s.mu.Lock()
 	v := job.view()
 	s.mu.Unlock()
 	w.Header().Set("Location", "/v1/jobs/"+job.ID)
-	writeJSON(w, http.StatusAccepted, v)
+	WriteJSON(w, http.StatusAccepted, v)
 }
 
-func retryAfterSeconds(d time.Duration) int {
+// RetryAfterSeconds renders a retry hint as a Retry-After header value:
+// whole seconds, rounded up, at least 1.
+func RetryAfterSeconds(d time.Duration) int {
 	sec := int((d + time.Second - 1) / time.Second)
 	if sec < 1 {
 		sec = 1
@@ -843,7 +916,7 @@ func retryAfterSeconds(d time.Duration) int {
 // 60s is the ceiling so a burst of slow jobs cannot push clients away
 // for minutes.
 func (s *Server) retryAfterHint() int {
-	floor := retryAfterSeconds(s.cfg.RetryAfter)
+	floor := RetryAfterSeconds(s.cfg.RetryAfter)
 	snap := s.met.latency.Snapshot()
 	if snap.Count == 0 {
 		return floor
@@ -864,25 +937,25 @@ func (s *Server) retryAfterHint() int {
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Jobs())
+	WriteJSON(w, http.StatusOK, s.Jobs())
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	v, ok := s.Lookup(r.PathValue("id"))
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "no such job"})
+		WriteJSON(w, http.StatusNotFound, errorBody{Error: "no such job"})
 		return
 	}
-	writeJSON(w, http.StatusOK, v)
+	WriteJSON(w, http.StatusOK, v)
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	v, ok := s.Cancel(r.PathValue("id"))
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "no such job"})
+		WriteJSON(w, http.StatusNotFound, errorBody{Error: "no such job"})
 		return
 	}
-	writeJSON(w, http.StatusOK, v)
+	WriteJSON(w, http.StatusOK, v)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -949,6 +1022,11 @@ type Status struct {
 }
 
 func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
+	WriteJSON(w, http.StatusOK, s.Status())
+}
+
+// Status snapshots the /statusz body.
+func (s *Server) Status() Status {
 	s.mu.Lock()
 	st := Status{
 		Counters:  s.met.snapshot(),
@@ -987,5 +1065,5 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 			ReplaySeconds:   s.met.replaySeconds.Value(),
 		}
 	}
-	writeJSON(w, http.StatusOK, st)
+	return st
 }

@@ -21,6 +21,7 @@ type serveMetrics struct {
 	completed, failed *telemetry.Counter
 	canceled          *telemetry.Counter
 	retries, panics   *telemetry.Counter
+	cacheHits         *telemetry.Counter
 	drainsClean       *telemetry.Counter
 	drainsAborted     *telemetry.Counter
 	unfinishedJobs    *telemetry.Counter
@@ -47,6 +48,7 @@ const (
 	metricCanceled      = "simd_jobs_canceled_total"
 	metricRetries       = "simd_job_retries_total"
 	metricPanics        = "simd_job_panics_total"
+	metricCacheHits     = "simd_result_cache_hits_total"
 	metricLatency       = "simd_job_duration_seconds"
 	metricQueueDepth    = "simd_queue_depth"
 	metricQueueCap      = "simd_queue_capacity"
@@ -90,6 +92,7 @@ func (s *Server) initTelemetry() {
 		canceled:       reg.Counter(metricCanceled, "jobs finished in state canceled (client or shutdown)"),
 		retries:        reg.Counter(metricRetries, "transient job attempts retried with backoff"),
 		panics:         reg.Counter(metricPanics, "job attempts that panicked (isolated, never fatal)"),
+		cacheHits:      reg.Counter(metricCacheHits, "grid jobs answered from the content-addressed result cache at admission (counted as accepted and completed)"),
 		drainsClean:    reg.Counter(metricDrainsClean, "shutdowns that drained the backlog within the deadline"),
 		drainsAborted:  reg.Counter(metricDrainsAborted, "shutdowns that hit the drain deadline and aborted jobs"),
 		unfinishedJobs: reg.Counter(metricUnfinished, "jobs left unfinished at shutdown (resume from the journal on next boot)"),
@@ -182,7 +185,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if q := r.URL.Query().Get("n"); q != "" {
 		n, err := strconv.Atoi(q)
 		if err != nil || n < 0 {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad n: want a non-negative integer"})
+			WriteJSON(w, http.StatusBadRequest, errorBody{Error: "bad n: want a non-negative integer"})
 			return
 		}
 		last = n
