@@ -83,8 +83,9 @@ determinism:
 # decoder every worker result passes through (never panic, accept only
 # canonical bytes, never inflate the rep ledger), the permanent-fault
 # overlay, the ISA assembler and machine step, and the untrusted
-# network decoders: the POST /v1/jobs spec, the worker's unit request
-# and the store config they both carry (never panic, accepted input
+# network decoders: the POST /v1/jobs spec, the worker's unit request,
+# the coordinator's unit reply (also: bodies over the size bound are
+# rejected) and the store config (never panic, accepted input
 # round-trips). CI runs this; longer local campaigns just raise
 # -fuzztime.
 fuzz-smoke:
@@ -98,6 +99,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzMachineStep$$' -fuzztime 15s ./internal/isa/
 	$(GO) test -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime 15s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzUnitRequest$$' -fuzztime 15s ./internal/cluster/
+	$(GO) test -run '^$$' -fuzz '^FuzzUnitResult$$' -fuzztime 15s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreConfig$$' -fuzztime 15s ./internal/store/
 
 # Compile and vet the benchmark harness. perfbench/ is a nested module

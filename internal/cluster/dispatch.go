@@ -249,11 +249,11 @@ func (c *Coordinator) callExecute(ctx context.Context, addr string, ureq UnitReq
 	}()
 	switch resp.StatusCode {
 	case http.StatusOK:
-		var res UnitResult
-		if derr := json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(&res); derr != nil {
+		res, derr := decodeUnitResult(resp.Body, maxUnitReply)
+		if derr != nil {
 			return nil, 0, fmt.Errorf("cluster: worker %s: bad unit response: %w", addr, derr)
 		}
-		return &res, 0, nil
+		return res, 0, nil
 	case http.StatusServiceUnavailable:
 		var hold time.Duration
 		if s, aerr := strconv.Atoi(resp.Header.Get("Retry-After")); aerr == nil && s > 0 {
@@ -264,6 +264,29 @@ func (c *Coordinator) callExecute(ctx context.Context, addr string, ureq UnitReq
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return nil, 0, fmt.Errorf("cluster: worker %s: %s: %s", addr, resp.Status, bytes.TrimSpace(msg))
 	}
+}
+
+// maxUnitReply bounds a worker's unit reply body.
+const maxUnitReply = 8 << 20
+
+// decodeUnitResult reads an untrusted unit reply of at most limit bytes
+// and decodes it with one json.Unmarshal; a longer body is an error, not
+// a truncated parse. Workers write the reply compact, but indented JSON
+// is the same grammar, so either revision's replies decode. Identity,
+// HMAC and shard validation happen at banking (handleOutcome).
+func decodeUnitResult(r io.Reader, limit int64) (*UnitResult, error) {
+	body, err := io.ReadAll(io.LimitReader(r, limit+1))
+	if err != nil {
+		return nil, err
+	}
+	if int64(len(body)) > limit {
+		return nil, fmt.Errorf("reply exceeds %d bytes", limit)
+	}
+	res := new(UnitResult)
+	if err := json.Unmarshal(body, res); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // handleOutcome applies one dispatch result to the unit table and

@@ -83,3 +83,57 @@ func FuzzUnitRequest(f *testing.F) {
 		}
 	})
 }
+
+// FuzzUnitResult feeds arbitrary bytes through the coordinator's unit
+// reply decoder. It must never panic, must reject any body over the
+// size bound, and every reply it accepts must re-marshal to bytes that
+// decode to an equal UnitResult. A small bound keeps the oversize case
+// within the fuzzer's reach.
+func FuzzUnitResult(f *testing.F) {
+	const limit = 512
+	res := UnitResult{CellSeed: 0xdeadbeef, Start: 200, End: 400, Data: []byte{1, 2, 3, 250}}
+	res.Auth = signUnit([]byte("k"), res.CellSeed, res.Start, res.End, res.Data)
+	compact, err := json.Marshal(res)
+	if err != nil {
+		f.Fatal(err)
+	}
+	indented, err := json.MarshalIndent(res, "", " ")
+	if err != nil {
+		f.Fatal(err)
+	}
+	indented = append(indented, '\n') // what an indenting revision's worker writes
+	for _, blob := range [][]byte{compact, indented} {
+		got, err := decodeUnitResult(bytes.NewReader(blob), limit)
+		if err != nil || !reflect.DeepEqual(*got, res) {
+			f.Fatalf("valid reply %s decoded to %+v, %v", blob, got, err)
+		}
+	}
+	f.Add(compact)
+	f.Add(indented)
+	f.Add(bytes.Repeat([]byte(" "), limit+1))
+	f.Add([]byte(`{"cell_seed":1,"start":0,"end":8,"data":"AAEC"} trailing`))
+	f.Add([]byte(`{"data":"not base64!"}`))
+	f.Add([]byte(`null`))
+	f.Add([]byte(`{`))
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		got, err := decodeUnitResult(bytes.NewReader(body), limit)
+		if len(body) > limit && err == nil {
+			t.Fatalf("accepted a %d-byte reply over the %d-byte bound", len(body), limit)
+		}
+		if err != nil {
+			return
+		}
+		blob, err := json.Marshal(got)
+		if err != nil {
+			t.Fatalf("accepted reply does not re-marshal: %v", err)
+		}
+		again, err := decodeUnitResult(bytes.NewReader(blob), int64(len(blob)))
+		if err != nil {
+			t.Fatalf("re-marshalled reply rejected: %v\n%s", err, blob)
+		}
+		if !reflect.DeepEqual(again, got) {
+			t.Fatalf("round trip changed the reply:\n got %+v\nwant %+v", again, got)
+		}
+	})
+}

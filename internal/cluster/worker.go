@@ -192,7 +192,13 @@ func (w *Worker) handleExecute(rw http.ResponseWriter, r *http.Request) {
 	if len(w.cfg.Key) > 0 {
 		res.Auth = signUnit(w.cfg.Key, res.CellSeed, res.Start, res.End, res.Data)
 	}
-	serve.WriteJSON(rw, http.StatusOK, res)
+	// Compact, unlike the operator-facing serve.WriteJSON: the reply is
+	// machine-to-machine and mostly base64 shard bytes. Marshal cannot
+	// fail on UnitResult's plain fields; a failed write costs only the
+	// lease, which the coordinator re-dispatches.
+	body, _ := json.Marshal(res)
+	rw.Header().Set("Content-Type", "application/json")
+	_, _ = rw.Write(body)
 }
 
 // Register performs one registration handshake with a coordinator,

@@ -232,30 +232,13 @@ func (r Runner) runShards(ctx context.Context, cells []*cellState, onDone func(*
 	return s.firstErr
 }
 
-// workerCtx bundles a worker's reusable simulation contexts. Pooled so
-// repeated runs in one process reuse their allocations (engine buffers,
-// the 1 MiB plan cache, batch scratch) instead of rebuilding them; no
-// run relies on a context's warmth, and warm state never changes
-// results — the plan cache is exact-input and generation-tagged, pinned
-// by the scalar-equivalence tests.
-type workerCtx struct {
-	rctx *sim.RunContext
-	bctx *sim.BatchContext
-}
-
-var workerCtxPool = sync.Pool{New: func() any {
-	return &workerCtx{rctx: sim.NewRunContext(), bctx: sim.NewBatchContext()}
-}}
-
 func (s *sched) worker(w int) {
 	defer s.wg.Done()
-	wc := workerCtxPool.Get().(*workerCtx)
-	defer workerCtxPool.Put(wc)
-	rctx, bctx := wc.rctx, wc.bctx
+	sc := sim.GetContexts()
 	var scratch stats.Shard
 	// A pooled context carries cache counters from previous runs; the
 	// per-shard telemetry deltas must start from its current totals.
-	seenHits, seenMisses := core.PlannerCacheStats(rctx)
+	seenHits, seenMisses := core.PlannerCacheStats(&sc.Run)
 	// Private store-activity accumulator: the engine writes into cur
 	// without sharing; seen holds the last flushed snapshot so each
 	// shard reports only its delta.
@@ -266,9 +249,15 @@ func (s *sched) worker(w int) {
 			u, ok = s.steal(w)
 		}
 		if !ok {
+			sim.PutContexts(sc)
 			return
 		}
-		s.runUnit(u, rctx, bctx, &scratch, &seenHits, &seenMisses, &storeCur, &storeSeen)
+		if panicked(s.runUnit(u, &sc.Run, &sc.Batch, &scratch, &seenHits, &seenMisses, &storeCur, &storeSeen)) {
+			// The pool's policy: a pair a scheme panicked in is dropped,
+			// never reused or returned.
+			sc = sim.GetContexts()
+			seenHits, seenMisses = core.PlannerCacheStats(&sc.Run)
+		}
 	}
 }
 
@@ -332,8 +321,9 @@ func (s *sched) steal(w int) (shardUnit, bool) {
 }
 
 // runUnit executes one shard and merges it into its cell, handling
-// chaos retries, failure propagation and last-shard completion.
-func (s *sched) runUnit(u shardUnit, rctx *sim.RunContext, bctx *sim.BatchContext, scratch *stats.Shard, seenHits, seenMisses *uint64, storeCur, storeSeen *store.Stats) {
+// chaos retries, failure propagation and last-shard completion. It
+// returns the shard's execution error (nil for a skipped shard).
+func (s *sched) runUnit(u shardUnit, rctx *sim.RunContext, bctx *sim.BatchContext, scratch *stats.Shard, seenHits, seenMisses *uint64, storeCur, storeSeen *store.Stats) error {
 	c := s.cells[u.cell]
 	c.mu.Lock()
 	if !c.started {
@@ -408,6 +398,7 @@ func (s *sched) runUnit(u shardUnit, rctx *sim.RunContext, bctx *sim.BatchContex
 	if lastOK {
 		s.finishCell(c)
 	}
+	return err
 }
 
 // execShard runs one shard's repetitions into scratch. Each rep's
@@ -418,8 +409,8 @@ func (s *sched) runUnit(u shardUnit, rctx *sim.RunContext, bctx *sim.BatchContex
 // implementation, also the fallback for configurations outside the
 // kernel envelope) produce byte-identical Shard payloads, pinned by the
 // equivalence property and fuzz tests. A panicking scheme is recovered
-// into a *CellError; the contexts stay reusable (the next run fully
-// resets them).
+// into a *CellError with Panicked set; the worker then drops its
+// contexts.
 func (s *sched) execShard(rctx *sim.RunContext, bctx *sim.BatchContext, scratch *stats.Shard, c *cellState, u shardUnit, storeStats *store.Stats) (err error) {
 	defer func() {
 		if p := recover(); p != nil {

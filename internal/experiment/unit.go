@@ -23,8 +23,19 @@ import (
 // column, U, λ) cell under base seed and returns the canonical
 // stats.Shard bytes. A panicking scheme is recovered into a *CellError
 // (Panicked set, stack captured) so a worker process survives any
-// malformed cell. col indexes spec.Schemes().
-func ExecUnit(ctx context.Context, spec Spec, col int, u, lambda float64, seed uint64, start, end int) (data []byte, err error) {
+// malformed cell. col indexes spec.Schemes(). The unit runs on a pooled
+// context pair, which goes back to the pool unless the scheme panicked.
+func ExecUnit(ctx context.Context, spec Spec, col int, u, lambda float64, seed uint64, start, end int) ([]byte, error) {
+	sc := sim.GetContexts()
+	data, err := execUnit(ctx, &sc.Run, &sc.Batch, spec, col, u, lambda, seed, start, end)
+	if !panicked(err) {
+		sim.PutContexts(sc)
+	}
+	return data, err
+}
+
+// execUnit is ExecUnit on explicit contexts.
+func execUnit(ctx context.Context, rctx *sim.RunContext, bctx *sim.BatchContext, spec Spec, col int, u, lambda float64, seed uint64, start, end int) (data []byte, err error) {
 	schemes := spec.Schemes()
 	if col < 0 || col >= len(schemes) {
 		return nil, fmt.Errorf("experiment: scheme column %d out of range [0,%d)", col, len(schemes))
@@ -49,11 +60,16 @@ func ExecUnit(ctx context.Context, spec Spec, col int, u, lambda float64, seed u
 			data, err = nil, ce
 		}
 	}()
-	rctx := sim.NewRunContext()
-	bctx := sim.NewBatchContext()
 	var scratch stats.Shard
 	if rerr := execRange(ctx, rctx, bctx, &scratch, scheme, params, cellSeed, start, end, false); rerr != nil {
 		return nil, wrap(rerr)
 	}
 	return scratch.AppendBinary(nil), nil
+}
+
+// panicked reports whether err is a recovered scheme panic, after which
+// the contexts the scheme ran on are dropped rather than reused.
+func panicked(err error) bool {
+	ce, ok := err.(*CellError)
+	return ok && ce.Panicked
 }

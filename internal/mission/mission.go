@@ -166,8 +166,6 @@ func Run(cfg Config, seed uint64) (Report, error) {
 	return RunCtx(context.Background(), cfg, seed)
 }
 
-var runCtxPool = sync.Pool{New: func() any { return sim.NewRunContext() }}
-
 // RunCtx is Run with cancellation: the frame loop polls ctx between
 // frames and, once it fires, returns the partial report (Reason
 // EndCancelled) together with ctx.Err(). Polling consumes no randomness,
@@ -224,16 +222,19 @@ func RunCtx(ctx context.Context, cfg Config, seed uint64) (Report, error) {
 	// chain through the mission source and future frame-sharding can
 	// reconstruct any frame's stream independently. (The mission source
 	// still serves the permanent-fault draws above.) The context comes
-	// from a pool: its plan cache is a 1 MiB array, too large to allocate
-	// per mission, and reuse is bit-identical to a fresh context.
-	rctx := runCtxPool.Get().(*sim.RunContext)
-	defer runCtxPool.Put(rctx)
+	// from sim's shared pool: its plan cache is a 1 MiB array, too large
+	// to allocate per mission, and reuse is bit-identical to a fresh
+	// context. It goes back on both returns below; a panicking scheme
+	// skips them, which drops the pair as the pool's policy requires.
+	sc := sim.GetContexts()
+	rctx := &sc.Run
 
 	for f := 0; f < cfg.MaxFrames; f++ {
 		if f&0x3f == 0 && ctx.Err() != nil {
 			rep.Reason = EndCancelled
 			rep.FinalCharge = pack.Charge()
 			rep.FrameEnergy = cell.Summary()
+			sim.PutContexts(sc)
 			return rep, ctx.Err()
 		}
 		// Frame-milestone trace: one event per 1024 frames, so even a
@@ -291,6 +292,7 @@ func RunCtx(ctx context.Context, cfg Config, seed uint64) (Report, error) {
 	}
 	rep.FinalCharge = pack.Charge()
 	rep.FrameEnergy = cell.Summary()
+	sim.PutContexts(sc)
 	return rep, nil
 }
 

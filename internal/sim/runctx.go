@@ -1,6 +1,10 @@
 package sim
 
-import "repro/internal/rng"
+import (
+	"sync"
+
+	"repro/internal/rng"
+)
 
 // RunContext is the per-worker reusable state behind a sequence of
 // simulated executions: one engine (with its meter, fault-process and
@@ -21,6 +25,32 @@ type RunContext struct {
 
 // NewRunContext returns an empty context ready for its first run.
 func NewRunContext() *RunContext { return &RunContext{} }
+
+// Contexts is one goroutine's pair of reusable simulation contexts: a
+// RunContext for scalar runs and planning, and a BatchContext for the
+// batched kernel. Pairs come from one process-wide pool so that the
+// contexts' allocations — engine buffers, the plan cache, batch scratch
+// — are paid once per pooled pair, not once per run, work unit or sweep
+// point.
+type Contexts struct {
+	Run   RunContext
+	Batch BatchContext
+}
+
+var contextPool = sync.Pool{New: func() any { return new(Contexts) }}
+
+// GetContexts takes a context pair from the process-wide pool, the only
+// pool of simulation contexts: the experiment runner's workers, remote
+// work units, missions, sweeps and the facade's MonteCarlo all draw
+// from it. The pair is private
+// to the caller until PutContexts. No caller relies on a pair's warmth,
+// and warm state never changes results (see RunContext).
+func GetContexts() *Contexts { return contextPool.Get().(*Contexts) }
+
+// PutContexts returns c to the pool. A caller whose run panicked while
+// holding c drops it instead, so a half-updated context never reaches
+// another run.
+func PutContexts(c *Contexts) { contextPool.Put(c) }
 
 // Reseed re-initialises the context's random stream from seed — the
 // reusable equivalent of rng.New(seed) — and returns it.

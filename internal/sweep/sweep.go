@@ -70,7 +70,11 @@ func (c Config) cell(s sim.Scheme, p sim.Params, x float64) stats.Summary {
 }
 
 func (c Config) cellSeeded(s sim.Scheme, p sim.Params, pointSeed uint64) stats.Summary {
-	rctx := sim.NewRunContext()
+	// A pooled context: a fresh one would allocate its 1 MiB plan cache
+	// for every point and scheme. A panicking scheme skips the Put and
+	// so drops the pair.
+	sc := sim.GetContexts()
+	rctx := &sc.Run
 	var cell stats.Cell
 	for i := 0; i < c.reps(); i++ {
 		// Each rep's stream is the i-th member of the counter-based seed
@@ -80,6 +84,7 @@ func (c Config) cellSeeded(s sim.Scheme, p sim.Params, pointSeed uint64) stats.S
 		r := sim.RunScheme(rctx, s, p, rctx.Reseed(rng.Stream(pointSeed, i)))
 		cell.Observe(r.Completed, r.Energy, r.Time, float64(r.Faults), float64(r.Switches))
 	}
+	sim.PutContexts(sc)
 	return cell.Summary()
 }
 

@@ -154,18 +154,20 @@ func RunWithContext(rc *RunContext, s Scheme, p Params, seed uint64) Result {
 // MonteCarlo repeats Run reps times with independent seeds derived from
 // seed and aggregates the paper's metrics: P (probability of timely
 // completion) and E (mean energy over timely completions; NaN if none).
-// The loop runs through one internal context; per-rep seeds come from
-// the base stream's successive outputs exactly as the uncontexted loop's
-// Split calls did, so summaries are unchanged.
+// The loop runs through one pooled internal context; per-rep seeds come
+// from the base stream's successive outputs exactly as the uncontexted
+// loop's Split calls did, so summaries are unchanged.
 func MonteCarlo(s Scheme, p Params, reps int, seed uint64) Summary {
 	src := rng.New(seed)
-	rc := sim.NewRunContext()
+	sc := sim.GetContexts()
+	rc := &sc.Run
 	var cell stats.Cell
 	for i := 0; i < reps; i++ {
 		r := sim.RunScheme(rc, s, p, rc.Reseed(src.Uint64()))
 		cell.ObserveRun(r.Completed, r.SilentCorruption,
 			r.Energy, r.Time, float64(r.Faults), float64(r.Switches))
 	}
+	sim.PutContexts(sc) // skipped by a panicking scheme, dropping the pair
 	return cell.Summary()
 }
 
