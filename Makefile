@@ -12,8 +12,12 @@ build:
 test:
 	$(GO) test ./...
 
+# go vet plus a formatting gate: fails when gofmt would change any
+# tracked Go file.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 
 race:
 	$(GO) test -race ./...

@@ -36,14 +36,15 @@ import (
 // re-scans for units whose backoff expired or whose hedge timer fired.
 const assignTick = 25 * time.Millisecond
 
-// cellAgg is the coordinator-side accumulation point of one grid cell.
-// Only the attempt's goroutine touches it.
+// cellAgg is the coordinator-side accumulation point of one grid cell:
+// row points into the attempt's table, whose Cells[col] receives the
+// folded Summary once every unit is banked. Only the attempt's
+// goroutine touches it.
 type cellAgg struct {
-	rowIdx, colIdx int
-	u, lambda      float64
-	scheme         string
-	seed           uint64
-	agg            stats.Shard
+	row  *experiment.Row
+	col  int
+	seed uint64
+	agg  stats.Shard
 }
 
 // unitState is one (cell, rep-range) work unit's scheduling state. Only
@@ -94,21 +95,17 @@ func (c *Coordinator) executeGrid(ctx context.Context, spec serve.JobSpec, hooks
 	if unitReps <= 0 {
 		unitReps = c.cfg.UnitReps
 	}
-	schemes := tspec.Schemes()
-
-	// Cells in table order — the exact row/column layout RunTableCtx
-	// builds, so the folded table assembles positionally.
+	// Cells in table order over the layout every grid path shares, so
+	// the folded table is positionally the one a local run builds.
+	tbl := tspec.NewTable(reps, tspec.Schemes())
 	var cells []*cellAgg
-	rows := 0
-	for _, u := range tspec.Us {
-		for _, lam := range tspec.Lambdas {
-			for ci, s := range schemes {
-				cells = append(cells, &cellAgg{
-					rowIdx: rows, colIdx: ci, u: u, lambda: lam, scheme: s.Name(),
-					seed: experiment.CellSeed(spec.Seed, tspec.ID, u, lam, s.Name()),
-				})
-			}
-			rows++
+	for ri := range tbl.Rows {
+		row := &tbl.Rows[ri]
+		for ci, cr := range row.Cells {
+			cells = append(cells, &cellAgg{
+				row: row, col: ci,
+				seed: experiment.CellSeed(spec.Seed, tspec.ID, row.U, row.Lambda, cr.Scheme),
+			})
 		}
 	}
 
@@ -122,14 +119,14 @@ func (c *Coordinator) executeGrid(ctx context.Context, spec serve.JobSpec, hooks
 		if hooks.Recovered != nil {
 			cps = hooks.Recovered(cell.seed)
 		}
-		rec, gaps := experiment.RecoverInto(&cell.agg, cps, reps, unitReps)
+		rec, _, gaps := experiment.RecoverInto(&cell.agg, cps, reps, unitReps)
 		recovered += rec
 		for _, g := range gaps {
 			units = append(units, &unitState{
 				cellIdx: idx,
 				req: UnitRequest{
 					Proto: ProtocolVersion, Version: c.cfg.Version,
-					Table: tspec.ID, Col: cell.colIdx, U: cell.u, Lambda: cell.lambda,
+					Table: tspec.ID, Col: cell.col, U: cell.row.U, Lambda: cell.row.Lambda,
 					Seed: spec.Seed, Start: g.Start, End: g.End,
 					Store: spec.Store,
 				},
@@ -171,7 +168,11 @@ loop:
 		return serve.GridResult{}, fmt.Errorf("cluster: %d/%d units banked: %w", banked, len(units), ctx.Err())
 	}
 	c.logf("cluster: grid %s seed %d done (%d units)", tspec.ID, spec.Seed, len(units))
-	return assemble(tspec, reps, rows, len(schemes), cells), nil
+	for _, cell := range cells {
+		cell.row.Cells[cell.col].Done = true
+		cell.row.Cells[cell.col].Summary = cell.agg.Summary()
+	}
+	return serve.GridResultFromTable(tbl), nil
 }
 
 // assign scans the unit table once and dispatches everything eligible:
@@ -365,23 +366,4 @@ func (c *Coordinator) handleOutcome(cells []*cellAgg, units []*unitState, out un
 	c.met.unitsCompleted.Inc()
 	c.met.repsMerged.Add(int64(u.req.End - u.req.Start))
 	return true
-}
-
-// assemble builds the folded table — positionally, in the exact layout
-// a local RunTableCtx builds — and renders it through the serve
-// encoder.
-func assemble(tspec experiment.Spec, reps, nrows, ncols int, cells []*cellAgg) serve.GridResult {
-	rows := make([]experiment.Row, nrows)
-	for _, cell := range cells {
-		if rows[cell.rowIdx].Cells == nil {
-			rows[cell.rowIdx] = experiment.Row{
-				U: cell.u, Lambda: cell.lambda,
-				Cells: make([]experiment.CellResult, ncols),
-			}
-		}
-		rows[cell.rowIdx].Cells[cell.colIdx] = experiment.CellResult{
-			Scheme: cell.scheme, Done: true, Summary: cell.agg.Summary(),
-		}
-	}
-	return serve.GridResultFromTable(experiment.Table{Spec: tspec, Reps: reps, Rows: rows})
 }

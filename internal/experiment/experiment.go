@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"runtime/debug"
 	"strconv"
 
 	"repro/internal/checkpoint"
@@ -441,90 +440,55 @@ func (r Runner) RunCellCtx(ctx context.Context, spec Spec, scheme sim.Scheme, u,
 	return out, nil
 }
 
-// runCell is the sequential reference repetition loop over one cell,
-// driven through the given run context. Every repetition draws its
-// stream from a seed derived only from (cell, rep), never from context
-// state, and accumulates through the same order-independent shard
-// algebra as the parallel path, so the Summary is bit-identical
-// whichever path — or how warm a context — runs the cell.
-func (r Runner) runCell(ctx context.Context, rctx *sim.RunContext, spec Spec, scheme sim.Scheme, u, lambda float64) (stats.Summary, error) {
-	p, err := spec.CellParams(u, lambda)
-	if err != nil {
-		return stats.Summary{}, err
-	}
-	seed := r.cellSeed(spec.ID, u, lambda, scheme.Name())
-	var cell stats.Shard
-	for rep := 0; rep < r.reps(); rep++ {
-		if rep&0xff == 0 && ctx.Err() != nil {
-			return stats.Summary{}, ctx.Err()
-		}
-		res := sim.RunScheme(rctx, scheme, p, rctx.Reseed(mix(seed, rep)))
-		cell.ObserveRun(repKey(seed, rep), res.Completed, res.SilentCorruption,
-			res.Energy, res.Time, float64(res.Faults), float64(res.Switches))
-	}
-	return cell.Summary(), nil
-}
-
-// safeCell runs one cell, converting a panicking scheme into an error so
-// a single bad cell cannot take the whole table's worker pool down. The
-// context stays reusable afterwards: the next run fully resets it.
-// Every failure — panic or plain error — comes back as a *CellError
-// carrying the cell coordinates and the derived cell seed, so a failed
-// cell is reproducible from the error alone.
-func (r Runner) safeCell(ctx context.Context, rctx *sim.RunContext, spec Spec, scheme sim.Scheme, u, lambda float64) (sum stats.Summary, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = &CellError{
-				Table: spec.ID, U: u, Lambda: lambda, Scheme: scheme.Name(),
-				Seed:     r.cellSeed(spec.ID, u, lambda, scheme.Name()),
-				Panicked: true,
-				Stack:    debug.Stack(),
-				Err:      fmt.Errorf("%v", p),
-			}
-		}
-	}()
-	sum, err = r.runCell(ctx, rctx, spec, scheme, u, lambda)
-	if err != nil {
-		err = &CellError{
-			Table: spec.ID, U: u, Lambda: lambda, Scheme: scheme.Name(),
-			Seed: r.cellSeed(spec.ID, u, lambda, scheme.Name()),
-			Err:  err,
-		}
-	}
-	return sum, err
-}
-
 // RunTable runs every cell of a spec, parallelising across cells.
 func (r Runner) RunTable(spec Spec) (Table, error) {
 	return r.RunTableCtx(context.Background(), spec)
 }
 
-// RunTableCtx is RunTable with cancellation. On error — a panicking cell
-// or a fired context — the remaining cells still drain, and the partial
-// table is returned alongside the first error so completed cells are not
-// lost. Cells execute as rep-shard units across a work-stealing pool of
-// workers, each owning a private run context (engine, rng stream and
-// plan caches reused, never shared); results depend only on per-rep
-// seeds, so worker count, shard size and steal order cannot affect any
-// Summary bit.
+// RunTableCtx is RunTable with cancellation, over the spec's paper
+// columns (Spec.Schemes).
 func (r Runner) RunTableCtx(ctx context.Context, spec Spec) (Table, error) {
-	schemes := spec.Schemes()
-	rows := make([]Row, 0, len(spec.Us)*len(spec.Lambdas))
-	var cells []*cellState
-	for _, u := range spec.Us {
-		for _, lam := range spec.Lambdas {
-			rowIdx := len(rows)
+	return r.runTable(ctx, spec, spec.Schemes())
+}
+
+// NewTable returns the empty positional table of the spec's grid with
+// the given scheme columns: one row per (U, λ) in U-major order, every
+// cell named and Done=false. Every grid path — local tables, extension
+// tables and the cluster coordinator — lays its cells out here, so
+// their tables assemble identically.
+func (s Spec) NewTable(reps int, schemes []sim.Scheme) Table {
+	rows := make([]Row, 0, len(s.Us)*len(s.Lambdas))
+	for _, u := range s.Us {
+		for _, lam := range s.Lambdas {
 			row := Row{U: u, Lambda: lam, Cells: make([]CellResult, len(schemes))}
-			for ci, s := range schemes {
-				row.Cells[ci] = CellResult{Scheme: s.Name()}
-				cells = append(cells, r.newCellState(spec, rowIdx, ci, u, lam, s))
+			for ci, sc := range schemes {
+				row.Cells[ci].Scheme = sc.Name()
 			}
 			rows = append(rows, row)
 		}
 	}
+	return Table{Spec: s, Reps: reps, Rows: rows}
+}
+
+// runTable runs every cell of the spec's grid under the given scheme
+// columns. On error — a panicking cell or a fired context — the
+// remaining cells still drain, and the partial table is returned
+// alongside the first error so completed cells are not lost. Cells
+// execute as rep-shard units across a work-stealing pool of workers,
+// each owning a private run context (engine, rng stream and plan caches
+// reused, never shared); results depend only on per-rep seeds, so worker
+// count, shard size and steal order cannot affect any Summary bit.
+func (r Runner) runTable(ctx context.Context, spec Spec, schemes []sim.Scheme) (Table, error) {
+	tbl := spec.NewTable(r.reps(), schemes)
+	cells := make([]*cellState, 0, len(tbl.Rows)*len(schemes))
+	for ri, row := range tbl.Rows {
+		for ci, s := range schemes {
+			cells = append(cells, r.newCellState(spec, ri, ci, row.U, row.Lambda, s))
+		}
+	}
 	err := r.runShards(ctx, cells, func(c *cellState, sum stats.Summary, done, total int) {
-		rows[c.rowIdx].Cells[c.colIdx].Summary = sum
-		rows[c.rowIdx].Cells[c.colIdx].Done = true
+		cell := &tbl.Rows[c.rowIdx].Cells[c.colIdx]
+		cell.Summary, cell.Done = sum, true
 		if r.Progress != nil {
 			r.Progress("table %s U=%.2f λ=%g %-14s P=%.4f E=%.0f",
 				spec.ID, c.u, c.lambda, c.scheme.Name(), sum.P, sum.E)
@@ -533,27 +497,7 @@ func (r Runner) RunTableCtx(ctx context.Context, spec Spec) (Table, error) {
 			r.OnCell(done, total)
 		}
 	})
-	return Table{Spec: spec, Reps: r.reps(), Rows: rows}, err
-}
-
-// RunAll runs every sub-table.
-func (r Runner) RunAll() ([]Table, error) {
-	return r.RunAllCtx(context.Background())
-}
-
-// RunAllCtx runs every sub-table under a context. On error the tables
-// completed so far (plus the partial one that failed) are returned with
-// the error.
-func (r Runner) RunAllCtx(ctx context.Context) ([]Table, error) {
-	var out []Table
-	for _, spec := range Tables() {
-		t, err := r.RunTableCtx(ctx, spec)
-		out = append(out, t)
-		if err != nil {
-			return out, err
-		}
-	}
-	return out, nil
+	return tbl, err
 }
 
 // sameCell reports float equality tolerant of map-key rounding.

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -215,29 +216,12 @@ func (s storeScheme) RunCtx(rctx *sim.RunContext, p sim.Params, src *rng.Source)
 	return sim.RunScheme(rctx, s.inner, p, src)
 }
 
-// RunExtensionTable runs one extension spec with the runner.
+// RunExtensionTable runs one extension spec with the runner, through
+// the same table path as RunTable.
 func (r Runner) RunExtensionTable(spec Spec) (Table, error) {
 	schemes, err := ExtensionSchemes(spec.ID)
 	if err != nil {
 		return Table{}, err
 	}
-	rows := make([]Row, 0, len(spec.Us)*len(spec.Lambdas))
-	for _, u := range spec.Us {
-		for _, lam := range spec.Lambdas {
-			row := Row{U: u, Lambda: lam, Cells: make([]CellResult, len(schemes))}
-			for c, s := range schemes {
-				sum, err := r.RunCell(spec, s, u, lam)
-				if err != nil {
-					return Table{}, err
-				}
-				row.Cells[c] = CellResult{Scheme: s.Name(), Summary: sum}
-				if r.Progress != nil {
-					r.Progress("table %s U=%.2f λ=%g %-24s P=%.4f E=%.0f",
-						spec.ID, u, lam, s.Name(), sum.P, sum.E)
-				}
-			}
-			rows = append(rows, row)
-		}
-	}
-	return Table{Spec: spec, Reps: r.reps(), Rows: rows}, nil
+	return r.runTable(context.Background(), spec, schemes)
 }

@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -117,5 +119,46 @@ func TestExtensionE3ImperfectFT(t *testing.T) {
 	}
 	if !strings.Contains(tbl.CSV(), ",sdc") {
 		t.Fatal("CSV header lacks sdc column")
+	}
+}
+
+// TestExtensionTablesTableContract: extension tables run through the
+// same table path as the paper tables, so E1–E4 keep its contract —
+// every cell marked Done, OnCell once per cell, and a fired context
+// returning the partial table with the error.
+func TestExtensionTablesTableContract(t *testing.T) {
+	for _, spec := range ExtensionTables() {
+		schemes, err := ExtensionSchemes(spec.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := len(spec.Us) * len(spec.Lambdas) * len(schemes)
+		calls := 0
+		r := Runner{Reps: 8, Seed: 34, Workers: 2, OnCell: func(done, total int) {
+			calls++
+			if done != calls || total != want {
+				t.Errorf("%s: OnCell(%d, %d) on call %d, want (%d, %d)", spec.ID, done, total, calls, calls, want)
+			}
+		}}
+		tbl, err := r.RunExtensionTable(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", spec.ID, err)
+		}
+		if done, total := tbl.CellsDone(); done != want || total != want {
+			t.Errorf("%s: CellsDone = %d of %d, want %d of %d", spec.ID, done, total, want, want)
+		}
+		if calls != want {
+			t.Errorf("%s: OnCell fired %d times, want %d", spec.ID, calls, want)
+		}
+
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		part, err := (Runner{Reps: 8, Seed: 34, Workers: 2}).runTable(ctx, spec, schemes)
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: cancelled run err = %v, want context.Canceled", spec.ID, err)
+		}
+		if done, total := part.CellsDone(); total != want || done == total {
+			t.Errorf("%s: cancelled run kept %d of %d cells done, want a partial table of %d", spec.ID, done, total, want)
+		}
 	}
 }

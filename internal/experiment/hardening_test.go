@@ -2,6 +2,8 @@ package experiment
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -19,19 +21,60 @@ func (panicScheme) Run(sim.Params, *rng.Source) sim.Result {
 	panic("scheme exploded")
 }
 
-func TestSafeCellRecoversPanic(t *testing.T) {
-	// safeCell is the worker-pool body of RunTableCtx: a panicking cell
-	// must come back as an error naming the cell, not tear the pool down.
-	spec, _ := TableByID("1a")
-	r := Runner{Reps: 10, Seed: 1}
-	_, err := r.safeCell(context.Background(), sim.NewRunContext(), spec, panicScheme{}, 0.78, 0.0014)
-	if err == nil {
-		t.Fatal("panic not converted to error")
+// checkPanicError asserts err is the scheduler's recovered-panic
+// *CellError for the boom column at (table, u): Panicked set, a stack
+// captured, and the message naming the table, U, scheme and panic value.
+func checkPanicError(t *testing.T, err error, table string, u float64) {
+	t.Helper()
+	var ce *CellError
+	if !errors.As(err, &ce) {
+		t.Fatalf("err %T (%v) is not a *CellError", err, err)
 	}
-	for _, want := range []string{"1a", "0.78", "boom", "scheme exploded"} {
+	if !ce.Panicked || len(ce.Stack) == 0 {
+		t.Fatalf("cell error Panicked=%v with %d stack bytes, want a recovered panic with its stack", ce.Panicked, len(ce.Stack))
+	}
+	if ce.Table != table || ce.U != u || ce.Scheme != "boom" {
+		t.Fatalf("cell error names %s U=%v %s, want %s U=%v boom", ce.Table, ce.U, ce.Scheme, table, u)
+	}
+	for _, want := range []string{table, fmt.Sprintf("U=%.2f", u), "boom", "scheme exploded"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("error %q does not name %q", err, want)
 		}
+	}
+}
+
+// TestSchedulerRecoversPanic drives a panicking scheme through the live
+// scheduler: a single cell across two workers, and one column of a
+// table. Either way the panic comes back as a *CellError naming the
+// cell, and in the table the other columns still finish while the
+// panicked cell stays not-done.
+func TestSchedulerRecoversPanic(t *testing.T) {
+	spec, _ := TableByID("1a")
+	spec.Us = spec.Us[1:2] // U=0.78
+	spec.Lambdas = spec.Lambdas[:1]
+	r := Runner{Reps: 300, Seed: 1, Workers: 2, ShardSize: 50}
+
+	_, err := r.RunCellCtx(context.Background(), spec, panicScheme{}, 0.78, 0.0014)
+	checkPanicError(t, err, "1a", 0.78)
+
+	schemes := spec.Schemes()
+	const boom = 2
+	schemes[boom] = panicScheme{}
+	tbl, err := r.runTable(context.Background(), spec, schemes)
+	checkPanicError(t, err, "1a", 0.78)
+	if len(tbl.Rows) != 1 || len(tbl.Rows[0].Cells) != len(schemes) {
+		t.Fatalf("partial table lost its shape: %+v", tbl.Rows)
+	}
+	for ci, cell := range tbl.Rows[0].Cells {
+		if cell.Done != (ci != boom) {
+			t.Errorf("column %d (%s) Done=%v", ci, cell.Scheme, cell.Done)
+		}
+		if ci != boom && cell.Trials != r.Reps {
+			t.Errorf("column %d (%s) ran %d trials, want %d", ci, cell.Scheme, cell.Trials, r.Reps)
+		}
+	}
+	if done, total := tbl.CellsDone(); done != total-1 {
+		t.Errorf("CellsDone = %d of %d, want all but the panicked cell", done, total)
 	}
 }
 

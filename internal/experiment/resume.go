@@ -89,13 +89,14 @@ type ShardRange struct {
 }
 
 // RecoverInto merges the surviving checkpoints of one cell into agg —
-// after the same validation gauntlet the local resume path applies
-// (validRecovered: in-range, disjoint, decodable, trial-count-matching;
-// anything suspect is recomputed, never trusted) — and returns the
-// number of repetitions restored plus the uncovered ranges, chunked by
-// size. A cluster coordinator resuming from its journal feeds each
-// cell's banked shards through this and dispatches only the gaps.
-func RecoverInto(agg *stats.Shard, cps []ShardCheckpoint, reps, size int) (recovered int, gaps []ShardRange) {
+// after the validation gauntlet of validRecovered (in-range, disjoint,
+// decodable, trial-count-matching; anything suspect is recomputed, never
+// trusted) — and returns the number of repetitions restored, the number
+// of checkpoints accepted, and the uncovered ranges chunked by size.
+// With no checkpoints the gaps are the whole cell. It is the one gap
+// carver: the local scheduler and the cluster coordinator both feed
+// every cell through it and execute only the gaps.
+func RecoverInto(agg *stats.Shard, cps []ShardCheckpoint, reps, size int) (recovered, shards int, gaps []ShardRange) {
 	if size <= 0 {
 		size = DefaultShardSize
 	}
@@ -106,11 +107,7 @@ func RecoverInto(agg *stats.Shard, cps []ShardCheckpoint, reps, size int) (recov
 	}
 	emit := func(lo, hi int) {
 		for s := lo; s < hi; s += size {
-			e := s + size
-			if e > hi {
-				e = hi
-			}
-			gaps = append(gaps, ShardRange{Start: s, End: e})
+			gaps = append(gaps, ShardRange{Start: s, End: min(s+size, hi)})
 		}
 	}
 	pos := 0
@@ -119,29 +116,5 @@ func RecoverInto(agg *stats.Shard, cps []ShardCheckpoint, reps, size int) (recov
 		pos = rc.end
 	}
 	emit(pos, reps)
-	return recovered, gaps
-}
-
-// gapUnits appends shard units covering every rep of cell ci not covered
-// by the recovered set, chunked by size, and returns the extended slice
-// plus the unit count added.
-func gapUnits(units []shardUnit, ci int, recovered []recoveredShard, reps, size int) ([]shardUnit, int) {
-	added := 0
-	emit := func(lo, hi int) {
-		for s := lo; s < hi; s += size {
-			e := s + size
-			if e > hi {
-				e = hi
-			}
-			units = append(units, shardUnit{cell: ci, start: s, end: e})
-			added++
-		}
-	}
-	pos := 0
-	for _, rc := range recovered {
-		emit(pos, rc.start)
-		pos = rc.end
-	}
-	emit(pos, reps)
-	return units, added
+	return recovered, len(valid), gaps
 }

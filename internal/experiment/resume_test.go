@@ -172,17 +172,17 @@ func TestValidRecoveredEdgeCases(t *testing.T) {
 	const reps = 100
 	cps := []ShardCheckpoint{
 		synthCheckpoint(10, 20),
-		synthCheckpoint(10, 20),           // exact duplicate (start,end) pair
-		{Start: 5, End: 5},                // zero-length
-		{Start: 7, End: 3},                // inverted range
-		synthCheckpoint(90, 100),          // flush against the upper bound: kept
+		synthCheckpoint(10, 20),  // exact duplicate (start,end) pair
+		{Start: 5, End: 5},       // zero-length
+		{Start: 7, End: 3},       // inverted range
+		synthCheckpoint(90, 100), // flush against the upper bound: kept
 		{Start: 95, End: 105, Data: synthCheckpoint(95, 105).Data}, // End > reps
 		{Start: -4, End: 6, Data: synthCheckpoint(0, 10).Data},     // negative Start
-		synthCheckpoint(15, 30),           // overlaps the kept [10,20)
-		synthCheckpoint(20, 40),           // abuts the kept [10,20): kept
+		synthCheckpoint(15, 30),                                    // overlaps the kept [10,20)
+		synthCheckpoint(20, 40),                                    // abuts the kept [10,20): kept
 		{Start: 50, End: 60, Data: []byte("not a shard encoding")},
 		{Start: 60, End: 70, Data: synthCheckpoint(60, 65).Data}, // claims 10, holds 5
-		{Start: 42, End: 44, Data: nil},   // nil payload
+		{Start: 42, End: 44, Data: nil},                          // nil payload
 	}
 	kept := validRecovered(cps, reps)
 
@@ -232,21 +232,21 @@ func TestValidRecoveredAllSuspect(t *testing.T) {
 }
 
 // TestRecoverIntoGapsExact: RecoverInto's recovered count and gap list
-// must partition [0, reps) exactly against the kept shards — the
-// coordinator dispatches precisely the gaps, so an off-by-one here
-// is a silently dropped or double-executed repetition.
+// must partition [0, reps) exactly against the kept shards — the local
+// scheduler and the coordinator execute precisely the gaps, so an
+// off-by-one here is a silently dropped or double-executed repetition.
 func TestRecoverIntoGapsExact(t *testing.T) {
 	const reps, size = 100, 25
 	var agg stats.Shard
-	recovered, gaps := RecoverInto(&agg, []ShardCheckpoint{
+	recovered, shards, gaps := RecoverInto(&agg, []ShardCheckpoint{
 		synthCheckpoint(10, 20),
 		synthCheckpoint(10, 20), // duplicate: must not double-merge
 		synthCheckpoint(40, 60),
 		{Start: 55, End: 65, Data: synthCheckpoint(55, 65).Data}, // overlap: dropped
 	}, reps, size)
 
-	if recovered != 30 {
-		t.Errorf("recovered = %d, want 30", recovered)
+	if recovered != 30 || shards != 2 {
+		t.Errorf("recovered = %d reps from %d shards, want 30 from 2", recovered, shards)
 	}
 	if agg.Trials() != 30 {
 		t.Errorf("agg holds %d trials, want 30 (duplicate shard double-merged?)", agg.Trials())

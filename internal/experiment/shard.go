@@ -167,34 +167,25 @@ func (r Runner) runShards(ctx context.Context, cells []*cellState, onDone func(*
 	var units []shardUnit
 	var fullyRecovered []*cellState
 	for ci, c := range cells {
+		var cps []ShardCheckpoint
 		if r.Recovered != nil {
-			// Merge surviving checkpoints up front (no lock needed: the
-			// workers do not exist yet) and schedule only the gaps.
-			valid := validRecovered(r.Recovered(c.seed), reps)
-			for i := range valid {
-				c.agg.Merge(&valid[i].shard)
-				c.recovered += valid[i].end - valid[i].start
-			}
-			if len(valid) > 0 && r.Sink != nil {
-				r.Sink.Count(MetricShardsRecovered, int64(len(valid)))
-			}
-			var n int
-			units, n = gapUnits(units, ci, valid, reps, size)
-			c.remaining = n
-			if n == 0 {
-				fullyRecovered = append(fullyRecovered, c)
-			}
-			continue
+			cps = r.Recovered(c.seed)
 		}
-		n := (reps + size - 1) / size
-		c.remaining = n
-		for s := 0; s < n; s++ {
-			lo := s * size
-			hi := lo + size
-			if hi > reps {
-				hi = reps
-			}
-			units = append(units, shardUnit{cell: ci, start: lo, end: hi})
+		// Merge surviving checkpoints up front (no lock needed: the
+		// workers do not exist yet) and schedule only the gaps — every
+		// rep when nothing was recovered.
+		var shards int
+		var gaps []ShardRange
+		c.recovered, shards, gaps = RecoverInto(&c.agg, cps, reps, size)
+		if shards > 0 && r.Sink != nil {
+			r.Sink.Count(MetricShardsRecovered, int64(shards))
+		}
+		c.remaining = len(gaps)
+		if len(gaps) == 0 {
+			fullyRecovered = append(fullyRecovered, c)
+		}
+		for _, g := range gaps {
+			units = append(units, shardUnit{cell: ci, start: g.Start, end: g.End})
 		}
 	}
 	nw := r.workers()
@@ -343,7 +334,7 @@ func (s *sched) runUnit(u shardUnit, rctx *sim.RunContext, bctx *sim.BatchContex
 	if !skip {
 		for attempt := 0; ; attempt++ {
 			scratch.Reset()
-			err = s.execShard(rctx, bctx, scratch, c, u, storeCur)
+			err = c.exec(s.ctx, rctx, bctx, scratch, u.start, u.end, storeCur, s.r.DisableBatch)
 			if err == nil && s.r.shardFault != nil && s.r.shardFault(u.cell, u.start, u.end, attempt) {
 				// Chaos: the shard is spuriously cancelled after the work
 				// is done — discard its statistics and re-run it in place.
@@ -401,17 +392,15 @@ func (s *sched) runUnit(u shardUnit, rctx *sim.RunContext, bctx *sim.BatchContex
 	return err
 }
 
-// execShard runs one shard's repetitions into scratch. Each rep's
-// stream and sketch key depend only on (cellSeed, rep), so the result
-// is independent of which worker runs it, and when — and of which path
-// runs it: the batch kernel (one flat structure-of-arrays pass over the
-// whole shard, the warm default) and the scalar loop (the reference
-// implementation, also the fallback for configurations outside the
-// kernel envelope) produce byte-identical Shard payloads, pinned by the
-// equivalence property and fuzz tests. A panicking scheme is recovered
-// into a *CellError with Panicked set; the worker then drops its
-// contexts.
-func (s *sched) execShard(rctx *sim.RunContext, bctx *sim.BatchContext, scratch *stats.Shard, c *cellState, u shardUnit, storeStats *store.Stats) (err error) {
+// exec runs reps [start, end) of the cell into scratch — the one shard
+// executor behind the work-stealing worker and the remote ExecUnit.
+// Each rep's stream and sketch key depend only on (cellSeed, rep), so
+// the result is independent of which worker runs it, and when. A
+// parameter failure or execution error comes back wrapped in a
+// *CellError; a panicking scheme is recovered into one with Panicked set
+// and the stack captured, and the caller then drops its contexts.
+// storeStats, when non-nil, receives the engine's store activity.
+func (c *cellState) exec(ctx context.Context, rctx *sim.RunContext, bctx *sim.BatchContext, scratch *stats.Shard, start, end int, storeStats *store.Stats, disableBatch bool) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			ce := c.wrap(fmt.Errorf("%v", p))
@@ -424,19 +413,18 @@ func (s *sched) execShard(rctx *sim.RunContext, bctx *sim.BatchContext, scratch 
 		return c.wrap(c.paramsErr)
 	}
 	params := c.params
-	// Aim the engine's store counters at this worker's accumulator. The
+	// Aim the engine's store counters at the caller's accumulator. The
 	// pointer rides through even when a wrapper scheme (StoreScheme)
 	// injects the store config mid-run, so wrapped cells report too.
 	params.StoreStats = storeStats
-	if rerr := execRange(s.ctx, rctx, bctx, scratch, c.scheme, params, c.seed, u.start, u.end, s.r.DisableBatch); rerr != nil {
+	if rerr := execRange(ctx, rctx, bctx, scratch, c.scheme, params, c.seed, start, end, disableBatch); rerr != nil {
 		return c.wrap(rerr)
 	}
 	return nil
 }
 
 // execRange runs repetitions [start, end) of the cell identified by
-// cellSeed into scratch — the shared execution core of the local
-// work-stealing scheduler and the remote ExecUnit entry point. The batch
+// cellSeed into scratch — the execution core of cellState.exec. The batch
 // kernel is the warm default; the scalar loop is the reference and the
 // fallback for configurations outside the kernel envelope; both produce
 // byte-identical Shard payloads. Panics propagate to the caller, which

@@ -13,7 +13,6 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"runtime/debug"
 
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -35,7 +34,7 @@ func ExecUnit(ctx context.Context, spec Spec, col int, u, lambda float64, seed u
 }
 
 // execUnit is ExecUnit on explicit contexts.
-func execUnit(ctx context.Context, rctx *sim.RunContext, bctx *sim.BatchContext, spec Spec, col int, u, lambda float64, seed uint64, start, end int) (data []byte, err error) {
+func execUnit(ctx context.Context, rctx *sim.RunContext, bctx *sim.BatchContext, spec Spec, col int, u, lambda float64, seed uint64, start, end int) ([]byte, error) {
 	schemes := spec.Schemes()
 	if col < 0 || col >= len(schemes) {
 		return nil, fmt.Errorf("experiment: scheme column %d out of range [0,%d)", col, len(schemes))
@@ -43,26 +42,10 @@ func execUnit(ctx context.Context, rctx *sim.RunContext, bctx *sim.BatchContext,
 	if start < 0 || end <= start {
 		return nil, fmt.Errorf("experiment: invalid rep range [%d,%d)", start, end)
 	}
-	scheme := schemes[col]
-	params, perr := spec.CellParams(u, lambda)
-	cellSeed := CellSeed(seed, spec.ID, u, lambda, scheme.Name())
-	wrap := func(e error) *CellError {
-		return &CellError{Table: spec.ID, U: u, Lambda: lambda, Scheme: scheme.Name(), Seed: cellSeed, Err: e}
-	}
-	if perr != nil {
-		return nil, wrap(perr)
-	}
-	defer func() {
-		if p := recover(); p != nil {
-			ce := wrap(fmt.Errorf("%v", p))
-			ce.Panicked = true
-			ce.Stack = debug.Stack()
-			data, err = nil, ce
-		}
-	}()
+	c := Runner{Seed: seed}.newCellState(spec, 0, col, u, lambda, schemes[col])
 	var scratch stats.Shard
-	if rerr := execRange(ctx, rctx, bctx, &scratch, scheme, params, cellSeed, start, end, false); rerr != nil {
-		return nil, wrap(rerr)
+	if err := c.exec(ctx, rctx, bctx, &scratch, start, end, nil, false); err != nil {
+		return nil, err
 	}
 	return scratch.AppendBinary(nil), nil
 }
