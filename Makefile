@@ -24,11 +24,12 @@ race:
 
 check: build vet test race
 
-# Regenerate the golden seed-equivalence trajectories (testdata/
-# golden_sim.json). Only run after an intentional engine change, and
-# re-review the diff: the file pins bit-for-bit behaviour.
+# Regenerate the golden trajectories (testdata/golden_sim.json for the
+# ideal engine, testdata/golden_degraded.json for the imperfect and
+# store paths). Only run after an intentional engine change, and
+# re-review the diff: the files pin bit-for-bit behaviour.
 golden:
-	$(GO) test -run TestGoldenEquivalence -update .
+	$(GO) test -run 'TestGolden(Degraded)?Equivalence' -update .
 
 # Time the simulation stack (Table 1a/3a grids and the warm single-run
 # path), sweep the grid workloads across -cpu 1,2,4, and record the
@@ -90,7 +91,9 @@ determinism:
 # network decoders: the POST /v1/jobs spec, the worker's unit request,
 # the coordinator's unit reply (also: bodies over the size bound are
 # rejected) and the store config (never panic, accepted input
-# round-trips). CI runs this; longer local campaigns just raise
+# round-trips), and the checkpoint set against a naive model (images,
+# tiers and writes after every Insert/TruncateAfter/Clear/
+# MarkCorrupted). CI runs this; longer local campaigns just raise
 # -fuzztime.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPlannerChoose$$' -fuzztime 15s ./internal/core/
@@ -105,6 +108,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnitRequest$$' -fuzztime 15s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz '^FuzzUnitResult$$' -fuzztime 15s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreConfig$$' -fuzztime 15s ./internal/store/
+	$(GO) test -run '^$$' -fuzz '^FuzzSetOps$$' -fuzztime 15s ./internal/store/
 
 # Compile and vet the benchmark harness. perfbench/ is a nested module
 # (it builds against this one through a replace directive), so neither

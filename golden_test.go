@@ -9,12 +9,14 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/experiment"
 	"repro/internal/fault"
 	"repro/internal/rng"
 	"repro/internal/sim"
+	"repro/internal/store"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_sim.json from the current engine")
+var updateGolden = flag.Bool("update", false, "rewrite the testdata golden files from the current engine")
 
 // goldenCase pins one (scheme, grid point, seed) trajectory of the
 // simulation engine: the full Result plus a hash of the exact trace event
@@ -40,6 +42,13 @@ type goldenCase struct {
 	Switches   int    `json:"switches"`
 	TraceHash  uint64 `json:"trace_hash"`
 	TraceLen   int    `json:"trace_len"`
+
+	// The degraded-path outcomes; always zero on the ideal path, so
+	// omitempty keeps golden_sim.json's encoding unchanged.
+	MissedDetections int  `json:"missed_detections,omitempty"`
+	CorruptRestores  int  `json:"corrupt_restores,omitempty"`
+	Restarts         int  `json:"restarts,omitempty"`
+	SilentCorruption bool `json:"silent_corruption,omitempty"`
 }
 
 func goldenSchemes() []sim.Scheme {
@@ -85,7 +94,7 @@ func goldenGrid() []struct{ U, Lambda float64 } {
 	}
 }
 
-func runGoldenCase(t *testing.T, s sim.Scheme, u, lambda float64, seed uint64, imp *fault.Imperfection) goldenCase {
+func runGoldenCase(t *testing.T, s sim.Scheme, u, lambda float64, seed uint64, imp *fault.Imperfection, st *store.Config) goldenCase {
 	t.Helper()
 	tk, err := TaskFromUtilization("golden", u, 1, 10000, 5)
 	if err != nil {
@@ -96,7 +105,7 @@ func runGoldenCase(t *testing.T, s sim.Scheme, u, lambda float64, seed uint64, i
 		costs = CCPCosts()
 	}
 	tr := &sim.Trace{}
-	p := sim.Params{Task: tk, Costs: costs, Lambda: lambda, Trace: tr, Imperfect: imp}
+	p := sim.Params{Task: tk, Costs: costs, Lambda: lambda, Trace: tr, Imperfect: imp, Store: st}
 	res := s.Run(p, rng.New(seed))
 	return goldenCase{
 		Scheme: s.Name(), U: u, Lambda: lambda, Seed: seed,
@@ -107,6 +116,11 @@ func runGoldenCase(t *testing.T, s sim.Scheme, u, lambda float64, seed uint64, i
 		Faults:     res.Faults, Detections: res.Detections,
 		CSCPs: res.CSCPs, Subs: res.SubCheckpoints, Switches: res.Switches,
 		TraceHash: traceHash(tr), TraceLen: len(tr.Events),
+
+		MissedDetections: res.MissedDetections,
+		CorruptRestores:  res.CorruptRestores,
+		Restarts:         res.Restarts,
+		SilentCorruption: res.SilentCorruption,
 	}
 }
 
@@ -122,36 +136,14 @@ func TestGoldenEquivalence(t *testing.T) {
 	for _, s := range goldenSchemes() {
 		for _, g := range goldenGrid() {
 			for seed := uint64(1); seed <= 4; seed++ {
-				cases = append(cases, runGoldenCase(t, s, g.U, g.Lambda, seed, nil))
+				cases = append(cases, runGoldenCase(t, s, g.U, g.Lambda, seed, nil, nil))
 			}
 		}
 	}
 
-	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		blob, err := json.MarshalIndent(cases, "", " ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenPath, blob, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %d golden cases to %s", len(cases), goldenPath)
+	want := checkGoldenFile(t, goldenPath, cases)
+	if want == nil {
 		return
-	}
-
-	blob, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update to regenerate): %v", err)
-	}
-	var want []goldenCase
-	if err := json.Unmarshal(blob, &want); err != nil {
-		t.Fatal(err)
-	}
-	if len(want) != len(cases) {
-		t.Fatalf("golden file has %d cases, engine produced %d", len(want), len(cases))
 	}
 	for i, w := range want {
 		if cases[i] != w {
@@ -166,12 +158,85 @@ func TestGoldenEquivalence(t *testing.T) {
 	for _, s := range goldenSchemes() {
 		for _, g := range goldenGrid() {
 			for seed := uint64(1); seed <= 4; seed++ {
-				got := runGoldenCase(t, s, g.U, g.Lambda, seed, &ideal)
+				got := runGoldenCase(t, s, g.U, g.Lambda, seed, &ideal, nil)
 				if got != want[i] {
 					t.Errorf("explicit-ideal trajectory diverged from seed engine:\n got %+v\nwant %+v", got, want[i])
 				}
 				i++
 			}
+		}
+	}
+}
+
+// checkGoldenFile rewrites path from cases under -update and returns
+// nil; otherwise it loads the recorded cases and checks their count.
+func checkGoldenFile(t *testing.T, path string, cases []goldenCase) []goldenCase {
+	t.Helper()
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		blob, err := json.MarshalIndent(cases, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %d golden cases to %s", len(cases), path)
+		return nil
+	}
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update to regenerate): %v", err)
+	}
+	var want []goldenCase
+	if err := json.Unmarshal(blob, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(cases) {
+		t.Fatalf("golden file %s has %d cases, engine produced %d", path, len(want), len(cases))
+	}
+	return want
+}
+
+const goldenDegradedPath = "testdata/golden_degraded.json"
+
+// TestGoldenDegradedEquivalence pins the degraded engine paths that
+// golden_sim.json cannot reach: the imperfect-FT model without a store,
+// the same model over a bounded tiered store, and the ideal model over
+// a bounded store. The traces carry the restore walk's EvBadStore,
+// EvRestart and EvMissedDetect events, so the walk order is pinned too.
+func TestGoldenDegradedEquivalence(t *testing.T) {
+	imp := experiment.DefaultImperfection()
+	models := []struct {
+		name string
+		imp  *fault.Imperfection
+		st   *store.Config
+	}{
+		{"imperfect", &imp, nil},
+		{"imperfect+store(4)", &imp, store.DefaultConfig(4)},
+		{"ideal+store(2)", nil, store.DefaultConfig(2)},
+	}
+	var cases []goldenCase
+	var names []string
+	for _, m := range models {
+		for _, s := range goldenSchemes() {
+			for _, g := range goldenGrid() {
+				if g.Lambda == 0 {
+					continue
+				}
+				for seed := uint64(1); seed <= 2; seed++ {
+					cases = append(cases, runGoldenCase(t, s, g.U, g.Lambda, seed, m.imp, m.st))
+					names = append(names, m.name)
+				}
+			}
+		}
+	}
+	want := checkGoldenFile(t, goldenDegradedPath, cases)
+	for i, w := range want {
+		if cases[i] != w {
+			t.Errorf("%s trajectory diverged from the recorded engine:\n got %+v\nwant %+v", names[i], cases[i], w)
 		}
 	}
 }

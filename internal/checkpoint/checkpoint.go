@@ -118,83 +118,3 @@ func SCPSetting() Costs { return Costs{Store: 2, Compare: 20, Rollback: 0} }
 // storage dominates (ts = 20, tcp = 2, c = 22), the regime where adding
 // cheap CCPs between CSCPs pays off.
 func CCPSetting() Costs { return Costs{Store: 20, Compare: 2, Rollback: 0} }
-
-// Record is one stored checkpoint: the pair of replica state digests
-// captured at a store point. Digests are opaque; equality of the two
-// halves is what rollback eligibility tests.
-type Record struct {
-	// Time is the task-progress position (in executed work units at
-	// speed 1) the checkpoint captures.
-	Time float64
-	// Kind is the checkpoint flavour that produced the record (SCP or
-	// CSCP; CCPs store nothing and produce no Record).
-	Kind Kind
-	// Digests hold one state digest per replica.
-	Digests [2]uint64
-	// Corrupted marks a record whose stable-storage copy was damaged
-	// after the digests were written (the imperfect-fault-tolerance
-	// extension's per-store corruption). A corrupted record passes the
-	// cheap consistency check — the damage is discovered only when a
-	// recovery attempts the restore, which is what makes rollback
-	// cascade through older stores.
-	Corrupted bool
-}
-
-// Consistent reports whether the two replicas' stored states agree —
-// i.e. whether this record is a legal rollback target.
-func (r Record) Consistent() bool { return r.Digests[0] == r.Digests[1] }
-
-// Store is the stable storage holding checkpoint records for one task
-// execution, newest last.
-type Store struct {
-	records []Record
-}
-
-// Push appends a record. Non-store checkpoints (CCP) must not be pushed.
-func (s *Store) Push(r Record) {
-	if r.Kind == CCP {
-		panic("checkpoint: CCP records store no state")
-	}
-	s.records = append(s.records, r)
-}
-
-// Len returns the number of stored records.
-func (s *Store) Len() int { return len(s.records) }
-
-// Latest returns the newest record, if any.
-func (s *Store) Latest() (Record, bool) {
-	if len(s.records) == 0 {
-		return Record{}, false
-	}
-	return s.records[len(s.records)-1], true
-}
-
-// LatestConsistent scans back for the newest record whose two digests
-// agree — the paper's "most recent SCP with identical states" rollback
-// rule (Fig. 3 line 12).
-func (s *Store) LatestConsistent() (Record, bool) {
-	for i := len(s.records) - 1; i >= 0; i-- {
-		if s.records[i].Consistent() {
-			return s.records[i], true
-		}
-	}
-	return Record{}, false
-}
-
-// Records returns the stored records oldest-first. The slice is the
-// store's backing array — callers must treat it as read-only; it is
-// invalidated by the next Push, TruncateAfter or Reset.
-func (s *Store) Records() []Record { return s.records }
-
-// TruncateAfter discards records with Time > limit (used when rollback
-// rewinds task progress: stale stores of corrupted state are dropped).
-func (s *Store) TruncateAfter(limit float64) {
-	keep := len(s.records)
-	for keep > 0 && s.records[keep-1].Time > limit {
-		keep--
-	}
-	s.records = s.records[:keep]
-}
-
-// Reset empties the store for reuse.
-func (s *Store) Reset() { s.records = s.records[:0] }

@@ -88,121 +88,10 @@ func TestOfPanicsOnUnknownKind(t *testing.T) {
 	SCPSetting().Of(Kind(42))
 }
 
-func TestRecordConsistent(t *testing.T) {
-	if !(Record{Digests: [2]uint64{5, 5}}).Consistent() {
-		t.Fatal("equal digests reported inconsistent")
-	}
-	if (Record{Digests: [2]uint64{5, 6}}).Consistent() {
-		t.Fatal("unequal digests reported consistent")
-	}
-}
-
-func TestStorePushAndLatest(t *testing.T) {
-	var s Store
-	if _, ok := s.Latest(); ok {
-		t.Fatal("empty store has a latest record")
-	}
-	s.Push(Record{Time: 1, Kind: SCP, Digests: [2]uint64{1, 1}})
-	s.Push(Record{Time: 2, Kind: CSCP, Digests: [2]uint64{2, 2}})
-	r, ok := s.Latest()
-	if !ok || r.Time != 2 {
-		t.Fatalf("Latest = %+v, %v", r, ok)
-	}
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-}
-
-func TestStoreRejectsCCP(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("CCP push did not panic")
-		}
-	}()
-	var s Store
-	s.Push(Record{Kind: CCP})
-}
-
-func TestLatestConsistentScansBack(t *testing.T) {
-	var s Store
-	s.Push(Record{Time: 1, Kind: SCP, Digests: [2]uint64{1, 1}})
-	s.Push(Record{Time: 2, Kind: SCP, Digests: [2]uint64{2, 2}})
-	s.Push(Record{Time: 3, Kind: SCP, Digests: [2]uint64{3, 99}}) // corrupt
-	s.Push(Record{Time: 4, Kind: SCP, Digests: [2]uint64{4, 98}}) // corrupt
-	r, ok := s.LatestConsistent()
-	if !ok || r.Time != 2 {
-		t.Fatalf("LatestConsistent = %+v, %v; want Time=2", r, ok)
-	}
-}
-
-func TestLatestConsistentNone(t *testing.T) {
-	var s Store
-	s.Push(Record{Time: 1, Kind: SCP, Digests: [2]uint64{1, 2}})
-	if _, ok := s.LatestConsistent(); ok {
-		t.Fatal("found consistency in an all-corrupt store")
-	}
-}
-
-func TestTruncateAfter(t *testing.T) {
-	var s Store
-	for i := 1; i <= 5; i++ {
-		s.Push(Record{Time: float64(i), Kind: SCP, Digests: [2]uint64{uint64(i), uint64(i)}})
-	}
-	s.TruncateAfter(3)
-	if s.Len() != 3 {
-		t.Fatalf("Len after truncate = %d, want 3", s.Len())
-	}
-	r, _ := s.Latest()
-	if r.Time != 3 {
-		t.Fatalf("latest after truncate = %v, want 3", r.Time)
-	}
-	s.TruncateAfter(0)
-	if s.Len() != 0 {
-		t.Fatalf("Len after truncate(0) = %d", s.Len())
-	}
-}
-
-func TestStoreReset(t *testing.T) {
-	var s Store
-	s.Push(Record{Time: 1, Kind: SCP, Digests: [2]uint64{1, 1}})
-	s.Reset()
-	if s.Len() != 0 {
-		t.Fatal("Reset left records")
-	}
-}
-
 func TestPropertyCSCPCostIsSum(t *testing.T) {
 	f := func(a, b uint16) bool {
 		c := Costs{Store: float64(a), Compare: float64(b) + 1}
 		return c.Of(CSCP) == c.Of(SCP)+c.Of(CCP)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPropertyTruncatePreservesPrefix(t *testing.T) {
-	f := func(times []uint16, cutRaw uint16) bool {
-		var s Store
-		prev := -1.0
-		for _, raw := range times {
-			tm := float64(raw % 1000)
-			if tm <= prev {
-				continue
-			}
-			prev = tm
-			s.Push(Record{Time: tm, Kind: SCP, Digests: [2]uint64{1, 1}})
-		}
-		cut := float64(cutRaw % 1000)
-		before := s.Len()
-		s.TruncateAfter(cut)
-		if s.Len() > before {
-			return false
-		}
-		if r, ok := s.Latest(); ok && r.Time > cut {
-			return false
-		}
-		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -257,63 +146,5 @@ func TestValidateRejectsNegativeInfinity(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("case %d: -Inf/NaN cost accepted: %+v", i, c)
 		}
-	}
-}
-
-func TestCorruptedRecordPassesCheapConsistencyCheck(t *testing.T) {
-	// The failure mode the imperfect-fault-tolerance extension models:
-	// stable-storage damage after the digests were written is invisible
-	// to the digest comparison, so LatestConsistent still returns the
-	// record — the damage surfaces only when a restore is attempted.
-	var s Store
-	s.Push(Record{Time: 1, Kind: CSCP, Digests: [2]uint64{7, 7}})
-	s.Push(Record{Time: 2, Kind: SCP, Digests: [2]uint64{9, 9}, Corrupted: true})
-	r, ok := s.LatestConsistent()
-	if !ok || r.Time != 2 {
-		t.Fatalf("LatestConsistent = %+v, %v; want the newest (corrupted) record", r, ok)
-	}
-	if !r.Corrupted {
-		t.Fatal("corruption flag lost through the store")
-	}
-	if !r.Consistent() {
-		t.Fatal("corrupted record must still pass the cheap digest check — that is the trap")
-	}
-}
-
-func TestTruncateAfterKeepsBoundaryRecord(t *testing.T) {
-	// Time > limit is strict: a record exactly at the rollback position
-	// survives — it is the state being rolled back to.
-	var s Store
-	s.Push(Record{Time: 1, Kind: SCP, Digests: [2]uint64{1, 1}})
-	s.Push(Record{Time: 2, Kind: SCP, Digests: [2]uint64{2, 2}})
-	s.TruncateAfter(2)
-	if s.Len() != 2 {
-		t.Fatalf("Len after truncate at boundary = %d, want 2", s.Len())
-	}
-}
-
-func TestTruncateAndLatestOnEmptyStore(t *testing.T) {
-	var s Store
-	s.TruncateAfter(5) // must not panic
-	s.TruncateAfter(-1)
-	if _, ok := s.Latest(); ok {
-		t.Fatal("empty store has a latest record")
-	}
-	if _, ok := s.LatestConsistent(); ok {
-		t.Fatal("empty store has a consistent record")
-	}
-	if got := s.Records(); len(got) != 0 {
-		t.Fatalf("empty store exposes %d records", len(got))
-	}
-}
-
-func TestStoreReusableAfterReset(t *testing.T) {
-	var s Store
-	s.Push(Record{Time: 1, Kind: SCP, Digests: [2]uint64{1, 1}})
-	s.Reset()
-	s.Push(Record{Time: 9, Kind: CSCP, Digests: [2]uint64{3, 3}})
-	r, ok := s.Latest()
-	if !ok || r.Time != 9 || s.Len() != 1 {
-		t.Fatalf("store after Reset+Push: latest=%+v ok=%v len=%d", r, ok, s.Len())
 	}
 }

@@ -110,7 +110,8 @@ type JobSpec struct {
 	// server default; values above the server maximum are clamped.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 	// MaxRetries overrides the server's retry budget for this job
-	// (attempts = retries + 1). Negative means the server default.
+	// (attempts = retries + 1). Zero means the server default; negative
+	// means no retries.
 	MaxRetries int `json:"max_retries,omitempty"`
 }
 

@@ -339,6 +339,34 @@ func TestRetryCapHonoredUnderPersistentTransients(t *testing.T) {
 	}
 }
 
+func TestNegativeMaxRetriesMeansNoRetries(t *testing.T) {
+	// A spec's max_retries < 0 opts out of retries (0 is the server
+	// default): a transient failure ends the job after its one attempt.
+	var calls int32
+	srv, ts := newTestServer(t, serve.Config{
+		Workers: 1, MaxRetries: 3,
+		RetryBase: time.Millisecond, RetryMax: 4 * time.Millisecond,
+		Intercept: func(ctx context.Context, cancel context.CancelFunc, spec serve.JobSpec, next serve.Exec) (any, error) {
+			atomic.AddInt32(&calls, 1)
+			return nil, serve.Transient(errors.New("flaky backend"))
+		},
+	})
+	v, _ := submit(t, ts, `{"kind":"single","scheme":"A_D_S","u":0.78,"lambda":0.0014,"seed":6,"max_retries":-1}`)
+	got := waitTerminal(t, ts, v.ID, 10*time.Second)
+	if got.State != serve.StateFailed {
+		t.Fatalf("transient job with max_retries -1 ended %s, want failed", got.State)
+	}
+	if got.Attempts != 1 {
+		t.Errorf("attempts = %d, want 1", got.Attempts)
+	}
+	if n := atomic.LoadInt32(&calls); n != 1 {
+		t.Errorf("backend called %d times, want 1", n)
+	}
+	if c := srv.Counters(); c.Retries != 0 {
+		t.Errorf("retry counter = %d, want 0", c.Retries)
+	}
+}
+
 func TestRetryAfterIsFloorWithoutLatencyHistory(t *testing.T) {
 	// Before any job has completed there is no latency history, so the
 	// shed hint is exactly the configured floor — regardless of depth.

@@ -17,30 +17,33 @@ import (
 //     corruption latent; later comparisons get fresh chances, and a run
 //     completing with divergence still undetected is recorded as silent
 //     data corruption (Result.SilentCorruption).
-//  2. Store corruption: every stored record (SCP or CSCP) may be
+//  2. Store corruption: every stored image (SCP or CSCP) may be
 //     unusable at recovery time. The damage passes the cheap two-halves
 //     consistency check and is discovered only when a recovery attempts
-//     the restore, so recovery *cascades*: it walks back through older
-//     stores, each failed attempt costing one rollback charge, bounded
-//     by the cascade budget, with restart-from-the-beginning as the
-//     last resort.
+//     the restore, so recovery *cascades*: the restore walk (store.go)
+//     goes back through older images, each failed attempt costing one
+//     rollback charge, bounded by the cascade budget, with
+//     restart-from-the-beginning as the last resort.
 //  3. Checkpoint-time faults: with CheckpointVulnerable set, checkpoint
 //     operations are exposed to the fault process (the paper shields
 //     them). A fault striking mid-operation corrupts the replica state
-//     and spoils the record being written.
+//     and spoils the image being written.
 //
 // Unlike the ideal path — which computes rollback targets analytically —
-// the imperfect path maintains an explicit stored-checkpoint ledger
-// (checkpoint.Store) in absolute task-progress units, because a cascade
-// can cross interval boundaries: RunInterval may then return negative
-// kept work, meaning progress from *before* the interval was lost.
+// the imperfect path stores explicit images in the engine's checkpoint
+// set, in absolute task-progress units, because a cascade can cross
+// interval boundaries: RunInterval may then return negative kept work,
+// meaning progress from *before* the interval was lost. Without a
+// Params.Store the set runs the paper's store (one unlimited tier, no
+// costs, no media corruption), so the walk sees exactly the paper's
+// stable storage.
 //
 // The engine enters this path only when Params.Imperfect is non-nil and
 // not ideal; otherwise the seed code path runs unchanged and no
 // additional randomness is consumed (the golden-equivalence guarantee).
 
 // runIntervalImperfect is RunInterval under an imperfect fault-tolerance
-// model. The two flavours unify over the stored-checkpoint ledger: SCP
+// model. The two flavours unify over the checkpoint set: SCP
 // flavour stores at every sub-boundary and compares only at the closing
 // CSCP; CCP flavour compares at every boundary and stores only at the
 // CSCP. kept may be negative when a rollback cascade crosses the
@@ -69,9 +72,9 @@ func (e *Engine) runIntervalImperfect(itv float64, m int, sub checkpoint.Kind, d
 }
 
 // checkpointOpImperfect charges one checkpoint operation, optionally
-// exposing it to the fault process, and appends the stored record (for
-// storing kinds) to the ledger. work is the absolute task progress the
-// record captures.
+// exposing it to the fault process, and stores the image (for storing
+// kinds) in the checkpoint set. work is the absolute task progress the
+// image captures.
 func (e *Engine) checkpointOpImperfect(k checkpoint.Kind, work float64) {
 	d := e.wallCost(k)
 	struck := false
@@ -99,25 +102,14 @@ func (e *Engine) checkpointOpImperfect(k checkpoint.Kind, work float64) {
 		return // compare-only: nothing stored
 	}
 	// The replicas disagreed while storing (or the op was struck
-	// mid-write): the two halves differ, and the record fails its
+	// mid-write): the two halves differ, and the image fails its
 	// consistency check for free at recovery time.
 	diverged := struck || work > e.divergedAt
-	// Stable-storage damage: the record still looks consistent and is
+	// Stable-storage damage: the image still looks consistent and is
 	// unmasked only by a restore attempt. Drawn only for non-diverged
-	// records, preserving the draw order of the pre-store engine.
+	// images, before any tier draw inside pushImage.
 	corrupted := !diverged && e.imp.StoreCorruption > 0 && e.src.Float64() < e.imp.StoreCorruption
-	if e.set.Active() {
-		// Tiered store: the record becomes a bounded-set image; tier
-		// write costs and tier corruption draws happen inside.
-		e.pushImage(work, diverged, corrupted)
-		return
-	}
-	rec := checkpoint.Record{Time: work, Kind: k}
-	if diverged {
-		rec.Digests = [2]uint64{1, 2}
-	}
-	rec.Corrupted = corrupted
-	e.store.Push(rec)
+	e.pushImage(work, diverged, corrupted)
 }
 
 // compareImperfect applies detection coverage at a comparison point and
@@ -140,50 +132,17 @@ func (e *Engine) compareImperfect() bool {
 
 // recoverImperfect performs rollback after a detected divergence: restore
 // the newest stored state at or before the divergence point, cascading
-// past unusable records within the retry budget, and restarting from the
+// past unusable images within the retry budget, and restarting from the
 // beginning of the task as the last resort. It returns the absolute work
 // level restored to.
 func (e *Engine) recoverImperfect() float64 {
-	if e.set.Active() {
-		return e.recoverImperfectStore()
-	}
-	budget := e.imp.Budget()
-	attempts := 0
-	target := -1.0
-	recs := e.store.Records()
-	for i := len(recs) - 1; i >= 0 && attempts < budget; i-- {
-		rec := recs[i]
-		if !rec.Consistent() {
-			// Diverged halves: rejected by the consistency scan without
-			// a restore attempt (paper Fig. 3 line 12 semantics).
-			continue
-		}
-		if rec.Corrupted {
-			// Unmasked only by attempting the restore: one failed
-			// attempt, charged at the rollback cost.
-			attempts++
-			e.corruptRestores++
-			e.Spend(e.wallRollback)
-			if e.p.Trace != nil {
-				e.p.Trace.add(Event{Kind: EvBadStore, Time: e.t, Value: rec.Time})
-			}
-			continue
-		}
-		target = rec.Time
-		break
-	}
-	if target < 0 {
-		// Every reachable store was bad (or none existed): re-run from
-		// scratch — the restart discipline of Sodre's analysis.
-		e.restarts++
-		e.store.Reset()
-		target = 0
-		if e.p.Trace != nil {
-			e.p.Trace.add(Event{Kind: EvRestart, Time: e.t})
-		}
+	target := 0.0
+	if i := e.restoreWalk(e.imp.Budget()); i >= 0 {
+		// Images past the restored point hold overtaken state.
+		target = e.set.Images()[i].Work
+		e.sstats.Truncated += uint64(e.set.TruncateAfter(target))
 	} else {
-		// Stores past the restored point hold overtaken state.
-		e.store.TruncateAfter(target)
+		e.restart()
 	}
 	e.divergedAt = math.Inf(1)
 	e.Rollback(target)

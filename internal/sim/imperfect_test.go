@@ -7,6 +7,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/fault"
 	"repro/internal/rng"
+	"repro/internal/store"
 )
 
 // fixedScheme is a minimal in-package scheme: constant-interval CSCPs at
@@ -114,8 +115,12 @@ func TestFullCoverageMatchesIdealTrajectory(t *testing.T) {
 func TestStoreCorruptionCascadesAndRestarts(t *testing.T) {
 	// Every store corrupted: every recovery must exhaust the cascade and
 	// restart from the beginning, and the run must still terminate.
+	// Without a Params.Store the restarts must not reach the caller's
+	// store counters: StoreStats belongs to tiered-store runs only.
 	s := fixedScheme{itv: 500, m: 5, sub: checkpoint.SCP}
 	p := imperfectParams(0.002, fault.Imperfection{Coverage: 1, StoreCorruption: 1})
+	var st store.Stats
+	p.StoreStats = &st
 	sawRestart := false
 	for seed := uint64(0); seed < 50; seed++ {
 		r := s.Run(p, rng.New(seed))
@@ -135,6 +140,9 @@ func TestStoreCorruptionCascadesAndRestarts(t *testing.T) {
 	}
 	if !sawRestart {
 		t.Fatal("no detected fault in 50 seeds")
+	}
+	if st != (store.Stats{}) {
+		t.Fatalf("storeless imperfect runs wrote store stats: %+v", st)
 	}
 }
 
@@ -192,9 +200,9 @@ func TestCheckpointVulnerableExposesOps(t *testing.T) {
 	if math.IsInf(e.divergedAt, 1) {
 		t.Fatal("checkpoint-time fault did not corrupt state")
 	}
-	recs := e.store.Records()
-	if len(recs) != 1 || recs[0].Consistent() {
-		t.Fatalf("record written under a mid-op fault should be inconsistent: %+v", recs)
+	imgs := e.set.Images()
+	if len(imgs) != 1 || !imgs[0].Diverged {
+		t.Fatalf("image written under a mid-op fault should be diverged: %+v", imgs)
 	}
 }
 

@@ -252,18 +252,19 @@ type Engine struct {
 	// ideal path; divergedAt is the absolute task progress at which the
 	// oldest currently-undetected divergence began (+Inf when clean).
 	imp             *fault.Imperfection
-	store           checkpoint.Store
 	divergedAt      float64
 	missed          int
 	corruptRestores int
 	restarts        int
 
-	// Tiered-store state (store.go). set is inactive (and the fields
-	// untouched) when Params.Store is nil; sstats points at
-	// Params.StoreStats or at ownStats when the caller provided none;
-	// lastGoodSeq is the sequence number of the newest non-diverged
-	// image — the analytic rollback target — used by recoveries to
-	// decide between the bit-exact ideal return and the degraded walk.
+	// Stored-checkpoint state (store.go). set is the one ledger of
+	// stored images: Params.Store when given, the paper's free store on
+	// a storeless imperfect run, and inactive (untouched) on the ideal
+	// storeless path. sstats points at Params.StoreStats when the run
+	// has a Store, otherwise at ownStats; lastGoodSeq is the sequence
+	// number of the newest non-diverged image — the analytic rollback
+	// target — used by recoveries to decide between the bit-exact ideal
+	// return and the degraded walk.
 	set         store.Set
 	sstats      *store.Stats
 	ownStats    store.Stats
@@ -280,8 +281,8 @@ func NewEngine(p Params, src *rng.Source) *Engine {
 
 // Reset re-initialises the engine for a fresh execution, exactly as if it
 // had been built by NewEngine(p, src), but reusing the buffers of the
-// previous run: the energy meter, the stored-checkpoint ledger's backing
-// array and — when the fault rate matches — the Poisson fault process.
+// previous run: the energy meter, the checkpoint set's backing array
+// and — when the fault rate matches — the Poisson fault process.
 // The trajectory produced after a Reset is bit-for-bit identical to a
 // fresh engine's (the golden-equivalence suite pins this).
 func (e *Engine) Reset(p Params, src *rng.Source) {
@@ -298,16 +299,19 @@ func (e *Engine) Reset(p Params, src *rng.Source) {
 	e.faults, e.detections, e.cscps, e.subs = 0, 0, 0, 0
 	e.divergedAt = math.Inf(1)
 	e.imp = nil
+	cfg := p.Store
 	if p.Imperfect != nil && !p.Imperfect.IsIdeal() {
 		e.imp = p.Imperfect
+		if cfg == nil {
+			cfg = paperStore
+		}
 	}
-	e.store.Reset()
 	e.missed, e.corruptRestores, e.restarts = 0, 0, 0
-	e.set.Configure(p.Store)
+	e.set.Configure(cfg)
 	e.lastGoodSeq = 0
-	e.sstats = p.StoreStats
-	if e.sstats == nil {
-		e.sstats = &e.ownStats
+	e.sstats = &e.ownStats
+	if p.Store != nil && p.StoreStats != nil {
+		e.sstats = p.StoreStats
 	}
 
 	switch {

@@ -4,14 +4,18 @@ import (
 	"math"
 
 	"repro/internal/checkpoint"
+	"repro/internal/store"
 )
 
-// This file implements the tiered-store extension of the engine: what
-// changes when stable storage is not the paper's free, infinite device
-// but a bounded set of checkpoint images spread over storage tiers
-// (Params.Store, see internal/store).
+// This file holds the engine's one stored-checkpoint ledger, the
+// checkpoint set (internal/store), and the restore walk every recovery
+// uses. The set is active in two cases: Params.Store replaces the
+// paper's free, infinite stable storage with a bounded set of images
+// spread over storage tiers, and a storeless imperfect run (imperfect.go)
+// keeps its images in the paper store — one unlimited tier with no
+// costs and no corruption.
 //
-// Three departures from the seed engine are simulated:
+// A Params.Store adds three departures from the seed engine:
 //
 //  1. Bounded retention: each stored checkpoint becomes an image in a
 //     k-bounded set; at the bound the maintenance policy picks a victim.
@@ -27,7 +31,10 @@ import (
 //     recovery attempts the restore, feeding the same cascade the
 //     imperfect-FT model uses.
 //
-// Bit-compatibility contract: with Params.Store nil the engine never
+// Store activity is counted into Params.StoreStats only when the run
+// has a Params.Store; the paper store counts into engine scratch.
+//
+// Bit-compatibility contract: with Params.Store nil the ideal path never
 // touches this file. With a store whose tiers are unlimited, zero-cost
 // and invulnerable, trajectories are bit-identical to the storeless
 // engine — pushes charge nothing and draw nothing, and every recovery
@@ -38,12 +45,15 @@ import (
 // path computes) instead of re-deriving it from the image, so no
 // floating-point re-association can creep in.
 
+// paperStore is the set configuration of a storeless imperfect run: the
+// paper's stable storage, holding every store of the run for free.
+var paperStore = &store.Config{Tiers: []store.Tier{{Name: "paper"}}}
+
 // pushImage inserts a checkpoint image at absolute work, charging tier
 // write costs and drawing per-tier write corruption from the run's rng
 // stream (writes into invulnerable tiers draw nothing). preCorrupted
 // additionally marks the fresh image damaged — the imperfect path's
-// stable-storage corruption, drawn by the caller to preserve the
-// storeless draw order.
+// stable-storage corruption, drawn by the caller before the tier draws.
 func (e *Engine) pushImage(work float64, diverged, preCorrupted bool) {
 	writes, evicted := e.set.Insert(work, diverged)
 	st := e.sstats
@@ -56,7 +66,7 @@ func (e *Engine) pushImage(work float64, diverged, preCorrupted bool) {
 		if wi > 0 {
 			st.Demotions++
 		}
-		tier := cfg.Tiers[w.Tier]
+		tier := &cfg.Tiers[w.Tier]
 		if tier.WriteCycles > 0 {
 			e.Spend(tier.WriteCycles / e.cur.Freq)
 		}
@@ -161,99 +171,62 @@ func (e *Engine) runIntervalStore(itv float64, m int, sub checkpoint.Kind, doneW
 // recoverStoreIdeal performs the store-aware rollback on the ideal
 // path. idealKept is the work the storeless engine would retain
 // (relative to doneWork); when the image carrying that state survives,
-// the same value is returned bit for bit. Otherwise the walk cascades
-// down tiers and older images — each corrupted attempt paying a
-// rollback charge plus the tier read — and the run re-executes from the
-// older image, or restarts from scratch when the set holds nothing
-// usable. Returns the kept work relative to doneWork (negative when the
-// restore crossed the interval start).
+// the same value is returned bit for bit. Otherwise the run re-executes
+// from the older image the restore walk found, or restarts from scratch
+// when the set holds nothing usable. Returns the kept work relative to
+// doneWork (negative when the restore crossed the interval start).
 func (e *Engine) recoverStoreIdeal(doneWork, idealKept float64) float64 {
-	depth := 0
-	chosen := -1
+	i := e.restoreWalk(math.MaxInt)
 	imgs := e.set.Images()
-	for i := len(imgs) - 1; i >= 0; i-- {
-		im := imgs[i]
-		if im.Diverged {
-			// Rejected by the consistency scan without a restore
-			// attempt, exactly like the imperfect path's ledger walk.
-			continue
-		}
-		if im.Corrupted {
-			depth++
-			e.corruptRestores++
-			e.Spend(e.wallRollback)
-			e.chargeRestoreAttempt(i)
-			if e.p.Trace != nil {
-				e.p.Trace.add(Event{Kind: EvBadStore, Time: e.t, Value: im.Work})
-			}
-			continue
-		}
-		depth++
-		e.chargeRestoreAttempt(i)
-		chosen = i
-		break
-	}
-	st := e.sstats
-	if chosen >= 0 && imgs[chosen].Seq == e.lastGoodSeq {
+	switch {
+	case i >= 0 && imgs[i].Seq == e.lastGoodSeq:
 		// The analytic rollback target survived: the trajectory is the
 		// storeless one, bit for bit (under zero-cost tiers).
 		limit := doneWork + idealKept
-		if w := imgs[chosen].Work; w > limit {
+		if w := imgs[i].Work; w > limit {
 			limit = w
 		}
-		st.Truncated += uint64(e.set.TruncateAfter(limit))
-		st.ObserveDepth(depth)
+		e.sstats.Truncated += uint64(e.set.TruncateAfter(limit))
 		e.Rollback(doneWork + idealKept)
 		return idealKept
-	}
-	if chosen >= 0 {
+	case i >= 0:
 		// Degraded: the target was evicted or corrupted; re-execute
 		// from the older surviving image.
-		w := imgs[chosen].Work
-		st.Truncated += uint64(e.set.TruncateAfter(w))
-		st.ObserveDepth(depth)
+		w := imgs[i].Work
+		e.sstats.Truncated += uint64(e.set.TruncateAfter(w))
 		e.Rollback(w)
 		return w - doneWork
-	}
-	if doneWork == 0 && idealKept == 0 {
+	case doneWork == 0 && idealKept == 0:
 		// Rolling back to the task origin needs no stored image — a
 		// first-interval fault, not a restart.
-		st.ObserveDepth(depth)
 		e.Rollback(doneWork + idealKept)
 		return idealKept
 	}
-	// Restart from scratch: every image was evicted, diverged or
-	// corrupted (Sodre's restart discipline).
-	e.restarts++
-	st.Restarts++
-	st.ObserveDepth(depth)
-	e.set.Clear()
-	e.lastGoodSeq = 0
-	if e.p.Trace != nil {
-		e.p.Trace.add(Event{Kind: EvRestart, Time: e.t})
-	}
+	e.restart()
 	e.Rollback(0)
 	return -doneWork
 }
 
-// recoverImperfectStore is recoverImperfect over the tiered set: the
-// same newest-to-oldest cascade under the Imperfection retry budget,
-// with tier read charges added. With unlimited zero-cost tiers it is
-// bit-identical to the ledger walk. Returns the absolute work restored.
-func (e *Engine) recoverImperfectStore() float64 {
-	budget := e.imp.Budget()
-	attempts := 0
-	depth := 0
-	target := -1.0
+// restoreWalk is the paper's rollback rule (Fig. 3 line 12) over the
+// checkpoint set: it walks the images newest to oldest for the first
+// one a restore succeeds from. Diverged images fail the consistency
+// scan at no cost; each restore attempt pays the tier read, and a
+// corrupted image also pays a rollback charge and pushes the walk one
+// image older. The walk gives up after budget corrupted attempts. It
+// records the walk depth and returns the restored image's index, or -1
+// when no attempt succeeded.
+func (e *Engine) restoreWalk(budget int) int {
 	imgs := e.set.Images()
+	depth, attempts := 0, 0
+	chosen := -1
 	for i := len(imgs) - 1; i >= 0 && attempts < budget; i-- {
 		im := imgs[i]
 		if im.Diverged {
 			continue
 		}
+		depth++
 		if im.Corrupted {
 			attempts++
-			depth++
 			e.corruptRestores++
 			e.Spend(e.wallRollback)
 			e.chargeRestoreAttempt(i)
@@ -262,26 +235,22 @@ func (e *Engine) recoverImperfectStore() float64 {
 			}
 			continue
 		}
-		depth++
 		e.chargeRestoreAttempt(i)
-		target = im.Work
+		chosen = i
 		break
 	}
-	st := e.sstats
-	st.ObserveDepth(depth)
-	if target < 0 {
-		e.restarts++
-		st.Restarts++
-		e.set.Clear()
-		e.lastGoodSeq = 0
-		target = 0
-		if e.p.Trace != nil {
-			e.p.Trace.add(Event{Kind: EvRestart, Time: e.t})
-		}
-	} else {
-		st.Truncated += uint64(e.set.TruncateAfter(target))
+	e.sstats.ObserveDepth(depth)
+	return chosen
+}
+
+// restart empties the set after a recovery found no usable image: the
+// run re-executes from scratch (Sodre's restart discipline).
+func (e *Engine) restart() {
+	e.restarts++
+	e.sstats.Restarts++
+	e.set.Clear()
+	e.lastGoodSeq = 0
+	if e.p.Trace != nil {
+		e.p.Trace.add(Event{Kind: EvRestart, Time: e.t})
 	}
-	e.divergedAt = math.Inf(1)
-	e.Rollback(target)
-	return target
 }

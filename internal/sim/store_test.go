@@ -74,8 +74,9 @@ func TestFreeStoreParityIdeal(t *testing.T) {
 }
 
 // TestFreeStoreParityImperfect extends the parity contract to the
-// imperfect-FT path: the set-backed ledger walk must consume the same
-// randomness and charge the same costs as the record ledger.
+// imperfect-FT path: a free tiered store must consume the same
+// randomness and charge the same costs as the paper store a storeless
+// imperfect run keeps its images in.
 func TestFreeStoreParityImperfect(t *testing.T) {
 	schemes := []fixedScheme{
 		{itv: 500, m: 5, sub: checkpoint.SCP},

@@ -31,7 +31,7 @@ const (
 	// (imperfect-FT detection coverage miss).
 	EvMissedDetect
 	// EvBadStore: a recovery attempted to restore a stored checkpoint
-	// and found it corrupted (Value holds the record's work position);
+	// and found it corrupted (Value holds the image's work position);
 	// the rollback cascade continues one store older.
 	EvBadStore
 	// EvRestart: a recovery ran out of usable stored states (or cascade

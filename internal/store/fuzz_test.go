@@ -44,3 +44,127 @@ func FuzzStoreConfig(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSetOps drives a Set through a random sequence of Insert,
+// TruncateAfter, Clear and MarkCorrupted calls under a random valid
+// config, and after every call compares Images() and the returned
+// writes with a naive model: an image's tier is the larger of its old
+// tier and the tier its recency rank falls in, and the writes are the
+// fresh image, then every image whose tier grew, newest first.
+//
+// The config comes from nTiers (1-4 tiers), caps (4 bits of capacity
+// per tier; 0 on the last tier means unlimited), k and quasi. Each op
+// byte b selects by b%4: 0-1 Insert (diverged = b&0x10, work advances
+// by b>>5), 2 TruncateAfter (limit = newest work − (b>>2)&7), 3 Clear
+// (b&4 == 0) or MarkCorrupted (image (b>>3) mod Len).
+func FuzzSetOps(f *testing.F) {
+	// One unlimited tier, the storeless imperfect run's store; starts
+	// with a truncate and a clear on the empty set.
+	f.Add(uint8(0), uint16(0), uint8(0), false, []byte{0x02, 0x03, 0x20, 0x30, 0x20, 0x0f, 0x20, 0x06, 0x02, 0x20, 0x03, 0x20})
+	// The Work == limit boundary: images at 1 and 2, truncated at 2,
+	// both survive — the state rolled back to is kept.
+	f.Add(uint8(0), uint16(0), uint8(0), false, []byte{0x20, 0x20, 0x02})
+	// DefaultConfig(4)'s shape: 2 fast + 2 slow slots, quasi-geometric.
+	f.Add(uint8(1), uint16(0x22), uint8(4), true, []byte{0x20, 0x20, 0x30, 0x20, 0x20, 0x40, 0x20, 0x17, 0x20, 0x20, 0x0e, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x03, 0x20, 0x20})
+	// Four tiers over an unlimited tail with an explicit bound.
+	f.Add(uint8(3), uint16(0x0321), uint8(9), false, []byte{0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x0a, 0x20, 0x20, 0x20})
+	f.Fuzz(func(t *testing.T, nTiers uint8, caps uint16, k uint8, quasi bool, ops []byte) {
+		cfg := &Config{Tiers: make([]Tier, 1+int(nTiers)%MaxTiers)}
+		last := len(cfg.Tiers) - 1
+		total := 0
+		for i := range cfg.Tiers {
+			c := int(caps>>(4*i)) & 0xf
+			if c == 0 && i < last {
+				c = 1
+			}
+			cfg.Tiers[i].Capacity = c
+			total += c
+		}
+		if cfg.Tiers[last].Capacity == 0 {
+			cfg.K = int(k) % 16
+		} else {
+			cfg.K = int(k) % (total + 1)
+		}
+		if quasi {
+			cfg.Policy = PolicyQuasiGeometric
+		}
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("built an invalid config %+v: %v", cfg, err)
+		}
+		pol, _ := PolicyByName(cfg.Policy)
+		bound := cfg.Bound()
+
+		// rankTier is the naive tier of recency rank r: the first tier
+		// whose cumulative capacity exceeds r.
+		rankTier := func(r int) int {
+			sum := 0
+			for t, tier := range cfg.Tiers {
+				if tier.Capacity <= 0 {
+					return t
+				}
+				sum += tier.Capacity
+				if r < sum {
+					return t
+				}
+			}
+			return last
+		}
+
+		var s Set
+		s.Configure(cfg)
+		var model []Image
+		var seq uint64
+		work := 0.0
+		for step, b := range ops {
+			switch b % 4 {
+			case 0, 1:
+				wantEvicted := bound > 0 && len(model) >= bound
+				if wantEvicted {
+					v := pol.Victim(model)
+					model = append(model[:v], model[v+1:]...)
+				}
+				work += float64(b >> 5)
+				seq++
+				model = append(model, Image{Work: work, Seq: seq, Diverged: b&0x10 != 0})
+				n := len(model)
+				wantWrites := []Write{{Index: n - 1}}
+				for i := n - 2; i >= 0; i-- {
+					if rt := rankTier(n - 1 - i); rt > model[i].Tier {
+						model[i].Tier = rt
+						wantWrites = append(wantWrites, Write{Index: i, Tier: rt})
+					}
+				}
+				writes, evicted := s.Insert(work, b&0x10 != 0)
+				if evicted != wantEvicted {
+					t.Fatalf("step %d: Insert evicted=%v, model %v", step, evicted, wantEvicted)
+				}
+				if !reflect.DeepEqual(writes, wantWrites) {
+					t.Fatalf("step %d: Insert writes %+v, model %+v", step, writes, wantWrites)
+				}
+			case 2:
+				limit := work - float64((b>>2)&7)
+				keep := len(model)
+				for keep > 0 && model[keep-1].Work > limit {
+					keep--
+				}
+				if got, want := s.TruncateAfter(limit), len(model)-keep; got != want {
+					t.Fatalf("step %d: TruncateAfter(%v) dropped %d, model %d", step, limit, got, want)
+				}
+				model = model[:keep]
+				work = limit
+			case 3:
+				if b&4 == 0 {
+					s.Clear()
+					model, seq = nil, 0
+				} else if len(model) > 0 {
+					i := int(b>>3) % len(model)
+					s.MarkCorrupted(i)
+					model[i].Corrupted = true
+				}
+			}
+			if got := s.Images(); len(got) != len(model) || (len(got) > 0 && !reflect.DeepEqual(got, model)) {
+				t.Fatalf("step %d (op %#02x): images\n got %+v\nwant %+v", step, b, got, model)
+			}
+		}
+	})
+}

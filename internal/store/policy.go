@@ -56,11 +56,11 @@ func (evictOldest) Victim(imgs []Image) int { return 0 }
 // geometrically, so after S stores the set always contains an image
 // within a bounded relative gap of any rollback target.
 //
-// Documented bound (property-tested in policy_test.go): for k >= 3,
-// consecutive retained sequence numbers a < b always satisfy
-// b <= 2a + 1 — the gap into the past at most doubles per retained
-// image — and the deepest retained image is within a factor-2 window of
-// the oldest power of two the budget can hold.
+// Documented bound (property-tested by TestQuasiGeometricGapBound in
+// store_test.go): for k >= 3, consecutive retained sequence numbers
+// a < b always satisfy b <= 2a + 1 — the gap into the past at most
+// doubles per retained image — and the deepest retained image is within
+// a factor-2 window of the oldest power of two the budget can hold.
 type quasiGeometric struct{}
 
 func (quasiGeometric) Name() string { return PolicyQuasiGeometric }

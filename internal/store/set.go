@@ -1,5 +1,6 @@
 // The retained checkpoint set of one running repetition: a bounded,
-// tier-assigned ledger of checkpoint images. The Set does the
+// tier-assigned ledger of checkpoint images, and the simulation
+// engine's only stored-checkpoint ledger. The Set does the
 // bookkeeping (bound enforcement via the policy, tier assignment by
 // recency with sticky demotion); the engine charges the costs and draws
 // the per-write corruption, so this package stays randomness-free.
@@ -131,28 +132,43 @@ func (s *Set) rankTier(rank int) int {
 // scratch, reused by the next Insert.
 func (s *Set) Insert(work float64, diverged bool) (writes []Write, evicted bool) {
 	if s.bound > 0 && len(s.imgs) >= s.bound {
-		v := s.pol.Victim(s.imgs)
-		s.imgs = append(s.imgs[:v], s.imgs[v+1:]...)
+		s.evict()
 		evicted = true
 	}
 	s.seq++
-	s.imgs = append(s.imgs, Image{Work: work, Seq: s.seq, Diverged: diverged})
-	s.writes = s.writes[:0]
+	// The fresh image always lands in the fastest tier. Its fields are
+	// set in place: appending a composite literal builds it on the stack
+	// first and stalls the copy-out on this per-store hot path.
+	s.imgs = append(s.imgs, Image{})
+	im := &s.imgs[len(s.imgs)-1]
+	im.Work, im.Seq, im.Diverged = work, s.seq, diverged
+	s.writes = append(s.writes[:0], Write{Index: len(s.imgs) - 1})
+	if len(s.imgs) <= s.prefix[0] {
+		// Every recency rank falls in the fastest tier, so no image can
+		// demote — always the case under an unlimited first tier.
+		return s.writes, evicted
+	}
+	s.demote()
+	return s.writes, evicted
+}
+
+// evict discards the maintenance policy's victim.
+func (s *Set) evict() {
+	v := s.pol.Victim(s.imgs)
+	s.imgs = append(s.imgs[:v], s.imgs[v+1:]...)
+}
+
+// demote moves every older image whose recency rank now falls in a
+// deeper tier than it resides in down to that tier (tiers are sticky),
+// appending one write per move, newest first.
+func (s *Set) demote() {
 	n := len(s.imgs)
-	for i := n - 1; i >= 0; i-- {
-		rt := s.rankTier(n - 1 - i)
-		if i == n-1 {
-			// The fresh image always lands in the fastest tier.
-			s.imgs[i].Tier = rt
-			s.writes = append(s.writes, Write{Index: i, Tier: rt})
-			continue
-		}
-		if rt > s.imgs[i].Tier {
+	for i := n - 2; i >= 0; i-- {
+		if rt := s.rankTier(n - 1 - i); rt > s.imgs[i].Tier {
 			s.imgs[i].Tier = rt
 			s.writes = append(s.writes, Write{Index: i, Tier: rt})
 		}
 	}
-	return s.writes, evicted
 }
 
 // TruncateAfter drops every image whose Work exceeds limit — stale
