@@ -14,22 +14,25 @@
 // kill-tolerant distributed soak:
 //
 //   - Leases, not trust: a dispatched unit is owned by its worker only
-//     for the lease window (the dispatch context deadline). A worker
-//     that dies, hangs or loses connectivity simply fails the dispatch,
-//     and the unit is re-dispatched with capped exponential backoff and
+//     for the lease window (the dispatch context deadline, LeaseTimeout
+//     per unit the dispatch carries). A worker that dies, hangs or
+//     loses connectivity simply fails the dispatch, and each of its
+//     units is re-dispatched with capped exponential backoff and
 //     deterministic jitter (the serve retry law).
 //   - Heartbeats: the coordinator probes every registered worker; after
 //     HeartbeatMisses consecutive failures the worker is marked dead and
 //     stops receiving units (it resurrects on the next successful probe
 //     or registration — re-registration is idempotent).
-//   - Hedged dispatch: a unit outstanding on exactly one worker for more
-//     than HedgeAfter is duplicated to a different worker. Responses
+//   - Hedged dispatch: a dispatch outstanding on exactly one worker for
+//     more than HedgeAfter per unit it carries is duplicated to a
+//     different worker. Responses
 //     dedup first-writer-wins by (cellSeed, start, end): the first
 //     structurally valid payload is banked, every later arrival is
 //     counted and dropped — a rep can never merge twice.
 //   - Byzantine tolerance: every incoming shard is validated against the
 //     stats codec and must claim exactly Trials() == End-Start; anything
-//     suspect is rejected and the unit re-dispatched. A malicious or
+//     suspect is rejected and that unit alone re-dispatched — its
+//     siblings in the same reply still bank. A malicious or
 //     corrupted worker can cost time, never correctness.
 //   - Crash-safe coordination: with a journal configured on the server,
 //     every banked shard is durable (through its OnShard hook), and a
@@ -51,8 +54,9 @@ import (
 // ProtocolVersion is the cluster wire-protocol version. Coordinator and
 // worker exchange it (alongside the build version) at registration and
 // on every unit request; any mismatch is rejected up front — skewed
-// payloads must never merge.
-const ProtocolVersion = 1
+// payloads must never merge. Version 2 made every dispatch a run of
+// units (UnitRequest.More) answered by one result per unit.
+const ProtocolVersion = 2
 
 // RegisterRequest is a worker's registration handshake, as posted to
 // POST /cluster/v1/register on the coordinator.
@@ -80,30 +84,46 @@ type Hello struct {
 	Version string `json:"version"`
 }
 
-// UnitRequest is one (cell, rep-range) work unit, as posted to
-// POST /cluster/v1/execute on a worker. The cell is addressed by its
-// grid coordinates plus the base seed — the worker re-derives the cell
-// seed and the per-rep streams, so the payload carries no state, only
-// an address into the deterministic computation.
+// UnitAddr addresses one (cell, rep-range) work unit within a job: the
+// cell by its grid coordinates, the repetitions by their range.
+type UnitAddr struct {
+	Col    int     `json:"col"` // scheme column index into Spec.Schemes()
+	U      float64 `json:"u"`
+	Lambda float64 `json:"lambda"`
+	Start  int     `json:"start"` // rep range [Start, End)
+	End    int     `json:"end"`
+}
+
+// UnitRequest is one dispatch, as posted to POST /cluster/v1/execute on
+// a worker: a run of work units of one job. The embedded UnitAddr is
+// the first unit and More the rest, all sharing the job fields. A cell
+// is addressed by its grid coordinates plus the base seed — the worker
+// re-derives the cell seed and the per-rep streams, so the payload
+// carries no state, only addresses into the deterministic computation.
+// The reply is a JSON array with one UnitResult per unit, in request
+// order.
 type UnitRequest struct {
-	Proto   int     `json:"proto"`
-	Version string  `json:"version"`
-	Table   string  `json:"table"`
-	Col     int     `json:"col"` // scheme column index into Spec.Schemes()
-	U       float64 `json:"u"`
-	Lambda  float64 `json:"lambda"`
-	Seed    uint64  `json:"seed"`  // base seed of the job
-	Start   int     `json:"start"` // rep range [Start, End)
-	End     int     `json:"end"`
+	Proto   int    `json:"proto"`
+	Version string `json:"version"`
+	Table   string `json:"table"`
+	UnitAddr
+	Seed uint64 `json:"seed"` // base seed of the job
 	// Store is the job's tiered checkpoint store configuration, forwarded
 	// verbatim so the worker simulates the exact cell semantics the
 	// coordinator will merge. Nil keeps the free infinite store.
 	Store *store.Config `json:"store,omitempty"`
+	// More lists the dispatch's further units, in order.
+	More []UnitAddr `json:"more,omitempty"`
 }
 
-// UnitResult is a worker's answer: the canonical stats.Shard bytes of
-// exactly the requested repetitions, echoing the identity the
-// coordinator dedups and validates by.
+// Units returns the request's units in order: the first, then More.
+func (r *UnitRequest) Units() []UnitAddr {
+	return append([]UnitAddr{r.UnitAddr}, r.More...)
+}
+
+// UnitResult is a worker's answer for one unit: the canonical
+// stats.Shard bytes of exactly the unit's repetitions, echoing the
+// identity the coordinator dedups and validates by.
 type UnitResult struct {
 	CellSeed uint64 `json:"cell_seed"`
 	Start    int    `json:"start"`

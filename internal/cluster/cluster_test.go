@@ -219,6 +219,97 @@ func TestClusterDeterminismNodeCount(t *testing.T) {
 	}
 }
 
+// TestClusterGroupedDispatchDeterminism pins that grouping units into
+// dispatches cannot move a bit: jobs with 1, 2 and 5 units per cell,
+// one of them with a ragged tail unit, folded through two workers with
+// one dispatch slot each (so dispatches carry several units), are
+// byte-identical to the single-process engine with an exact ledger.
+func TestClusterGroupedDispatchDeterminism(t *testing.T) {
+	var urls []string
+	for i := 0; i < 2; i++ {
+		_, ts := startWorker(t, cluster.WorkerConfig{}, nil)
+		urls = append(urls, ts.URL)
+	}
+	c, _ := startCoordinator(t, cluster.Config{HedgeAfter: -1, MaxInflightPerWorker: 1}, urls...)
+	cells := 0
+	wantReps := 0
+	for _, shape := range []struct{ reps, unit int }{
+		{16, 16}, // 1 unit per cell
+		{32, 16}, // 2
+		{80, 16}, // 5
+		{70, 16}, // 5, the last 6 reps long
+	} {
+		spec := testSpec()
+		spec.Reps, spec.ShardSize = shape.reps, shape.unit
+		spec.Seed += uint64(shape.reps) // a distinct job, never a cache hit
+		v := waitDone(t, c, enqueue(t, c, spec), 30*time.Second)
+		if !bytes.Equal(resultJSON(t, v), localGridJSON(t, spec)) {
+			t.Errorf("%d reps in %d-rep units: grouped cluster result differs from the local engine", shape.reps, shape.unit)
+		}
+		if cells == 0 {
+			tspec, err := experiment.TableByID(spec.Table)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cells = len(tspec.Us) * len(tspec.Lambdas) * len(tspec.Schemes())
+		}
+		wantReps += cells * shape.reps
+	}
+	if got := counter(c, experiment.MetricReps); got != int64(wantReps) {
+		t.Errorf("rep ledger: merged %d, want %d", got, wantReps)
+	}
+	if d, u := counter(c, cluster.MetricDispatches), counter(c, cluster.MetricUnitsDispatched); d >= u {
+		t.Errorf("%d dispatches carried %d units: no dispatch grouped units", d, u)
+	}
+}
+
+// TestClusterGroupedDispatchFailure fails a worker's first dispatch — a
+// run of many units — before it banks anything: exactly that run's
+// units back off and go out again, every other unit banks on its first
+// dispatch, and the ledger and the table stay exact.
+func TestClusterGroupedDispatchFailure(t *testing.T) {
+	spec := testSpec() // 48 units
+	want := localGridJSON(t, spec)
+
+	var calls, failedUnits atomic.Int64
+	failFirst := func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			if calls.Add(1) > 1 {
+				h.ServeHTTP(rw, r)
+				return
+			}
+			var req cluster.UnitRequest
+			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+				t.Errorf("undecodable dispatch: %v", err)
+			}
+			failedUnits.Store(int64(len(req.Units())))
+			http.Error(rw, "injected failure", http.StatusInternalServerError)
+		})
+	}
+	_, w := startWorker(t, cluster.WorkerConfig{MaxInflight: 64}, failFirst)
+	c, _ := startCoordinator(t, cluster.Config{
+		HedgeAfter:           -1,
+		MaxInflightPerWorker: 1,
+		RetryBase:            time.Millisecond,
+	}, w.URL)
+
+	v := waitDone(t, c, enqueue(t, c, spec), 30*time.Second)
+	if !bytes.Equal(resultJSON(t, v), want) {
+		t.Error("result after a failed grouped dispatch differs from the local engine")
+	}
+	assertLedgerExact(t, c, spec)
+	failed := failedUnits.Load()
+	if failed < 2 {
+		t.Fatalf("the failed dispatch carried %d units, want a group", failed)
+	}
+	if got := counter(c, cluster.MetricUnitsRedispatched); got != failed {
+		t.Errorf("%s = %d, want exactly the failed dispatch's %d units", cluster.MetricUnitsRedispatched, got, failed)
+	}
+	if got := counter(c, cluster.MetricUnitsDispatched); got != int64(48)+failed {
+		t.Errorf("%s = %d, want 48 + %d", cluster.MetricUnitsDispatched, got, failed)
+	}
+}
+
 // TestClusterStoreConfig pins the tiered-store threading: a
 // store-configured grid job folded through 2 workers is byte-identical
 // to the local engine under the same config, differs from the
@@ -358,8 +449,13 @@ func TestClusterRegisterHandshake(t *testing.T) {
 	if resp := post(`{"proto":1,"version":"x"}`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty-addr register: status %d, want 400", resp.StatusCode)
 	}
-	if got := counter(c, cluster.MetricRegisterRejected); got != 3 {
-		t.Errorf("%s = %d, want 3 (skew rejections only)", cluster.MetricRegisterRejected, got)
+	// A protocol-1 worker sends one unit per request and answers with a
+	// single result object: it must never join a protocol-2 pool.
+	if resp := post(fmt.Sprintf(`{"addr":"http://127.0.0.1:1","proto":1,"version":%q}`, version)); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("protocol-1 register: status %d, want 400", resp.StatusCode)
+	}
+	if got := counter(c, cluster.MetricRegisterRejected); got != 4 {
+		t.Errorf("%s = %d, want 4 (skew rejections only)", cluster.MetricRegisterRejected, got)
 	}
 	if got := len(c.Workers()); got != 0 {
 		t.Errorf("%d workers joined through rejected handshakes", got)
@@ -367,8 +463,11 @@ func TestClusterRegisterHandshake(t *testing.T) {
 
 	// The worker side refuses skewed unit requests the same way.
 	_, wts := startWorker(t, cluster.WorkerConfig{}, nil)
-	for _, skewed := range []string{"bogus-build", crossArch} {
-		body := fmt.Sprintf(`{"proto":%d,"version":%q,"table":"2b","col":0,"u":0.92,"lambda":1e-4,"seed":1,"start":0,"end":8}`, cluster.ProtocolVersion, skewed)
+	for _, skew := range []struct {
+		proto   int
+		version string
+	}{{cluster.ProtocolVersion, "bogus-build"}, {cluster.ProtocolVersion, crossArch}, {1, version}} {
+		body := fmt.Sprintf(`{"proto":%d,"version":%q,"table":"2b","col":0,"u":0.92,"lambda":1e-4,"seed":1,"start":0,"end":8}`, skew.proto, skew.version)
 		resp, err := http.Post(wts.URL+"/cluster/v1/execute", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -376,7 +475,7 @@ func TestClusterRegisterHandshake(t *testing.T) {
 		msg, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "version skew") {
-			t.Errorf("skewed execute (%q): status %d body %s, want 400 version skew", skewed, resp.StatusCode, msg)
+			t.Errorf("skewed execute (proto %d, %q): status %d body %s, want 400 version skew", skew.proto, skew.version, resp.StatusCode, msg)
 		}
 	}
 }
@@ -469,15 +568,19 @@ func TestClusterHedgedDispatch(t *testing.T) {
 	}
 }
 
-// TestClusterByzantineShardRejected runs one permanently corrupting
-// worker next to an honest one: every poisoned payload is rejected by
-// structural validation, re-dispatched, and the final table is still
-// byte-identical — byzantine workers cost time, never bits.
+// TestClusterByzantineShardRejected runs one corrupting worker next to
+// an honest one. The corrupting worker poisons the first result of
+// every reply it sends: that result is rejected by structural
+// validation and its unit alone re-dispatched, while its siblings in
+// the same reply bank — so every rejection costs exactly one
+// re-dispatch — and the final table is still byte-identical:
+// byzantine workers cost time, never bits.
 func TestClusterByzantineShardRejected(t *testing.T) {
 	spec := testSpec()
 	spec.Reps, spec.ShardSize = 20, 10 // 32 units
 	want := localGridJSON(t, spec)
 
+	var poisoned atomic.Int64
 	corrupt := func(h http.Handler) http.Handler {
 		return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 			rec := httptest.NewRecorder()
@@ -487,20 +590,26 @@ func TestClusterByzantineShardRejected(t *testing.T) {
 				rw.Write(rec.Body.Bytes())
 				return
 			}
-			var res cluster.UnitResult
-			if err := json.Unmarshal(rec.Body.Bytes(), &res); err == nil && len(res.Data) > 0 {
-				// Truncate the shard payload: a single flipped byte can land
-				// in a merged-but-unrendered sum and slip through, but a
-				// short encoding always fails the self-validating decoder.
-				res.Data = res.Data[:len(res.Data)-1]
+			var res []cluster.UnitResult
+			if err := json.Unmarshal(rec.Body.Bytes(), &res); err != nil || len(res) == 0 {
+				t.Errorf("worker reply is not a list of unit results: %v", err)
+				return
 			}
+			// Truncate the first unit's shard payload, so any sibling
+			// follows it in the reply: a single flipped byte can land in
+			// a merged-but-unrendered sum and slip through, but a short
+			// encoding always fails the self-validating decoder.
+			res[0].Data = res[0].Data[:len(res[0].Data)-1]
+			poisoned.Add(1)
 			blob, _ := json.Marshal(res)
 			rw.Header().Set("Content-Type", "application/json")
 			rw.Write(blob)
 		})
 	}
-	_, evil := startWorker(t, cluster.WorkerConfig{}, corrupt)
-	_, good := startWorker(t, cluster.WorkerConfig{}, nil)
+	// Both workers take more than the coordinator's dispatches in
+	// flight, so no 503 adds a re-dispatch of its own.
+	_, evil := startWorker(t, cluster.WorkerConfig{MaxInflight: 64}, corrupt)
+	_, good := startWorker(t, cluster.WorkerConfig{MaxInflight: 64}, nil)
 	c, _ := startCoordinator(t, cluster.Config{
 		HedgeAfter: -1,
 		RetryBase:  2 * time.Millisecond,
@@ -511,11 +620,16 @@ func TestClusterByzantineShardRejected(t *testing.T) {
 		t.Error("byzantine worker changed the table bits")
 	}
 	assertLedgerExact(t, c, spec)
-	if got := counter(c, cluster.MetricUnitsRejected); got == 0 {
-		t.Errorf("%s = 0: the corrupting worker was never caught", cluster.MetricUnitsRejected)
+	rejected := counter(c, cluster.MetricUnitsRejected)
+	if rejected == 0 || rejected != poisoned.Load() {
+		t.Errorf("%s = %d, want one per poisoned reply (%d)", cluster.MetricUnitsRejected, rejected, poisoned.Load())
 	}
-	if got := counter(c, cluster.MetricUnitsRedispatched); got == 0 {
-		t.Error("rejected units were never re-dispatched")
+	if got := counter(c, cluster.MetricUnitsRedispatched); got != rejected {
+		t.Errorf("%s = %d, want %d: only the poisoned unit of a reply may go out again",
+			cluster.MetricUnitsRedispatched, got, rejected)
+	}
+	if d, u := counter(c, cluster.MetricDispatches), counter(c, cluster.MetricUnitsDispatched); d >= u {
+		t.Errorf("%d dispatches carried %d units: no dispatch grouped units", d, u)
 	}
 }
 
@@ -957,6 +1071,7 @@ func TestClusterStatuszMatchesMetrics(t *testing.T) {
 		cluster.MetricRegisterRejected:  cs.RegisterRejected,
 		cluster.MetricWorkerDeaths:      cs.WorkerDeaths,
 		cluster.MetricHeartbeatMisses:   cs.HeartbeatMisses,
+		cluster.MetricDispatches:        cs.Dispatches,
 		cluster.MetricUnitsDispatched:   cs.UnitsDispatched,
 		cluster.MetricUnitsCompleted:    cs.UnitsCompleted,
 		cluster.MetricUnitsRedispatched: cs.UnitsRedispatched,
@@ -990,5 +1105,10 @@ func TestClusterStatuszMatchesMetrics(t *testing.T) {
 	// Sanity: the workload actually moved the interesting counters.
 	if cs.UnitsCompleted == 0 || st.Counters.CacheHits == 0 || st.Counters.Completed != 2 {
 		t.Errorf("workload left counters unmoved: cluster %+v, jobs %+v", cs, st.Counters)
+	}
+	// Grouped dispatch: every dispatch carries at least one unit, and a
+	// 48-unit job on one worker groups several into some dispatch.
+	if cs.Dispatches == 0 || cs.Dispatches >= cs.UnitsDispatched {
+		t.Errorf("%d dispatches for %d units dispatched, want fewer dispatches than units", cs.Dispatches, cs.UnitsDispatched)
 	}
 }

@@ -28,22 +28,24 @@ type Config struct {
 	// spec does not set ShardSize. Purely a scheduling knob — results
 	// are bit-identical for every value. Default 2000.
 	UnitReps int
-	// LeaseTimeout is a dispatched unit's lease: the per-dispatch HTTP
-	// deadline. A worker that dies or hangs holds a unit for at most
-	// this long before the dispatch errors and the unit becomes
-	// re-dispatchable. Default 15s.
+	// LeaseTimeout is a dispatched unit's lease. A dispatch of n units
+	// gets an HTTP deadline of n × LeaseTimeout: a worker that dies or
+	// hangs holds them for at most that long before the dispatch errors
+	// and its units become re-dispatchable. Default 15s.
 	LeaseTimeout time.Duration
-	// HedgeAfter duplicates a unit outstanding on exactly one worker for
-	// longer than this to a second worker (first valid answer wins).
-	// Negative disables hedging. Default 2s.
+	// HedgeAfter is the per-unit hedge threshold: a dispatch of n units
+	// outstanding on exactly one worker for longer than n × HedgeAfter
+	// has its still-unbanked units sent to a second worker as one
+	// dispatch (first valid answer per unit wins). Negative disables
+	// hedging. Default 2s.
 	HedgeAfter time.Duration
 	// HeartbeatInterval is the worker probe period. Default 500ms.
 	HeartbeatInterval time.Duration
 	// HeartbeatMisses is the consecutive probe failures after which a
 	// worker is marked dead. Default 3.
 	HeartbeatMisses int
-	// MaxInflightPerWorker bounds units outstanding on one worker.
-	// Default 4.
+	// MaxInflightPerWorker bounds dispatches outstanding on one worker
+	// (each carries one or more units). Default 4.
 	MaxInflightPerWorker int
 	// RetryBase/RetryMax shape the unit re-dispatch backoff (the serve
 	// law: exponential, capped, deterministic jitter). Defaults 50ms/2s.
@@ -263,16 +265,17 @@ func (c *Coordinator) acquireWorker(exclude string) *workerState {
 	return best
 }
 
-// releaseWorker returns an inflight slot; a successful round-trip is
-// also liveness evidence (faster than waiting for the next heartbeat).
-func (c *Coordinator) releaseWorker(w *workerState, ok bool) {
+// releaseWorker returns the inflight slot of a dispatch of n units; a
+// successful round-trip is also liveness evidence (faster than waiting
+// for the next heartbeat).
+func (c *Coordinator) releaseWorker(w *workerState, n int, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	w.inflight--
 	if ok {
 		w.misses = 0
 		w.live = true
-		w.unitsDone++
+		w.unitsDone += int64(n)
 	} else {
 		w.failures++
 	}

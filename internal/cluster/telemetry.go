@@ -25,6 +25,7 @@ const (
 	MetricRegisterRejected  = "cluster_register_rejected_total"
 	MetricWorkerDeaths      = "cluster_worker_deaths_total"
 	MetricHeartbeatMisses   = "cluster_heartbeat_misses_total"
+	MetricDispatches        = "cluster_dispatches_total"
 	MetricUnitsDispatched   = "cluster_units_dispatched_total"
 	MetricUnitsCompleted    = "cluster_units_completed_total"
 	MetricUnitsRedispatched = "cluster_units_redispatched_total"
@@ -42,6 +43,7 @@ type clusterMetrics struct {
 	registerRejected  *telemetry.Counter
 	workerDeaths      *telemetry.Counter
 	heartbeatMisses   *telemetry.Counter
+	dispatches        *telemetry.Counter
 	unitsDispatched   *telemetry.Counter
 	unitsCompleted    *telemetry.Counter
 	unitsRedispatched *telemetry.Counter
@@ -62,10 +64,11 @@ func (c *Coordinator) initTelemetry(reg *telemetry.Registry) {
 		registerRejected:  reg.Counter(MetricRegisterRejected, "registrations rejected for protocol or build-version skew"),
 		workerDeaths:      reg.Counter(MetricWorkerDeaths, "workers marked dead after missed heartbeats"),
 		heartbeatMisses:   reg.Counter(MetricHeartbeatMisses, "individual heartbeat probe failures"),
-		unitsDispatched:   reg.Counter(MetricUnitsDispatched, "work-unit dispatches sent to workers (re-dispatches and hedges included)"),
+		dispatches:        reg.Counter(MetricDispatches, "requests sent to workers, each carrying a run of work units (re-dispatches and hedges included)"),
+		unitsDispatched:   reg.Counter(MetricUnitsDispatched, "work units sent to workers (re-dispatches and hedges included)"),
 		unitsCompleted:    reg.Counter(MetricUnitsCompleted, "work units banked (validated, journaled and merged exactly once)"),
 		unitsRedispatched: reg.Counter(MetricUnitsRedispatched, "work units re-dispatched after a failed or expired lease"),
-		unitsHedged:       reg.Counter(MetricUnitsHedged, "straggler units duplicated to a second worker"),
+		unitsHedged:       reg.Counter(MetricUnitsHedged, "units of straggler dispatches duplicated to a second worker"),
 		hedgesWon:         reg.Counter(MetricHedgesWon, "banked units whose winning response was the hedge duplicate"),
 		unitsRejected:     reg.Counter(MetricUnitsRejected, "unit responses rejected by structural validation (byzantine or corrupt)"),
 		unitsRejectedAuth: reg.Counter(MetricUnitsRejectedAuth, "unit responses rejected for a missing or invalid HMAC tag"),
@@ -73,7 +76,7 @@ func (c *Coordinator) initTelemetry(reg *telemetry.Registry) {
 		retryAfterHolds:   reg.Counter(MetricRetryAfterHolds, "worker Retry-After hints applied to dispatch eligibility"),
 		repsMerged:        reg.Counter(experiment.MetricReps, "repetitions merged from banked work units"),
 		repsRecovered:     reg.Counter(experiment.MetricRepsRecovered, "repetitions restored from journaled checkpoints instead of re-executed"),
-		unitSeconds:       reg.Histogram(MetricUnitSeconds, "per-dispatch round-trip wall time", nil),
+		unitSeconds:       reg.Histogram(MetricUnitSeconds, "per-dispatch round-trip wall time; a dispatch carries one or more units", nil),
 	}
 	reg.GaugeFunc(MetricWorkersLive, "registered workers currently passing heartbeats",
 		func() float64 { return float64(c.WorkersLive()) })
@@ -86,6 +89,7 @@ type StatusCounters struct {
 	RegisterRejected  int64 `json:"register_rejected"`
 	WorkerDeaths      int64 `json:"worker_deaths"`
 	HeartbeatMisses   int64 `json:"heartbeat_misses"`
+	Dispatches        int64 `json:"dispatches"`
 	UnitsDispatched   int64 `json:"units_dispatched"`
 	UnitsCompleted    int64 `json:"units_completed"`
 	UnitsRedispatched int64 `json:"units_redispatched"`
@@ -130,6 +134,7 @@ func (c *Coordinator) Status() Status {
 			RegisterRejected:  m.registerRejected.Value(),
 			WorkerDeaths:      m.workerDeaths.Value(),
 			HeartbeatMisses:   m.heartbeatMisses.Value(),
+			Dispatches:        m.dispatches.Value(),
 			UnitsDispatched:   m.unitsDispatched.Value(),
 			UnitsCompleted:    m.unitsCompleted.Value(),
 			UnitsRedispatched: m.unitsRedispatched.Value(),

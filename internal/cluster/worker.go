@@ -1,11 +1,11 @@
 // The worker side of the cluster: a stateless executor. A worker holds
-// no job state at all — every unit request is a pure address into the
-// deterministic computation, so a worker can be SIGKILLed at any moment
-// and the only loss is the lease the coordinator re-dispatches. The
-// crashpoint "worker.unit" sits between finishing a unit and writing
-// the response: a kill there models the worst case (work done, reply
-// lost), which the coordinator must answer by re-executing elsewhere
-// without double-merging.
+// no job state at all — every unit request is a run of pure addresses
+// into the deterministic computation, so a worker can be SIGKILLed at
+// any moment and the only loss is the lease the coordinator
+// re-dispatches. The crashpoint "worker.unit" sits between finishing a
+// unit and writing the response, once per unit: a kill there models the
+// worst case (work done, reply lost), which the coordinator must answer
+// by re-executing elsewhere without double-merging.
 
 package cluster
 
@@ -38,10 +38,10 @@ const (
 
 // WorkerConfig configures a cluster worker.
 type WorkerConfig struct {
-	// MaxInflight bounds concurrently executing units; at saturation the
-	// worker sheds with 503 + Retry-After instead of queueing (the same
-	// bounded-admission posture as the single-process service). Zero
-	// means GOMAXPROCS.
+	// MaxInflight bounds concurrently executing dispatches (each a run
+	// of units); at saturation the worker sheds with 503 + Retry-After
+	// instead of queueing (the same bounded-admission posture as the
+	// single-process service). Zero means GOMAXPROCS.
 	MaxInflight int
 	// RetryAfter is the hint returned on saturation. Zero means 1s.
 	RetryAfter time.Duration
@@ -87,10 +87,10 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		mux:     http.NewServeMux(),
 		reg:     telemetry.NewRegistry(),
 	}
-	w.executed = w.reg.Counter(MetricWorkerUnitsExecuted, "work units executed to completion")
+	w.executed = w.reg.Counter(MetricWorkerUnitsExecuted, "work units executed to completion (a dispatch counts each of its units)")
 	w.busy = w.reg.Counter(MetricWorkerBusy, "unit requests shed with 503 at the inflight bound")
 	w.rejected = w.reg.Counter(MetricWorkerRejected, "unit requests rejected as malformed or version-skewed")
-	w.reg.GaugeFunc("cluster_worker_inflight", "units currently executing",
+	w.reg.GaugeFunc("cluster_worker_inflight", "unit requests currently executing",
 		func() float64 { return float64(len(w.sem)) })
 	w.mux.HandleFunc("POST /cluster/v1/execute", w.handleExecute)
 	w.mux.HandleFunc("GET /cluster/v1/healthz", w.handleHealthz)
@@ -121,41 +121,55 @@ func (w *Worker) handleHealthz(rw http.ResponseWriter, r *http.Request) {
 // maxUnitEnd caps a unit's rep range at the job spec's repetition cap.
 const maxUnitEnd = 1_000_000
 
-// decodeUnit decodes and validates an untrusted unit request before any
-// work: the build must match (the handshake's guarantee, re-checked per
-// unit), the table and store config must be valid, and the address must
-// lie in the table — a scheme column, one of its (u, λ) grid points, a
-// non-empty rep range within the spec cap. It returns the table spec
-// with the store applied, ready for ExecUnit, and the unit's cell seed.
-func decodeUnit(r io.Reader, version string) (req UnitRequest, tspec experiment.Spec, cellSeed uint64, err error) {
-	if err := json.NewDecoder(r).Decode(&req); err != nil {
-		return req, tspec, 0, fmt.Errorf("bad unit request: %w", err)
+// maxUnitRequest bounds a unit request body; a longer body fails to
+// decode.
+const maxUnitRequest = 1 << 20
+
+// decodeUnits decodes and validates an untrusted unit request before
+// any work: the build must match (the handshake's guarantee, re-checked
+// per request), the table and store config must be valid, and every
+// unit's address must lie in the table — a scheme column, one of its
+// (u, λ) grid points, a non-empty rep range within the spec cap. One
+// bad unit rejects the request. It returns the table spec with the
+// store applied, the units ready for ExecUnits, and their cell seeds.
+func decodeUnits(r io.Reader, version string) (req UnitRequest, tspec experiment.Spec, units []experiment.Unit, cellSeeds []uint64, err error) {
+	if err := json.NewDecoder(io.LimitReader(r, maxUnitRequest)).Decode(&req); err != nil {
+		return req, tspec, nil, nil, fmt.Errorf("bad unit request: %w", err)
 	}
 	if req.Proto != ProtocolVersion || req.Version != version {
-		return req, tspec, 0, fmt.Errorf("version skew: got proto %d version %q, want proto %d version %q",
+		return req, tspec, nil, nil, fmt.Errorf("version skew: got proto %d version %q, want proto %d version %q",
 			req.Proto, req.Version, ProtocolVersion, version)
 	}
 	if tspec, err = experiment.TableByID(req.Table); err != nil {
-		return req, tspec, 0, err
+		return req, tspec, nil, nil, err
 	}
 	// The store config is part of the unit's cell semantics: the worker
 	// must simulate exactly what the coordinator will merge and bank.
 	if err := req.Store.Validate(); err != nil {
-		return req, tspec, 0, err
+		return req, tspec, nil, nil, err
 	}
 	tspec.Store = req.Store
 	schemes := tspec.Schemes()
-	if req.Col < 0 || req.Col >= len(schemes) ||
-		!slices.Contains(tspec.Us, req.U) || !slices.Contains(tspec.Lambdas, req.Lambda) ||
-		req.Start < 0 || req.End <= req.Start || req.End > maxUnitEnd {
-		return req, tspec, 0, fmt.Errorf("bad unit address: col %d u %v λ %v range [%d,%d)",
-			req.Col, req.U, req.Lambda, req.Start, req.End)
+	addrs := req.Units()
+	units = make([]experiment.Unit, len(addrs))
+	cellSeeds = make([]uint64, len(addrs))
+	for i, a := range addrs {
+		if a.Col < 0 || a.Col >= len(schemes) ||
+			!slices.Contains(tspec.Us, a.U) || !slices.Contains(tspec.Lambdas, a.Lambda) ||
+			a.Start < 0 || a.End <= a.Start || a.End > maxUnitEnd {
+			return req, tspec, nil, nil, fmt.Errorf("bad unit %d address: col %d u %v λ %v range [%d,%d)",
+				i, a.Col, a.U, a.Lambda, a.Start, a.End)
+		}
+		units[i] = experiment.Unit(a)
+		cellSeeds[i] = experiment.CellSeed(req.Seed, tspec.ID, a.U, a.Lambda, schemes[a.Col].Name())
 	}
-	return req, tspec, experiment.CellSeed(req.Seed, tspec.ID, req.U, req.Lambda, schemes[req.Col].Name()), nil
+	return req, tspec, units, cellSeeds, nil
 }
 
+// handleExecute runs one dispatch: every unit in request order under a
+// single inflight slot, answered with one signed result per unit.
 func (w *Worker) handleExecute(rw http.ResponseWriter, r *http.Request) {
-	req, tspec, cellSeed, err := decodeUnit(io.LimitReader(r.Body, 1<<20), w.version)
+	req, tspec, units, cellSeeds, err := decodeUnits(r.Body, w.version)
 	if err != nil {
 		w.rejected.Inc()
 		serve.WriteJSON(rw, http.StatusBadRequest, errorBody{Error: err.Error()})
@@ -170,33 +184,30 @@ func (w *Worker) handleExecute(rw http.ResponseWriter, r *http.Request) {
 		serve.WriteJSON(rw, http.StatusServiceUnavailable, errorBody{Error: "worker at inflight bound"})
 		return
 	}
-	data, err := experiment.ExecUnit(r.Context(), tspec, req.Col, req.U, req.Lambda, req.Seed, req.Start, req.End)
+	results := make([]UnitResult, len(units))
+	err = experiment.ExecUnits(r.Context(), tspec, req.Seed, units, func(i int, data []byte) {
+		// The worst-case kill site: the unit is fully computed but the
+		// reply has not been written. A SIGKILL here loses the lease,
+		// never the ledger — the coordinator re-dispatches and the merge
+		// algebra makes the re-execution bit-identical.
+		crashpoint.Hit("worker.unit")
+		w.executed.Inc()
+		res := UnitResult{CellSeed: cellSeeds[i], Start: units[i].Start, End: units[i].End, Data: data}
+		if len(w.cfg.Key) > 0 {
+			res.Auth = signUnit(w.cfg.Key, res.CellSeed, res.Start, res.End, res.Data)
+		}
+		results[i] = res
+	})
 	if err != nil {
-		w.logf("cluster worker: unit %s[%d] u=%v λ=%v [%d,%d): %v",
-			req.Table, req.Col, req.U, req.Lambda, req.Start, req.End, err)
+		w.logf("cluster worker: dispatch of %d units of %s seed %d: %v", len(units), req.Table, req.Seed, err)
 		serve.WriteJSON(rw, http.StatusInternalServerError, errorBody{Error: err.Error()})
 		return
-	}
-	// The worst-case kill site: the unit is fully computed but the reply
-	// has not been written. A SIGKILL here loses the lease, never the
-	// ledger — the coordinator re-dispatches and the merge algebra makes
-	// the re-execution bit-identical.
-	crashpoint.Hit("worker.unit")
-	w.executed.Inc()
-	res := UnitResult{
-		CellSeed: cellSeed,
-		Start:    req.Start,
-		End:      req.End,
-		Data:     data,
-	}
-	if len(w.cfg.Key) > 0 {
-		res.Auth = signUnit(w.cfg.Key, res.CellSeed, res.Start, res.End, res.Data)
 	}
 	// Compact, unlike the operator-facing serve.WriteJSON: the reply is
 	// machine-to-machine and mostly base64 shard bytes. Marshal cannot
 	// fail on UnitResult's plain fields; a failed write costs only the
 	// lease, which the coordinator re-dispatches.
-	body, _ := json.Marshal(res)
+	body, _ := json.Marshal(results)
 	rw.Header().Set("Content-Type", "application/json")
 	_, _ = rw.Write(body)
 }

@@ -393,7 +393,7 @@ func (s *sched) runUnit(u shardUnit, rctx *sim.RunContext, bctx *sim.BatchContex
 }
 
 // exec runs reps [start, end) of the cell into scratch — the one shard
-// executor behind the work-stealing worker and the remote ExecUnit.
+// executor behind the work-stealing worker and the remote ExecUnits.
 // Each rep's stream and sketch key depend only on (cellSeed, rep), so
 // the result is independent of which worker runs it, and when. A
 // parameter failure or execution error comes back wrapped in a

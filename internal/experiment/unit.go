@@ -1,6 +1,6 @@
-// Remote execution surface: ExecUnit runs one (cell, rep-range) work
-// unit from nothing but the cell's grid coordinates and the base seed,
-// and returns the canonical stats.Shard encoding of exactly those
+// Remote execution surface: ExecUnits runs (cell, rep-range) work units
+// from nothing but the cells' grid coordinates and the base seed, and
+// returns the canonical stats.Shard encoding of exactly each unit's
 // repetitions. Because every rep's rng stream and sketch key are pure
 // functions of (CellSeed, rep), the bytes are bit-identical to the shard
 // checkpoint a local Runner would have produced for the same range — so
@@ -18,22 +18,39 @@ import (
 	"repro/internal/stats"
 )
 
-// ExecUnit executes repetitions [start, end) of the (table, scheme
-// column, U, λ) cell under base seed and returns the canonical
-// stats.Shard bytes. A panicking scheme is recovered into a *CellError
-// (Panicked set, stack captured) so a worker process survives any
-// malformed cell. col indexes spec.Schemes(). The unit runs on a pooled
-// context pair, which goes back to the pool unless the scheme panicked.
-func ExecUnit(ctx context.Context, spec Spec, col int, u, lambda float64, seed uint64, start, end int) ([]byte, error) {
+// Unit addresses one work unit of a table: repetitions [Start, End) of
+// the cell at scheme column Col (an index into Spec.Schemes()) and grid
+// point (U, Lambda).
+type Unit struct {
+	Col        int
+	U, Lambda  float64
+	Start, End int
+}
+
+// ExecUnits executes units of spec under base seed in order, on one
+// pooled context pair so consecutive units reuse its planner, and hands
+// each unit's canonical stats.Shard bytes to done as it finishes. It
+// stops at the first error. A panicking scheme is recovered into a
+// *CellError (Panicked set, stack captured) so a worker process
+// survives any malformed cell; the context pair then goes back to the
+// pool only if no scheme panicked.
+func ExecUnits(ctx context.Context, spec Spec, seed uint64, units []Unit, done func(i int, data []byte)) error {
 	sc := sim.GetContexts()
-	data, err := execUnit(ctx, &sc.Run, &sc.Batch, spec, col, u, lambda, seed, start, end)
+	var err error
+	for i, u := range units {
+		var data []byte
+		if data, err = execUnit(ctx, &sc.Run, &sc.Batch, spec, u.Col, u.U, u.Lambda, seed, u.Start, u.End); err != nil {
+			break
+		}
+		done(i, data)
+	}
 	if !panicked(err) {
 		sim.PutContexts(sc)
 	}
-	return data, err
+	return err
 }
 
-// execUnit is ExecUnit on explicit contexts.
+// execUnit executes one unit on explicit contexts.
 func execUnit(ctx context.Context, rctx *sim.RunContext, bctx *sim.BatchContext, spec Spec, col int, u, lambda float64, seed uint64, start, end int) ([]byte, error) {
 	schemes := spec.Schemes()
 	if col < 0 || col >= len(schemes) {

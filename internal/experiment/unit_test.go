@@ -15,7 +15,8 @@ import (
 // units: a unit executed on contexts warmed by other work — another
 // table, another column, a tiered-store cell and an imperfect-FT run —
 // returns exactly the bytes of the same unit on fresh contexts, and so
-// does the pooled ExecUnit entry point.
+// does the pooled ExecUnits entry point, which runs every unit of the
+// list back to back on one context pair.
 func TestExecUnitWarmEqualsCold(t *testing.T) {
 	t1a, err := TableByID("1a")
 	if err != nil {
@@ -67,12 +68,14 @@ func TestExecUnitWarmEqualsCold(t *testing.T) {
 		}
 	}
 
-	for _, u := range units {
+	colds := make([][]byte, len(units))
+	for i, u := range units {
 		t.Run(u.name, func(t *testing.T) {
 			cold, err := execUnit(ctx, sim.NewRunContext(), sim.NewBatchContext(), u.spec, u.col, u.u, u.lambda, seed, start, end)
 			if err != nil {
 				t.Fatal(err)
 			}
+			colds[i] = cold
 			rctx, bctx := sim.NewRunContext(), sim.NewBatchContext()
 			warm(t, rctx, bctx)
 			got, err := execUnit(ctx, rctx, bctx, u.spec, u.col, u.u, u.lambda, seed, start, end)
@@ -82,14 +85,30 @@ func TestExecUnitWarmEqualsCold(t *testing.T) {
 			if !bytes.Equal(got, cold) {
 				t.Errorf("warm contexts changed the unit's shard bytes")
 			}
-			pooled, err := ExecUnit(ctx, u.spec, u.col, u.u, u.lambda, seed, start, end)
-			if err != nil {
+			var pooled []byte
+			if err := ExecUnits(ctx, u.spec, seed, []Unit{{u.col, u.u, u.lambda, start, end}}, func(_ int, data []byte) { pooled = data }); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(pooled, cold) {
-				t.Errorf("pooled ExecUnit differs from a cold unit")
+				t.Errorf("pooled ExecUnits differs from a cold unit")
 			}
 		})
+	}
+	// One list of units of the same spec runs them back to back on one
+	// context pair: each must still equal its cold bytes.
+	list := []Unit{{adaptive, 0.78, 0.0016, start, end}, {0, 0.80, 0.0014, start, end}, {adaptive, 0.78, 0.0016, start, end}}
+	want := [][]byte{colds[0], colds[1], colds[0]}
+	n := 0
+	if err := ExecUnits(ctx, t1a, seed, list, func(i int, data []byte) {
+		n++
+		if !bytes.Equal(data, want[i]) {
+			t.Errorf("unit %d of a back-to-back list differs from its cold bytes", i)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n != len(list) {
+		t.Errorf("ExecUnits reported %d of %d units", n, len(list))
 	}
 }
 
@@ -114,7 +133,7 @@ func TestExecUnitAllocBound(t *testing.T) {
 	run := func(i int) {
 		u := spec.Us[(i/ncol)%len(spec.Us)]
 		lambda := spec.Lambdas[(i/(ncol*len(spec.Us)))%len(spec.Lambdas)]
-		if _, err := ExecUnit(context.Background(), spec, i%ncol, u, lambda, 11, 200*i, 200*(i+1)); err != nil {
+		if err := ExecUnits(context.Background(), spec, 11, []Unit{{i % ncol, u, lambda, 200 * i, 200 * (i + 1)}}, func(int, []byte) {}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -129,6 +148,6 @@ func TestExecUnitAllocBound(t *testing.T) {
 	perUnit := (after.TotalAlloc - before.TotalAlloc) / units
 	t.Logf("%d B allocated per unit", perUnit)
 	if perUnit > 64<<10 {
-		t.Errorf("ExecUnit allocates %d B per warm unit, want ≤ %d", perUnit, 64<<10)
+		t.Errorf("ExecUnits allocates %d B per warm unit, want ≤ %d", perUnit, 64<<10)
 	}
 }

@@ -160,11 +160,17 @@ func (s *Set) evict() {
 
 // demote moves every older image whose recency rank now falls in a
 // deeper tier than it resides in down to that tier (tiers are sticky),
-// appending one write per move, newest first.
+// appending one write per move, newest first. Every image already sits
+// at or below its rank's tier, and one insert raises a rank by at most
+// one, so only an image whose rank just reached a tier boundary
+// (prefix[t], the first rank past tier t) can need a move: those are
+// the only ones checked.
 func (s *Set) demote() {
 	n := len(s.imgs)
-	for i := n - 2; i >= 0; i-- {
-		if rt := s.rankTier(n - 1 - i); rt > s.imgs[i].Tier {
+	for t := 0; t < len(s.cfg.Tiers)-1 && s.prefix[t] < n; t++ {
+		rank := s.prefix[t]
+		i := n - 1 - rank
+		if rt := s.rankTier(rank); rt > s.imgs[i].Tier {
 			s.imgs[i].Tier = rt
 			s.writes = append(s.writes, Write{Index: i, Tier: rt})
 		}
