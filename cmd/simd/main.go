@@ -119,7 +119,7 @@ func run(args []string) error {
 		role        = fs.String("role", "single", "process role: single (self-contained daemon), coordinator (the same daemon, grid jobs sharded across workers) or worker (stateless unit executor)")
 		coordURL    = fs.String("coordinator", "", "worker: coordinator base URL to register with (empty skips registration)")
 		advertise   = fs.String("advertise", "", "worker: base URL the coordinator should dial back (default http://127.0.0.1:<listen port>)")
-		maxInflight = fs.Int("max-inflight", 0, "worker: concurrent dispatch bound (a dispatch is a run of units), 503+Retry-After beyond it (0 = GOMAXPROCS)")
+		maxInflight = fs.Int("max-inflight", 0, "worker: concurrent dispatch bound (a dispatch is a run of units), advertised to the coordinator, which dispatches within it (0 = GOMAXPROCS)")
 		unitReps    = fs.Int("unit-reps", 0, "coordinator: repetitions per dispatched work unit (0 = default 2000)")
 		hedgeAfter  = fs.Duration("hedge-after", 2*time.Second, "coordinator: per-unit hedge threshold; a dispatch of n units outstanding n times this long goes to a second worker too (<0 disables)")
 		lease       = fs.Duration("lease", 15*time.Second, "coordinator: per-unit lease; a dispatch of n units has n times this as its deadline, and expiry re-dispatches")

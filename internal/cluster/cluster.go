@@ -78,10 +78,14 @@ type RegisterResponse struct {
 	Version string `json:"version"`
 }
 
-// Hello is a worker's health-probe response.
+// Hello is a worker's health-probe response. The coordinator reads it
+// at registration and on every heartbeat: Slots is the worker's own
+// concurrent-dispatch bound (WorkerConfig.MaxInflight), the only
+// capacity figure the coordinator dispatches within.
 type Hello struct {
 	Proto   int    `json:"proto"`
 	Version string `json:"version"`
+	Slots   int    `json:"slots"`
 }
 
 // UnitAddr addresses one (cell, rep-range) work unit within a job: the

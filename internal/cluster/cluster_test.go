@@ -4,8 +4,8 @@ package cluster_test
 // httptest servers, pinning the tentpole invariants — N-node answers
 // byte-identical to the 1-node and local answers, exact rep
 // accounting through redispatch/hedging/byzantine noise, the
-// content-addressed result cache, Retry-After propagation, the
-// registration handshake, journal-backed coordinator resume,
+// content-addressed result cache, dispatch within each worker's own
+// slots and the handling of a worker's 503, the registration handshake, journal-backed coordinator resume,
 // /metrics-vs-/statusz consistency, and the job-service behaviour the
 // coordinator inherits from serve (cancellation, bounded admission).
 
@@ -227,10 +227,10 @@ func TestClusterDeterminismNodeCount(t *testing.T) {
 func TestClusterGroupedDispatchDeterminism(t *testing.T) {
 	var urls []string
 	for i := 0; i < 2; i++ {
-		_, ts := startWorker(t, cluster.WorkerConfig{}, nil)
+		_, ts := startWorker(t, cluster.WorkerConfig{MaxInflight: 1}, nil)
 		urls = append(urls, ts.URL)
 	}
-	c, _ := startCoordinator(t, cluster.Config{HedgeAfter: -1, MaxInflightPerWorker: 1}, urls...)
+	c, _ := startCoordinator(t, cluster.Config{HedgeAfter: -1}, urls...)
 	cells := 0
 	wantReps := 0
 	for _, shape := range []struct{ reps, unit int }{
@@ -286,11 +286,10 @@ func TestClusterGroupedDispatchFailure(t *testing.T) {
 			http.Error(rw, "injected failure", http.StatusInternalServerError)
 		})
 	}
-	_, w := startWorker(t, cluster.WorkerConfig{MaxInflight: 64}, failFirst)
+	_, w := startWorker(t, cluster.WorkerConfig{MaxInflight: 1}, failFirst)
 	c, _ := startCoordinator(t, cluster.Config{
-		HedgeAfter:           -1,
-		MaxInflightPerWorker: 1,
-		RetryBase:            time.Millisecond,
+		HedgeAfter: -1,
+		RetryBase:  time.Millisecond,
 	}, w.URL)
 
 	v := waitDone(t, c, enqueue(t, c, spec), 30*time.Second)
@@ -422,9 +421,13 @@ func otherArch(t *testing.T, version string) string {
 // TestClusterRegisterHandshake pins that protocol or build version
 // skew — including the same revision built for another architecture —
 // is refused with 400 (and counted, and the worker never joins the
-// pool), on both the coordinator and worker sides.
+// pool), on both the coordinator and worker sides. The registration
+// also probes the advertised address: no listener, a hello from
+// another build and a hello with no slots are each refused with 400
+// and join no pool, uncounted (the counter is declared skew only), and
+// a joined worker's slots follow its hello from beat to beat.
 func TestClusterRegisterHandshake(t *testing.T) {
-	c, ts := startCoordinator(t, cluster.Config{})
+	c, ts := startCoordinator(t, cluster.Config{HeartbeatInterval: 10 * time.Millisecond})
 	version := c.Status().Version
 	crossArch := otherArch(t, version)
 
@@ -454,11 +457,56 @@ func TestClusterRegisterHandshake(t *testing.T) {
 	if resp := post(fmt.Sprintf(`{"addr":"http://127.0.0.1:1","proto":1,"version":%q}`, version)); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("protocol-1 register: status %d, want 400", resp.StatusCode)
 	}
+
+	// Requests that declare the right build, at addresses whose hello
+	// does not back the claim.
+	helloStub := func(hello func() cluster.Hello) string {
+		stub := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			json.NewEncoder(rw).Encode(hello())
+		}))
+		t.Cleanup(stub.Close)
+		return stub.URL
+	}
+	closed := httptest.NewServer(http.NotFoundHandler())
+	closed.Close()
+	for name, addr := range map[string]string{
+		"nothing listening": closed.URL,
+		"other-build hello": helloStub(func() cluster.Hello {
+			return cluster.Hello{Proto: cluster.ProtocolVersion, Version: crossArch, Slots: 2}
+		}),
+		"zero-slot hello": helloStub(func() cluster.Hello {
+			return cluster.Hello{Proto: cluster.ProtocolVersion, Version: version}
+		}),
+	} {
+		if resp := post(fmt.Sprintf(`{"addr":%q,"proto":%d,"version":%q}`, addr, cluster.ProtocolVersion, version)); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s register: status %d, want 400", name, resp.StatusCode)
+		}
+	}
 	if got := counter(c, cluster.MetricRegisterRejected); got != 4 {
 		t.Errorf("%s = %d, want 4 (skew rejections only)", cluster.MetricRegisterRejected, got)
 	}
 	if got := len(c.Workers()); got != 0 {
 		t.Errorf("%d workers joined through rejected handshakes", got)
+	}
+
+	// A worker restarted with another bound is picked up by the next beat.
+	var slots atomic.Int64
+	slots.Store(2)
+	resizing := helloStub(func() cluster.Hello {
+		return cluster.Hello{Proto: cluster.ProtocolVersion, Version: version, Slots: int(slots.Load())}
+	})
+	if err := cluster.Register(context.Background(), nil, ts.URL, resizing); err != nil {
+		t.Fatalf("register resizing stub: %v", err)
+	}
+	if ws := c.Workers(); len(ws) != 1 || ws[0].Slots != 2 {
+		t.Fatalf("Workers() = %+v, want one worker with 2 slots", ws)
+	}
+	slots.Store(5)
+	for deadline := time.Now().Add(10 * time.Second); c.Workers()[0].Slots != 5; {
+		if time.Now().After(deadline) {
+			t.Fatalf("Workers() slots still %d after the hello changed to 5", c.Workers()[0].Slots)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 
 	// The worker side refuses skewed unit requests the same way.
@@ -545,11 +593,10 @@ func TestClusterHedgedDispatch(t *testing.T) {
 			h.ServeHTTP(rw, r)
 		})
 	}
-	// Both workers take more than the coordinator's 4 units in flight: a
-	// worker bounded at GOMAXPROCS sheds on a small host, and a
-	// Retry-After hold on the fast worker would leave no hedge target.
-	_, slow := startWorker(t, cluster.WorkerConfig{MaxInflight: 8}, stall)
-	_, fast := startWorker(t, cluster.WorkerConfig{MaxInflight: 8}, nil)
+	// Four slots each, whatever the host's GOMAXPROCS: the fast worker
+	// keeps a slot free for hedges while the slow one stalls.
+	_, slow := startWorker(t, cluster.WorkerConfig{MaxInflight: 4}, stall)
+	_, fast := startWorker(t, cluster.WorkerConfig{MaxInflight: 4}, nil)
 	c, _ := startCoordinator(t, cluster.Config{
 		HedgeAfter: 25 * time.Millisecond,
 	}, slow.URL, fast.URL)
@@ -606,10 +653,10 @@ func TestClusterByzantineShardRejected(t *testing.T) {
 			rw.Write(blob)
 		})
 	}
-	// Both workers take more than the coordinator's dispatches in
-	// flight, so no 503 adds a re-dispatch of its own.
-	_, evil := startWorker(t, cluster.WorkerConfig{MaxInflight: 64}, corrupt)
-	_, good := startWorker(t, cluster.WorkerConfig{MaxInflight: 64}, nil)
+	// Four slots each, whatever the host's GOMAXPROCS, so 32 units
+	// still group into runs of several per dispatch.
+	_, evil := startWorker(t, cluster.WorkerConfig{MaxInflight: 4}, corrupt)
+	_, good := startWorker(t, cluster.WorkerConfig{MaxInflight: 4}, nil)
 	c, _ := startCoordinator(t, cluster.Config{
 		HedgeAfter: -1,
 		RetryBase:  2 * time.Millisecond,
@@ -631,6 +678,81 @@ func TestClusterByzantineShardRejected(t *testing.T) {
 	if d, u := counter(c, cluster.MetricDispatches), counter(c, cluster.MetricUnitsDispatched); d >= u {
 		t.Errorf("%d dispatches carried %d units: no dispatch grouped units", d, u)
 	}
+}
+
+// TestClusterDispatchWithinWorkerSlots pins the one capacity bound: a
+// coordinator with no cap of its own sends each worker at most the
+// slots its hello advertises, so workers bounded at 1 and 3 never see
+// more concurrent dispatches than that and never shed, and the table
+// and ledger stay exact.
+func TestClusterDispatchWithinWorkerSlots(t *testing.T) {
+	spec := testSpec()
+	spec.Reps, spec.ShardSize = 80, 10 // 128 units
+	want := localGridJSON(t, spec)
+
+	bounds := []int{1, 3}
+	peaks := make([]atomic.Int64, len(bounds))
+	var sheds atomic.Int64
+	var urls []string
+	for i, n := range bounds {
+		var cur atomic.Int64
+		track := func(h http.Handler) http.Handler {
+			return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+				now := cur.Add(1)
+				defer cur.Add(-1)
+				for p := peaks[i].Load(); now > p && !peaks[i].CompareAndSwap(p, now); p = peaks[i].Load() {
+				}
+				sr := &slowReply{ResponseWriter: rw}
+				h.ServeHTTP(sr, r)
+				if sr.code == http.StatusServiceUnavailable {
+					sheds.Add(1)
+				}
+			})
+		}
+		_, ts := startWorker(t, cluster.WorkerConfig{MaxInflight: n}, track)
+		urls = append(urls, ts.URL)
+	}
+	c, _ := startCoordinator(t, cluster.Config{HedgeAfter: -1}, urls...)
+	for i, w := range c.Workers() {
+		if w.Slots != bounds[i] {
+			t.Errorf("worker %s: Slots = %d, want its MaxInflight %d", w.ID, w.Slots, bounds[i])
+		}
+	}
+
+	v := waitDone(t, c, enqueue(t, c, spec), 30*time.Second)
+	if !bytes.Equal(resultJSON(t, v), want) {
+		t.Error("result differs from the local engine")
+	}
+	assertLedgerExact(t, c, spec)
+	for i, n := range bounds {
+		if got := peaks[i].Load(); got > int64(n) {
+			t.Errorf("worker %d saw %d concurrent dispatches, above its %d slots", i, got, n)
+		}
+	}
+	if got := peaks[1].Load(); got < 2 {
+		t.Errorf("the 3-slot worker never saw 2 concurrent dispatches (peak %d): its spare slots went unused", got)
+	}
+	if got := sheds.Load(); got != 0 {
+		t.Errorf("workers shed %d dispatches, want 0", got)
+	}
+}
+
+// slowReply records the status a worker handler writes and delays its
+// body writes, so a handler holds its inflight slot a while and
+// concurrent dispatches overlap inside the worker.
+type slowReply struct {
+	http.ResponseWriter
+	code int
+}
+
+func (s *slowReply) WriteHeader(code int) {
+	s.code = code
+	s.ResponseWriter.WriteHeader(code)
+}
+
+func (s *slowReply) Write(b []byte) (int, error) {
+	time.Sleep(2 * time.Millisecond)
+	return s.ResponseWriter.Write(b)
 }
 
 // TestClusterShardAuth pins the HMAC shard authentication: a keyed
@@ -668,53 +790,63 @@ func TestClusterShardAuth(t *testing.T) {
 	}
 }
 
-// TestClusterRetryAfterPropagation pins that a worker shedding with
-// 503 + Retry-After moves its own next-eligible time out on the
-// coordinator, counted per applied hold, while the rest of the pool
-// finishes the job. The shedding worker's wrapper answers its first
-// shedK execute calls with 503 itself, so the case runs every time:
-// the coordinator's first assignment pass fills both workers to their
-// inflight bound of 4, so the shedder sees shedK calls at once.
-func TestClusterRetryAfterPropagation(t *testing.T) {
-	const shedK = 3
+// TestClusterShedRedispatch pins that a worker's 503 is handled like
+// any failed dispatch: the shedder's wrapper answers its first shedK
+// execute calls — all of its slots in the first wave — with 503 and a
+// Retry-After hint, every unit those dispatches carried backs off and
+// goes out again, each shed counts as one failure against the shedder,
+// and the hint parks nothing: the shedder banks units afterwards. The
+// table and ledger stay exact.
+func TestClusterShedRedispatch(t *testing.T) {
+	const shedK = 4
 	spec := testSpec()
 	spec.Reps, spec.ShardSize = 20, 10 // 32 units
 	want := localGridJSON(t, spec)
 
-	// The shedder's own inflight bound sits far above the coordinator's
-	// per-worker bound, so every 503 it returns is one the wrapper
-	// injected.
-	var calls, sheds atomic.Int64
+	var calls, shedUnits atomic.Int64
 	shedFirst := func(h http.Handler) http.Handler {
 		return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 			if calls.Add(1) > shedK {
 				h.ServeHTTP(rw, r)
 				return
 			}
-			sheds.Add(1)
+			var req cluster.UnitRequest
+			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+				t.Errorf("undecodable dispatch: %v", err)
+			}
+			shedUnits.Add(int64(len(req.Units())))
 			rw.Header().Set("Retry-After", "1")
-			rw.WriteHeader(http.StatusServiceUnavailable)
+			http.Error(rw, "injected shed", http.StatusServiceUnavailable)
 		})
 	}
-	_, shedder := startWorker(t, cluster.WorkerConfig{MaxInflight: 64}, shedFirst)
-	_, wide := startWorker(t, cluster.WorkerConfig{}, nil)
+	_, shedder := startWorker(t, cluster.WorkerConfig{MaxInflight: shedK}, shedFirst)
+	_, steady := startWorker(t, cluster.WorkerConfig{MaxInflight: shedK}, nil)
 	c, _ := startCoordinator(t, cluster.Config{
 		HedgeAfter: -1,
 		RetryBase:  2 * time.Millisecond,
-	}, shedder.URL, wide.URL)
+	}, shedder.URL, steady.URL)
 
 	v := waitDone(t, c, enqueue(t, c, spec), 60*time.Second)
 	if !bytes.Equal(resultJSON(t, v), want) {
-		t.Error("result differs from the local engine under load shedding")
+		t.Error("result differs from the local engine after sheds")
 	}
 	assertLedgerExact(t, c, spec)
-	if got := sheds.Load(); got != shedK {
-		t.Errorf("shedder answered %d calls with 503, want exactly %d", got, shedK)
+	shed := shedUnits.Load()
+	if got := calls.Load(); got <= shedK {
+		t.Fatalf("shedder saw %d execute calls, want more than its %d sheds", got, shedK)
 	}
-	// The wide worker may shed too (a dispatch can land before its
-	// handler released the previous slot), hence at least shedK.
-	if holds := counter(c, cluster.MetricRetryAfterHolds); holds < shedK {
-		t.Errorf("%s = %d, want ≥ %d — sheds without applied holds", cluster.MetricRetryAfterHolds, holds, shedK)
+	if got := counter(c, cluster.MetricUnitsRedispatched); got != shed {
+		t.Errorf("%s = %d, want exactly the shed dispatches' %d units", cluster.MetricUnitsRedispatched, got, shed)
+	}
+	if got := counter(c, cluster.MetricUnitsDispatched); got != 32+shed {
+		t.Errorf("%s = %d, want 32 + %d", cluster.MetricUnitsDispatched, got, shed)
+	}
+	w := c.Workers()[0] // the shedder registered first
+	if w.Failures != shedK {
+		t.Errorf("shedder failures = %d, want one per shed (%d)", w.Failures, shedK)
+	}
+	if w.UnitsDone == 0 {
+		t.Error("shedder banked nothing after its sheds: it was parked")
 	}
 }
 
@@ -736,7 +868,7 @@ func TestCoordinatorJournalResume(t *testing.T) {
 			h.ServeHTTP(rw, r)
 		})
 	}
-	_, wts := startWorker(t, cluster.WorkerConfig{}, slow)
+	_, wts := startWorker(t, cluster.WorkerConfig{MaxInflight: 2}, slow)
 
 	// Life 1: journalled coordinator, crash after some units banked.
 	store1, err := storage.OpenFileLog(path)
@@ -744,10 +876,7 @@ func TestCoordinatorJournalResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	jl1 := serve.NewJournal(store1, 2)
-	c1 := cluster.NewWithServer(cluster.Config{
-		HedgeAfter: -1, Logf: t.Logf,
-		MaxInflightPerWorker: 2,
-	}, serve.Config{Journal: jl1})
+	c1 := cluster.NewWithServer(cluster.Config{HedgeAfter: -1, Logf: t.Logf}, serve.Config{Journal: jl1})
 	ts1 := httptest.NewServer(c1.Handler())
 	if err := cluster.Register(context.Background(), nil, ts1.URL, wts.URL); err != nil {
 		t.Fatal(err)
@@ -839,6 +968,10 @@ func TestCoordinatorCancelRunningJob(t *testing.T) {
 	jl := serve.NewJournal(mem, 1)
 	c, ts := startCoordinatorWith(t, cluster.Config{HedgeAfter: -1, MaxInflightPerWorker: 2},
 		serve.Config{Journal: jl}, wts.URL)
+	// The coordinator's cap only ever lowers the worker's own bound.
+	if got, want := c.Workers()[0].Slots, min(2, runtime.GOMAXPROCS(0)); got != want {
+		t.Errorf("capped worker slots = %d, want %d", got, want)
+	}
 
 	id := enqueue(t, c, spec)
 	for {
@@ -1080,7 +1213,6 @@ func TestClusterStatuszMatchesMetrics(t *testing.T) {
 		cluster.MetricUnitsRejected:     cs.UnitsRejected,
 		cluster.MetricUnitsRejectedAuth: cs.UnitsRejectedAuth,
 		cluster.MetricUnitsDuplicate:    cs.UnitsDuplicate,
-		cluster.MetricRetryAfterHolds:   cs.RetryAfterHolds,
 		metricCacheHits:                 st.Counters.CacheHits,
 		metricJobsAccepted:              st.Counters.Accepted,
 		metricJobsCompleted:             st.Counters.Completed,

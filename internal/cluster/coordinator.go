@@ -1,5 +1,5 @@
 // The coordinator: worker membership (registration, heartbeats,
-// liveness, acquire/release/hold) and the wiring that mounts the remote
+// liveness, dispatch slots) and the wiring that mounts the remote
 // grid executor (dispatch.go) under a serve.Server, which owns the job
 // table, admission, the journal and the result cache.
 
@@ -44,8 +44,10 @@ type Config struct {
 	// HeartbeatMisses is the consecutive probe failures after which a
 	// worker is marked dead. Default 3.
 	HeartbeatMisses int
-	// MaxInflightPerWorker bounds dispatches outstanding on one worker
-	// (each carries one or more units). Default 4.
+	// MaxInflightPerWorker optionally caps the dispatches outstanding on
+	// one worker (each carries one or more units) below the bound the
+	// worker advertises in its hello. Zero dispatches up to the worker's
+	// own bound.
 	MaxInflightPerWorker int
 	// RetryBase/RetryMax shape the unit re-dispatch backoff (the serve
 	// law: exponential, capped, deterministic jitter). Defaults 50ms/2s.
@@ -83,9 +85,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.HeartbeatMisses <= 0 {
 		cfg.HeartbeatMisses = 3
 	}
-	if cfg.MaxInflightPerWorker <= 0 {
-		cfg.MaxInflightPerWorker = 4
-	}
 	if cfg.RetryBase <= 0 {
 		cfg.RetryBase = 50 * time.Millisecond
 	}
@@ -110,9 +109,9 @@ type workerState struct {
 	live     bool
 	misses   int
 	inflight int
-	// nextEligible is the Retry-After hold: a saturated worker's own
-	// estimate of when it is worth dispatching to it again.
-	nextEligible time.Time
+	// slots bounds inflight: the Slots of the worker's latest hello,
+	// capped by MaxInflightPerWorker.
+	slots int
 
 	unitsDone, failures int64
 }
@@ -122,6 +121,7 @@ type WorkerView struct {
 	ID        string `json:"id"`
 	Addr      string `json:"addr"`
 	Live      bool   `json:"live"`
+	Slots     int    `json:"slots"`
 	Inflight  int    `json:"inflight"`
 	UnitsDone int64  `json:"units_done"`
 	Failures  int64  `json:"failures"`
@@ -214,7 +214,7 @@ func (c *Coordinator) Workers() []WorkerView {
 	out := make([]WorkerView, 0, len(c.workers))
 	for _, w := range c.workers {
 		out = append(out, WorkerView{
-			ID: w.id, Addr: w.addr, Live: w.live,
+			ID: w.id, Addr: w.addr, Live: w.live, Slots: w.slots,
 			Inflight: w.inflight, UnitsDone: w.unitsDone, Failures: w.failures,
 		})
 	}
@@ -224,33 +224,37 @@ func (c *Coordinator) Workers() []WorkerView {
 
 // WorkersLive counts workers currently considered alive.
 func (c *Coordinator) WorkersLive() int {
+	n, _ := c.live()
+	return n
+}
+
+// live counts the live workers and the dispatch slots they offer.
+func (c *Coordinator) live() (workers, slots int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := 0
 	for _, w := range c.workers {
 		if w.live {
-			n++
+			workers++
+			slots += w.slots
 		}
 	}
-	return n
+	return workers, slots
 }
 
 // --- Worker pool ---
 
 // acquireWorker reserves one inflight slot on the best eligible worker:
-// alive, below its inflight bound, past any Retry-After hold, and not
-// the excluded address (hedges must land on a different worker). Least
-// inflight wins, then fewest recorded failures — so a worker that keeps
-// returning fast-but-invalid payloads cannot monopolise re-dispatches
-// of the unit it keeps corrupting — and id breaks the final tie for
-// determinism.
+// alive, below its slots, and not the excluded address (hedges must
+// land on a different worker). Least inflight wins, then fewest
+// recorded failures — so a worker that keeps returning fast-but-invalid
+// payloads cannot monopolise re-dispatches of the unit it keeps
+// corrupting — and id breaks the final tie for determinism.
 func (c *Coordinator) acquireWorker(exclude string) *workerState {
-	now := time.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var best *workerState
 	for _, w := range c.workers {
-		if !w.live || w.addr == exclude || w.inflight >= c.cfg.MaxInflightPerWorker || now.Before(w.nextEligible) {
+		if !w.live || w.addr == exclude || w.inflight >= w.slots {
 			continue
 		}
 		if best == nil || w.inflight < best.inflight ||
@@ -281,18 +285,6 @@ func (c *Coordinator) releaseWorker(w *workerState, n int, ok bool) {
 	}
 }
 
-// holdWorker applies a worker's Retry-After hint: it told us when it is
-// worth coming back, so its next-eligible time moves out instead of the
-// failure being treated as a transient burst.
-func (c *Coordinator) holdWorker(w *workerState, d time.Duration) {
-	until := time.Now().Add(d)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if until.After(w.nextEligible) {
-		w.nextEligible = until
-	}
-}
-
 // --- Heartbeats ---
 
 func (c *Coordinator) heartbeatLoop() {
@@ -310,8 +302,9 @@ func (c *Coordinator) heartbeatLoop() {
 }
 
 // beat probes every registered worker once, in parallel, and applies
-// the results: a success resets the miss count (resurrecting a dead
-// worker), a failure past the miss budget marks it dead.
+// the results: a success refreshes the worker's slots and resets its
+// miss count (resurrecting a dead worker), a failure past the miss
+// budget marks it dead.
 func (c *Coordinator) beat() {
 	c.mu.Lock()
 	targets := make([]*workerState, 0, len(c.workers))
@@ -322,25 +315,26 @@ func (c *Coordinator) beat() {
 	if len(targets) == 0 {
 		return
 	}
-	oks := make([]bool, len(targets))
+	slots := make([]int, len(targets))
 	var wg sync.WaitGroup
 	wg.Add(len(targets))
 	for i, w := range targets {
 		go func(i int, addr string) {
 			defer wg.Done()
-			oks[i] = c.probe(addr)
+			slots[i] = c.probe(addr)
 		}(i, w.addr)
 	}
 	wg.Wait()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for i, w := range targets {
-		if oks[i] {
+		if slots[i] > 0 {
 			if !w.live {
 				c.logf("cluster: worker %s (%s) is back", w.id, w.addr)
 			}
 			w.live = true
 			w.misses = 0
+			w.slots = slots[i]
 			continue
 		}
 		w.misses++
@@ -353,32 +347,40 @@ func (c *Coordinator) beat() {
 	}
 }
 
-// probe performs one health check, verifying the hello's proto and
-// version: a worker that restarted into a different build is as good as
-// dead to this coordinator.
-func (c *Coordinator) probe(addr string) bool {
+// probe performs one health check and returns the worker's dispatch
+// slots: its hello's Slots, capped by MaxInflightPerWorker. A result
+// below one is a failed probe — no answer, no slots, or a hello from
+// another protocol or build (a worker that restarted into a different
+// build is as good as dead to this coordinator).
+func (c *Coordinator) probe(addr string) int {
 	ctx, cancel := context.WithTimeout(c.baseCtx, c.cfg.HeartbeatInterval)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, addr+"/cluster/v1/healthz", nil)
 	if err != nil {
-		return false
+		return 0
 	}
 	resp, err := c.client.Do(req)
 	if err != nil {
-		return false
+		return 0
 	}
 	defer func() {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}()
 	if resp.StatusCode != http.StatusOK {
-		return false
+		return 0
 	}
 	var hello Hello
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&hello); err != nil {
-		return false
+		return 0
 	}
-	return hello.Proto == ProtocolVersion && hello.Version == c.cfg.Version
+	if hello.Proto != ProtocolVersion || hello.Version != c.cfg.Version {
+		return 0
+	}
+	if m := c.cfg.MaxInflightPerWorker; m > 0 {
+		return min(hello.Slots, m)
+	}
+	return hello.Slots
 }
 
 // --- HTTP surface ---
@@ -398,7 +400,11 @@ func (c *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {
 // version skew is rejected with 400 and logged: a worker running
 // different simulation code could return payloads that merge cleanly
 // yet differ in bits, which is the one corruption the structural
-// validators cannot catch — so it is refused at the door.
+// validators cannot catch — so it is refused at the door. The
+// advertised address is then probed once: unless it answers a matching
+// hello with at least one slot it is refused too, uncounted, since an
+// address that is not listening yet is a transient that RegisterLoop
+// retries, not skew.
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil {
@@ -419,6 +425,12 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	addr := normalizeAddr(req.Addr)
+	slots := c.probe(addr)
+	if slots < 1 {
+		c.logf("cluster: rejected worker %s: no matching hello with slots", addr)
+		serve.WriteJSON(w, http.StatusBadRequest, errorBody{Error: "register: " + addr + " answered no matching hello with slots"})
+		return
+	}
 	c.mu.Lock()
 	w0, ok := c.workers[addr]
 	if !ok {
@@ -430,6 +442,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	w0.live = true
 	w0.misses = 0
+	w0.slots = slots
 	c.mu.Unlock()
 	serve.WriteJSON(w, http.StatusOK, RegisterResponse{ID: w0.id, Proto: ProtocolVersion, Version: c.cfg.Version})
 }

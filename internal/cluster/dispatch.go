@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"time"
 
 	"repro/internal/experiment"
@@ -87,12 +86,11 @@ type lease struct {
 // dispatchOutcome is one dispatch's report back to the attempt
 // goroutine: res[k], when present, answers unit idxs[k].
 type dispatchOutcome struct {
-	idxs       []int
-	worker     *workerState
-	hedge      bool
-	res        []UnitResult
-	retryAfter time.Duration
-	err        error
+	idxs   []int
+	worker *workerState
+	hedge  bool
+	res    []UnitResult
+	err    error
 }
 
 // attempt is one grid attempt's dispatch state. Only the goroutine
@@ -210,7 +208,7 @@ loop:
 }
 
 // groupSize is how many units a primary dispatch carries this pass:
-// ⌈idle / (2·slots)⌉ over the idle units and the live workers' inflight
+// ⌈idle / (2·slots)⌉ over the idle units and the live workers' summed
 // slots. A fresh job therefore gives every slot at least two
 // dispatches, so a slow worker can still be rebalanced, and the size
 // falls to one as the job drains.
@@ -221,11 +219,11 @@ func (a *attempt) groupSize(now time.Time) int {
 			idle++
 		}
 	}
-	slots := 2 * a.c.WorkersLive() * a.c.cfg.MaxInflightPerWorker
+	_, slots := a.c.live()
 	if slots == 0 {
 		return 1
 	}
-	return max(1, (idle+slots-1)/slots)
+	return max(1, (idle+2*slots-1)/(2*slots))
 }
 
 // assign scans the unit table once and dispatches everything eligible:
@@ -297,52 +295,45 @@ func (a *attempt) launch(idxs []int, w *workerState, hedge bool) {
 	c.met.unitsDispatched.Add(int64(len(idxs)))
 	t0 := time.Now()
 	go func() {
-		res, retryAfter, err := c.callExecute(a.ctx, w.addr, req, len(idxs))
+		res, err := c.callExecute(a.ctx, w.addr, req, len(idxs))
 		c.met.unitSeconds.Observe(time.Since(t0).Seconds())
 		c.releaseWorker(w, len(idxs), err == nil)
-		a.results <- dispatchOutcome{idxs: idxs, worker: w, hedge: hedge, res: res, retryAfter: retryAfter, err: err}
+		a.results <- dispatchOutcome{idxs: idxs, worker: w, hedge: hedge, res: res, err: err}
 	}()
 }
 
 // callExecute performs one dispatch of n units under their lease
-// deadline, n × LeaseTimeout.
-func (c *Coordinator) callExecute(ctx context.Context, addr string, ureq UnitRequest, n int) ([]UnitResult, time.Duration, error) {
+// deadline, n × LeaseTimeout. Any status but 200 fails the dispatch,
+// including a worker's 503 past its inflight bound.
+func (c *Coordinator) callExecute(ctx context.Context, addr string, ureq UnitRequest, n int) ([]UnitResult, error) {
 	body, err := json.Marshal(ureq)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	cctx, cancel := context.WithTimeout(ctx, time.Duration(n)*c.cfg.LeaseTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(cctx, http.MethodPost, addr+"/cluster/v1/execute", bytes.NewReader(body))
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := c.client.Do(req)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	defer func() {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}()
-	switch resp.StatusCode {
-	case http.StatusOK:
-		res, derr := decodeUnitResults(resp.Body, int64(n)*maxUnitReply)
-		if derr != nil {
-			return nil, 0, fmt.Errorf("cluster: worker %s: bad unit response: %w", addr, derr)
-		}
-		return res, 0, nil
-	case http.StatusServiceUnavailable:
-		var hold time.Duration
-		if s, aerr := strconv.Atoi(resp.Header.Get("Retry-After")); aerr == nil && s > 0 {
-			hold = time.Duration(s) * time.Second
-		}
-		return nil, hold, fmt.Errorf("cluster: worker %s at capacity", addr)
-	default:
+	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, 0, fmt.Errorf("cluster: worker %s: %s: %s", addr, resp.Status, bytes.TrimSpace(msg))
+		return nil, fmt.Errorf("cluster: worker %s: %s: %s", addr, resp.Status, bytes.TrimSpace(msg))
 	}
+	res, err := decodeUnitResults(resp.Body, int64(n)*maxUnitReply)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: worker %s: bad unit response: %w", addr, err)
+	}
+	return res, nil
 }
 
 // maxUnitReply bounds a worker's reply body per unit the dispatch
@@ -375,10 +366,6 @@ func decodeUnitResults(r io.Reader, limit int64) ([]UnitResult, error) {
 // a missing, forged or invalid one re-dispatches that unit alone.
 func (a *attempt) handleOutcome(out dispatchOutcome) int {
 	a.outstanding--
-	if out.err != nil && out.retryAfter > 0 {
-		a.c.holdWorker(out.worker, out.retryAfter)
-		a.c.met.retryAfterHolds.Inc()
-	}
 	banked := 0
 	for k, idx := range out.idxs {
 		u := a.units[idx]

@@ -34,7 +34,6 @@ const (
 	MetricUnitsRejected     = "cluster_units_rejected_total"
 	MetricUnitsRejectedAuth = "cluster_units_rejected_auth_total"
 	MetricUnitsDuplicate    = "cluster_units_duplicate_total"
-	MetricRetryAfterHolds   = "cluster_retry_after_holds_total"
 	MetricUnitSeconds       = "cluster_unit_seconds"
 )
 
@@ -52,7 +51,6 @@ type clusterMetrics struct {
 	unitsRejected     *telemetry.Counter
 	unitsRejectedAuth *telemetry.Counter
 	unitsDuplicate    *telemetry.Counter
-	retryAfterHolds   *telemetry.Counter
 	repsMerged        *telemetry.Counter
 	repsRecovered     *telemetry.Counter
 	unitSeconds       *telemetry.Histogram
@@ -61,7 +59,7 @@ type clusterMetrics struct {
 func (c *Coordinator) initTelemetry(reg *telemetry.Registry) {
 	c.met = &clusterMetrics{
 		workersRegistered: reg.Counter(MetricWorkersRegistered, "workers accepted through the registration handshake"),
-		registerRejected:  reg.Counter(MetricRegisterRejected, "registrations rejected for protocol or build-version skew"),
+		registerRejected:  reg.Counter(MetricRegisterRejected, "registrations rejected for declared protocol or build-version skew"),
 		workerDeaths:      reg.Counter(MetricWorkerDeaths, "workers marked dead after missed heartbeats"),
 		heartbeatMisses:   reg.Counter(MetricHeartbeatMisses, "individual heartbeat probe failures"),
 		dispatches:        reg.Counter(MetricDispatches, "requests sent to workers, each carrying a run of work units (re-dispatches and hedges included)"),
@@ -73,7 +71,6 @@ func (c *Coordinator) initTelemetry(reg *telemetry.Registry) {
 		unitsRejected:     reg.Counter(MetricUnitsRejected, "unit responses rejected by structural validation (byzantine or corrupt)"),
 		unitsRejectedAuth: reg.Counter(MetricUnitsRejectedAuth, "unit responses rejected for a missing or invalid HMAC tag"),
 		unitsDuplicate:    reg.Counter(MetricUnitsDuplicate, "valid unit responses dropped because the unit was already banked"),
-		retryAfterHolds:   reg.Counter(MetricRetryAfterHolds, "worker Retry-After hints applied to dispatch eligibility"),
 		repsMerged:        reg.Counter(experiment.MetricReps, "repetitions merged from banked work units"),
 		repsRecovered:     reg.Counter(experiment.MetricRepsRecovered, "repetitions restored from journaled checkpoints instead of re-executed"),
 		unitSeconds:       reg.Histogram(MetricUnitSeconds, "per-dispatch round-trip wall time; a dispatch carries one or more units", nil),
@@ -98,7 +95,6 @@ type StatusCounters struct {
 	UnitsRejected     int64 `json:"units_rejected"`
 	UnitsRejectedAuth int64 `json:"units_rejected_auth"`
 	UnitsDuplicate    int64 `json:"units_duplicate"`
-	RetryAfterHolds   int64 `json:"retry_after_holds"`
 	RepsMerged        int64 `json:"reps_merged"`
 	RepsRecovered     int64 `json:"reps_recovered"`
 }
@@ -115,14 +111,9 @@ type Status struct {
 // Status snapshots the membership and dispatch state.
 func (c *Coordinator) Status() Status {
 	m := c.met
+	live, _ := c.live()
 	c.mu.Lock()
 	total := len(c.workers)
-	live := 0
-	for _, w := range c.workers {
-		if w.live {
-			live++
-		}
-	}
 	c.mu.Unlock()
 	return Status{
 		Proto:        ProtocolVersion,
@@ -143,7 +134,6 @@ func (c *Coordinator) Status() Status {
 			UnitsRejected:     m.unitsRejected.Value(),
 			UnitsRejectedAuth: m.unitsRejectedAuth.Value(),
 			UnitsDuplicate:    m.unitsDuplicate.Value(),
-			RetryAfterHolds:   m.retryAfterHolds.Value(),
 			RepsMerged:        m.repsMerged.Value(),
 			RepsRecovered:     m.repsRecovered.Value(),
 		},

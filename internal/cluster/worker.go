@@ -19,7 +19,6 @@ import (
 	"net/http"
 	"runtime"
 	"slices"
-	"strconv"
 	"time"
 
 	"repro/internal/cli"
@@ -39,12 +38,11 @@ const (
 // WorkerConfig configures a cluster worker.
 type WorkerConfig struct {
 	// MaxInflight bounds concurrently executing dispatches (each a run
-	// of units); at saturation the worker sheds with 503 + Retry-After
-	// instead of queueing (the same bounded-admission posture as the
-	// single-process service). Zero means GOMAXPROCS.
+	// of units). The worker advertises it as its hello's Slots and the
+	// coordinator dispatches within it; a request past it anyway (a
+	// second coordinator, a re-dispatch racing a lease expiry) is shed
+	// with 503 instead of queued. Zero means GOMAXPROCS.
 	MaxInflight int
-	// RetryAfter is the hint returned on saturation. Zero means 1s.
-	RetryAfter time.Duration
 	// Version overrides the build version used in handshakes (tests
 	// only). Zero means cli.Version().
 	Version string
@@ -72,9 +70,6 @@ type Worker struct {
 func NewWorker(cfg WorkerConfig) *Worker {
 	if cfg.MaxInflight <= 0 {
 		cfg.MaxInflight = runtime.GOMAXPROCS(0)
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
 	}
 	version := cfg.Version
 	if version == "" {
@@ -115,7 +110,7 @@ func (w *Worker) logf(format string, args ...any) {
 }
 
 func (w *Worker) handleHealthz(rw http.ResponseWriter, r *http.Request) {
-	serve.WriteJSON(rw, http.StatusOK, Hello{Proto: ProtocolVersion, Version: w.version})
+	serve.WriteJSON(rw, http.StatusOK, Hello{Proto: ProtocolVersion, Version: w.version, Slots: w.cfg.MaxInflight})
 }
 
 // maxUnitEnd caps a unit's rep range at the job spec's repetition cap.
@@ -180,7 +175,6 @@ func (w *Worker) handleExecute(rw http.ResponseWriter, r *http.Request) {
 		defer func() { <-w.sem }()
 	default:
 		w.busy.Inc()
-		rw.Header().Set("Retry-After", strconv.Itoa(serve.RetryAfterSeconds(w.cfg.RetryAfter)))
 		serve.WriteJSON(rw, http.StatusServiceUnavailable, errorBody{Error: "worker at inflight bound"})
 		return
 	}

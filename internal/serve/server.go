@@ -898,16 +898,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusAccepted, v)
 }
 
-// RetryAfterSeconds renders a retry hint as a Retry-After header value:
-// whole seconds, rounded up, at least 1.
-func RetryAfterSeconds(d time.Duration) int {
-	sec := int((d + time.Second - 1) / time.Second)
-	if sec < 1 {
-		sec = 1
-	}
-	return sec
-}
-
 // retryAfterHint estimates how many seconds a shed client should wait
 // before retrying, from live state rather than a constant: the observed
 // mean job duration (the latency histogram) times the queue occupancy
@@ -916,7 +906,7 @@ func RetryAfterSeconds(d time.Duration) int {
 // 60s is the ceiling so a burst of slow jobs cannot push clients away
 // for minutes.
 func (s *Server) retryAfterHint() int {
-	floor := RetryAfterSeconds(s.cfg.RetryAfter)
+	floor := max(1, int((s.cfg.RetryAfter+time.Second-1)/time.Second)) // whole seconds, rounded up
 	snap := s.met.latency.Snapshot()
 	if snap.Count == 0 {
 		return floor
