@@ -22,7 +22,10 @@
 //   - Heartbeats: the coordinator probes every registered worker; after
 //     HeartbeatMisses consecutive failures the worker is marked dead and
 //     stops receiving units (it resurrects on the next successful probe
-//     or registration — re-registration is idempotent).
+//     or registration — re-registration is idempotent). A dispatch that
+//     cannot connect takes the worker out of dispatch until its next
+//     successful probe, so a worker that died between heartbeats does
+//     not keep attracting fresh units before it is marked dead.
 //   - Hedged dispatch: a dispatch outstanding on exactly one worker for
 //     more than HedgeAfter per unit it carries is duplicated to a
 //     different worker. Responses

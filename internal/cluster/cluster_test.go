@@ -570,11 +570,52 @@ func TestClusterRedispatchOnWorkerDeath(t *testing.T) {
 	if got := counter(c, cluster.MetricUnitsRedispatched); got == 0 {
 		t.Error("no unit was re-dispatched — the dead worker lost nothing?")
 	}
+	// The first refused dispatch takes the closed worker out of
+	// dispatch, so the job can finish before HeartbeatMisses probes
+	// have failed: wait for the heartbeats' verdict, which must come.
+	deadline := time.Now().Add(5 * time.Second)
+	for counter(c, cluster.MetricWorkerDeaths) == 0 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
 	if got := counter(c, cluster.MetricWorkerDeaths); got == 0 {
 		t.Error("heartbeats never declared the closed worker dead")
 	}
 	if got := c.WorkersLive(); got != 1 {
 		t.Errorf("WorkersLive = %d, want 1", got)
+	}
+}
+
+// TestClusterDeadWorkerOutOfDispatch pins the dial-failure suspension:
+// a worker that dies after registration, with heartbeats too slow to
+// mark it dead during the job, takes at most one failed dispatch per
+// slot — the first refused connection takes it out of dispatch — and
+// the surviving worker finishes a byte-identical table with an exact
+// ledger.
+func TestClusterDeadWorkerOutOfDispatch(t *testing.T) {
+	spec := testSpec()
+	want := localGridJSON(t, spec)
+	const slots = 2
+	_, live := startWorker(t, cluster.WorkerConfig{MaxInflight: slots}, nil)
+	_, dead := startWorker(t, cluster.WorkerConfig{MaxInflight: slots}, nil)
+	c, _ := startCoordinator(t, cluster.Config{
+		HedgeAfter:        -1,
+		HeartbeatInterval: time.Hour,
+		RetryBase:         time.Millisecond,
+	}, live.URL, dead.URL)
+	dead.Close() // connection refused from here on
+
+	v := waitDone(t, c, enqueue(t, c, spec), 30*time.Second)
+	if !bytes.Equal(resultJSON(t, v), want) {
+		t.Error("result differs from the local engine")
+	}
+	assertLedgerExact(t, c, spec)
+	for _, w := range c.Workers() {
+		if w.Addr == dead.URL && w.Failures > slots {
+			t.Errorf("dead worker took %d failed dispatches, want at most its %d slots", w.Failures, slots)
+		}
+	}
+	if got := counter(c, cluster.MetricWorkerDeaths); got != 0 {
+		t.Errorf("a dial failure counted %d worker deaths; deaths are the heartbeats' verdict", got)
 	}
 }
 

@@ -8,8 +8,10 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"sort"
 	"strings"
@@ -106,9 +108,15 @@ type workerState struct {
 	id   string
 	addr string
 
-	live     bool
-	misses   int
-	inflight int
+	live bool
+	// suspended takes a live worker out of dispatch after a dispatch to
+	// it could not connect (no HTTP response): until its next successful
+	// heartbeat or round trip, a worker that is already gone but not yet
+	// marked dead attracts no fresh runs. It is not a death — liveness
+	// and cluster_worker_deaths_total stay the heartbeats' verdict.
+	suspended bool
+	misses    int
+	inflight  int
 	// slots bounds inflight: the Slots of the worker's latest hello,
 	// capped by MaxInflightPerWorker.
 	slots int
@@ -228,14 +236,17 @@ func (c *Coordinator) WorkersLive() int {
 	return n
 }
 
-// live counts the live workers and the dispatch slots they offer.
+// live counts the live workers and the dispatch slots the unsuspended
+// ones offer.
 func (c *Coordinator) live() (workers, slots int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, w := range c.workers {
 		if w.live {
 			workers++
-			slots += w.slots
+			if !w.suspended {
+				slots += w.slots
+			}
 		}
 	}
 	return workers, slots
@@ -244,8 +255,8 @@ func (c *Coordinator) live() (workers, slots int) {
 // --- Worker pool ---
 
 // acquireWorker reserves one inflight slot on the best eligible worker:
-// alive, below its slots, and not the excluded address (hedges must
-// land on a different worker). Least inflight wins, then fewest
+// alive, not suspended, below its slots, and not the excluded address
+// (hedges must land on a different worker). Least inflight wins, then fewest
 // recorded failures — so a worker that keeps returning fast-but-invalid
 // payloads cannot monopolise re-dispatches of the unit it keeps
 // corrupting — and id breaks the final tie for determinism.
@@ -254,7 +265,7 @@ func (c *Coordinator) acquireWorker(exclude string) *workerState {
 	defer c.mu.Unlock()
 	var best *workerState
 	for _, w := range c.workers {
-		if !w.live || w.addr == exclude || w.inflight >= w.slots {
+		if !w.live || w.suspended || w.addr == exclude || w.inflight >= w.slots {
 			continue
 		}
 		if best == nil || w.inflight < best.inflight ||
@@ -269,20 +280,35 @@ func (c *Coordinator) acquireWorker(exclude string) *workerState {
 	return best
 }
 
-// releaseWorker returns the inflight slot of a dispatch of n units; a
-// successful round-trip is also liveness evidence (faster than waiting
-// for the next heartbeat).
-func (c *Coordinator) releaseWorker(w *workerState, n int, ok bool) {
+// releaseWorker returns the inflight slot of a dispatch of n units that
+// ended with err. A successful round trip is also liveness evidence
+// (faster than waiting for the next heartbeat); a dispatch that could
+// not connect suspends the worker.
+func (c *Coordinator) releaseWorker(w *workerState, n int, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	w.inflight--
-	if ok {
+	if err == nil {
 		w.misses = 0
 		w.live = true
+		w.suspended = false
 		w.unitsDone += int64(n)
-	} else {
-		w.failures++
+		return
 	}
+	w.failures++
+	if dialFailed(err) && !w.suspended {
+		w.suspended = true
+		c.logf("cluster: worker %s (%s) out of dispatch until its next heartbeat: %v", w.id, w.addr, err)
+	}
+}
+
+// dialFailed reports whether a dispatch failed to connect at all, as
+// opposed to an answered failure (a 503, a bad reply) or the
+// dispatch's own deadline or cancellation.
+func dialFailed(err error) bool {
+	var op *net.OpError
+	return errors.As(err, &op) && op.Op == "dial" &&
+		!errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
 }
 
 // --- Heartbeats ---
@@ -333,6 +359,7 @@ func (c *Coordinator) beat() {
 				c.logf("cluster: worker %s (%s) is back", w.id, w.addr)
 			}
 			w.live = true
+			w.suspended = false
 			w.misses = 0
 			w.slots = slots[i]
 			continue

@@ -297,7 +297,7 @@ func (a *attempt) launch(idxs []int, w *workerState, hedge bool) {
 	go func() {
 		res, err := c.callExecute(a.ctx, w.addr, req, len(idxs))
 		c.met.unitSeconds.Observe(time.Since(t0).Seconds())
-		c.releaseWorker(w, len(idxs), err == nil)
+		c.releaseWorker(w, len(idxs), err)
 		a.results <- dispatchOutcome{idxs: idxs, worker: w, hedge: hedge, res: res, err: err}
 	}()
 }

@@ -54,6 +54,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/cpu"
 	"repro/internal/sim"
+	"repro/internal/store"
 )
 
 // batchState is the per-BatchContext scratch of the kernels: the
@@ -66,6 +67,92 @@ type batchState struct {
 	// of (t, energy, rc, x) at the top of each interval of the shared
 	// no-fault trajectory, reused across batches.
 	pxT, pxE, pxRC, pxX []float64
+
+	store kernelStore
+}
+
+// kernelStore is the kernels' tiered-store path: the ledger the scalar
+// engine keeps (sim.StoreLedger) plus the tier charges at the current
+// speed. The kernels take the store decision once per batch — a nil
+// *kernelStore is a store-free batch — and the methods take and return
+// a repetition's (energy, t) by value, so the kernels keep them in
+// registers and charge in the engine's order: the pushed image's tier
+// writes, then on a fault the restore attempts' reads and the rollback.
+type kernelStore struct {
+	led   sim.StoreLedger
+	cfg   *store.Config
+	stats *store.Stats
+	// Per-tier write and read charges at the current operating point,
+	// as wall time and energy: the engine's Spend(cycles/f), computed
+	// once per speed with the same float expression.
+	wWall, wE, rWall, rE [store.MaxTiers]float64
+}
+
+// storeFor returns the batch's store path, or nil for a store-free
+// batch.
+func (st *batchState) storeFor(p sim.Params) *kernelStore {
+	if p.Store == nil {
+		return nil
+	}
+	ks := &st.store
+	ks.cfg, ks.stats = p.Store, p.StoreStats
+	return ks
+}
+
+// begin empties the ledger for a fresh repetition.
+func (ks *kernelStore) begin() { ks.led.Reset(ks.cfg, ks.stats) }
+
+// atSpeed refreshes the tier charges for operating frequency f. A
+// zero-cost tier charges +0, which leaves energy and time bit for bit
+// where the engine, skipping the Spend, leaves them.
+func (ks *kernelStore) atSpeed(f, epc, repl float64) {
+	for i := range ks.cfg.Tiers {
+		tier := &ks.cfg.Tiers[i]
+		d := tier.WriteCycles / f
+		ks.wWall[i], ks.wE[i] = d, (f*d*repl)*epc
+		d = tier.ReadCycles / f
+		ks.rWall[i], ks.rE[i] = d, (f*d*repl)*epc
+	}
+}
+
+// push stores an image at absolute work and charges its writes in
+// order — the engine's pushImage over invulnerable tiers.
+func (ks *kernelStore) push(energy, t, work float64, diverged bool) (float64, float64) {
+	for _, w := range ks.led.Push(work, diverged) {
+		energy += ks.wE[w.Tier]
+		t += ks.wWall[w.Tier]
+	}
+	return energy, t
+}
+
+// recover is the engine's recoverStoreIdeal: the restore walk, the
+// restored image's tier read, the ledger's case choice, then the
+// rollback charge (eRB, wRB). Inside the envelope no image is ever
+// corrupted, so the walk's only attempt is the image it restores. It
+// returns the kept work relative to doneWork.
+func (ks *kernelStore) recover(energy, t, doneWork, idealKept, eRB, wRB float64) (float64, float64, float64) {
+	_, chosen := ks.led.Walk(math.MaxInt)
+	if chosen >= 0 {
+		ti := ks.led.Images()[chosen].Tier
+		energy += ks.rE[ti]
+		t += ks.rWall[ti]
+	}
+	kept, _, _ := ks.led.SettleIdeal(chosen, doneWork, idealKept)
+	energy += eRB
+	t += wRB
+	return energy, t, kept
+}
+
+// closeM1 is the store bookkeeping of a single-span interval of wall
+// length cur once its closing CSCP is charged: the push, and on a
+// fault (hit) the recovery. It returns the kept work, the engine's
+// runIntervalStore at m = 1.
+func (ks *kernelStore) closeM1(energy, t, doneWork, cur, f float64, hit bool, eRB, wRB float64) (float64, float64, float64) {
+	energy, t = ks.push(energy, t, doneWork+cur*f, hit)
+	if !hit {
+		return energy, t, cur * f
+	}
+	return ks.recover(energy, t, doneWork, 0, eRB, wRB)
 }
 
 // speedCosts caches the wall-clock overhead durations and energy per
@@ -129,13 +216,15 @@ func buildSpeedCosts(dst []speedCosts, model *cpu.Model, costs checkpoint.Costs)
 
 // batchable reports whether the parameters are inside the kernel
 // envelope: the ideal-model warm path, where the only randomness a
-// repetition consumes is its Poisson fault arrivals. Tracing wants
+// repetition consumes is its Poisson fault arrivals. A tiered store is
+// inside when every tier is invulnerable (Corruption == 0): its
+// bookkeeping is deterministic and draws nothing, so the kernels run
+// it through the engine's own ledger (kernelStore). Tracing wants
 // per-event timelines, custom fault processes draw through their own
-// code paths, and imperfect fault tolerance consumes extra randomness
-// and store state — all of those take the scalar reference path, as do
-// tiered-store runs (bounded retention changes rollback targets).
+// code paths, and imperfect fault tolerance and fallible tiers consume
+// extra randomness — all of those take the scalar reference path.
 func batchable(p sim.Params) bool {
-	return p.Trace == nil && p.FaultProcess == nil && p.Store == nil &&
+	return p.Trace == nil && p.FaultProcess == nil && p.Store.Invulnerable() &&
 		(p.Imperfect == nil || p.Imperfect.IsIdeal())
 }
 
@@ -203,6 +292,10 @@ func (s *FixedCSCP) RunBatch(rctx *sim.RunContext, b *sim.BatchContext, p sim.Pa
 	hint := arrivalHint(lam, N, f)
 	src, arr := b.Source(), b.Arrivals()
 	st := batchScratch(b)
+	ks := st.storeFor(p)
+	if ks != nil {
+		ks.atSpeed(f, epc, repl)
+	}
 	b.States.Reseed(seeds)
 
 	// Shared fault-free prefix (see the adaptive kernel for the full
@@ -213,10 +306,12 @@ func (s *FixedCSCP) RunBatch(rctx *sim.RunContext, b *sim.BatchContext, p sim.Pa
 	// interval top; a repetition jumps to the interval its first
 	// arrival lands in, and a repetition whose first arrival falls
 	// after the end of execution is the shared trajectory verbatim.
+	// A store cell runs every repetition live: the snapshots do not
+	// capture the checkpoint set.
 	pxT, pxE, pxRC, pxX := st.pxT[:0], st.pxE[:0], st.pxRC[:0], st.pxX[:0]
 	termValid, termCompleted := false, false
 	var termT, termE, xTotal float64
-	{
+	if ks == nil {
 		var t, x, energy float64
 		rc := N
 		broke := false
@@ -275,29 +370,36 @@ func (s *FixedCSCP) RunBatch(rctx *sim.RunContext, b *sim.BatchContext, p sim.Pa
 		}
 		pos := 0
 		next := times[0]
-		if termValid && next >= xTotal {
-			b.Completed[i] = termCompleted
-			b.Energy[i] = termE
-			b.Time[i] = termT
-			b.Faults[i], b.Switches[i] = 0, 0
-			continue
-		}
-		// Largest snapshot index with x[j] <= next — the interval the
-		// first arrival lands in (span consumption is strict next < end).
+		var t, energy, x float64
+		rc := N
 		it0 := 0
-		if last > 0 {
-			lo, hi := 0, last
-			for lo < hi {
-				mid := int(uint(lo+hi+1) >> 1)
-				if pxX[mid] <= next {
-					lo = mid
-				} else {
-					hi = mid - 1
-				}
+		if ks != nil {
+			ks.begin()
+		} else {
+			if termValid && next >= xTotal {
+				b.Completed[i] = termCompleted
+				b.Energy[i] = termE
+				b.Time[i] = termT
+				b.Faults[i], b.Switches[i] = 0, 0
+				continue
 			}
-			it0 = lo
+			// Largest snapshot index with x[j] <= next — the interval
+			// the first arrival lands in (span consumption is strict
+			// next < end).
+			if last > 0 {
+				lo, hi := 0, last
+				for lo < hi {
+					mid := int(uint(lo+hi+1) >> 1)
+					if pxX[mid] <= next {
+						lo = mid
+					} else {
+						hi = mid - 1
+					}
+				}
+				it0 = lo
+			}
+			t, energy, rc, x = pxT[it0], pxE[it0], pxRC[it0], pxX[it0]
 		}
-		t, energy, rc, x := pxT[it0], pxE[it0], pxRC[it0], pxX[it0]
 		faults := 0
 		completed := false
 		for k := it0; k < budget; k++ {
@@ -338,7 +440,11 @@ func (s *FixedCSCP) RunBatch(rctx *sim.RunContext, b *sim.BatchContext, p sim.Pa
 			// Closing CSCP.
 			energy += eCSCP
 			t += wallCSCP
-			if !hit {
+			if ks != nil {
+				var kept float64
+				energy, t, kept = ks.closeM1(energy, t, N-rc, cur, f, hit, eRB, wallRB)
+				rc -= kept
+			} else if !hit {
 				rc -= cur * f
 			} else {
 				// Detection at the CSCP: rollback, nothing kept.
@@ -385,6 +491,7 @@ func (s *Adaptive) RunBatchArrival(rctx *sim.RunContext, b *sim.BatchContext, p 
 	st := batchScratch(b)
 	model := p.CPUModel()
 	st.costs = buildSpeedCosts(st.costs, model, p.Costs)
+	ks := st.storeFor(p)
 
 	D := p.Task.Deadline
 	N := p.Task.Cycles
@@ -433,8 +540,9 @@ func (s *Adaptive) RunBatchArrival(rctx *sim.RunContext, b *sim.BatchContext, p 
 	// its first arrival lands in. The snapshots come from the same
 	// float operations in the same order, so the jump is bit-exact.
 	// Eager-DVS replans every interval, so its prefix would need the
-	// whole evolving plan state snapshotted — those cells skip the
-	// prefix and run every repetition live.
+	// whole evolving plan state snapshotted, and a store cell's prefix
+	// the checkpoint set — those cells skip the prefix and run every
+	// repetition live.
 	e0pc := sc0.pt.EnergyPerCycle()
 	f0 := sc0.pt.Freq
 	e0SCP := (f0 * sc0.wall[checkpoint.SCP] * repl) * e0pc
@@ -457,7 +565,7 @@ func (s *Adaptive) RunBatchArrival(rctx *sim.RunContext, b *sim.BatchContext, p 
 	eSp0 := (f0 * span0 * repl) * e0pc
 	eItv0 := (f0 * itv0 * repl) * e0pc
 
-	usePrefix := !eager
+	usePrefix := !eager && ks == nil
 	pxT, pxE, pxRC, pxX := st.pxT[:0], st.pxE[:0], st.pxRC[:0], st.pxX[:0]
 	// Terminal state of the never-faulting trajectory. Invalid only when
 	// the walk stops at the live loop's non-positive-interval guard; the
@@ -562,6 +670,9 @@ func (s *Adaptive) RunBatchArrival(rctx *sim.RunContext, b *sim.BatchContext, p 
 		var t, energy, x float64
 		rc := N
 		it0 := 0
+		if ks != nil {
+			ks.begin()
+		}
 		if usePrefix {
 			if termValid && next >= xTotal {
 				// First fault (if any) arrives after execution ends: the
@@ -664,6 +775,9 @@ func (s *Adaptive) RunBatchArrival(rctx *sim.RunContext, b *sim.BatchContext, p 
 				eCCP = (f * sc.wall[checkpoint.CCP] * repl) * epc
 				eCSCP = (f * sc.wall[checkpoint.CSCP] * repl) * epc
 				eRB = (f * sc.rollback * repl) * epc
+				if ks != nil {
+					ks.atSpeed(f, epc, repl)
+				}
 				reconst = true
 			}
 			if reconst {
@@ -698,7 +812,110 @@ func (s *Adaptive) RunBatchArrival(rctx *sim.RunContext, b *sim.BatchContext, p 
 
 			kept := 0.0
 			detected := false
-			if m == 1 {
+			if ks != nil {
+				// Store cell: the engine's runIntervalStore, operation for
+				// operation — the spans and checkpoint charges of the
+				// store-free flavours below, plus a push after every
+				// storing checkpoint and the store-aware recovery.
+				doneWork := N - rc
+				if m == 1 {
+					hit := false
+					end := x + cur
+					if next < end {
+						if times[len(times)-1] < end {
+							times = arr.EnsureBeyond(end)
+						}
+						p0 := pos
+						for times[pos] < end {
+							pos++
+						}
+						faults += pos - p0
+						next = times[pos]
+						hit = true
+					}
+					energy += eItv
+					t += cur
+					x = end
+					energy += eCSCP
+					t += sc.wall[checkpoint.CSCP]
+					energy, t, kept = ks.closeM1(energy, t, doneWork, cur, f, hit, eRB, sc.rollback)
+					detected = hit
+				} else if !subCCP {
+					firstOffset := -1.0
+					for j := 0; j < m; j++ {
+						end := x + span
+						if next < end {
+							if times[len(times)-1] < end {
+								times = arr.EnsureBeyond(end)
+							}
+							if firstOffset < 0 {
+								firstOffset = float64(j)*span + (next - x)
+							}
+							p0 := pos
+							for times[pos] < end {
+								pos++
+							}
+							faults += pos - p0
+							next = times[pos]
+						}
+						energy += eSp
+						t += span
+						x = end
+						if j < m-1 {
+							energy += eSCP
+							t += sc.wall[checkpoint.SCP]
+							energy, t = ks.push(energy, t, doneWork+float64(j+1)*span*f, firstOffset >= 0)
+						}
+					}
+					energy += eCSCP
+					t += sc.wall[checkpoint.CSCP]
+					energy, t = ks.push(energy, t, doneWork+cur*f, firstOffset >= 0)
+					if firstOffset < 0 {
+						kept = cur * f
+					} else {
+						kept = math.Floor(firstOffset/span) * span * f
+						energy, t, kept = ks.recover(energy, t, doneWork, kept, eRB, sc.rollback)
+						detected = true
+					}
+				} else {
+					for j := 0; j < m; j++ {
+						hit := false
+						end := x + span
+						if next < end {
+							if times[len(times)-1] < end {
+								times = arr.EnsureBeyond(end)
+							}
+							p0 := pos
+							for times[pos] < end {
+								pos++
+							}
+							faults += pos - p0
+							next = times[pos]
+							hit = true
+						}
+						energy += eSp
+						t += span
+						x = end
+						if j < m-1 {
+							energy += eCCP
+							t += sc.wall[checkpoint.CCP]
+						} else {
+							// CCPs store nothing; the closing CSCP does.
+							energy += eCSCP
+							t += sc.wall[checkpoint.CSCP]
+							energy, t = ks.push(energy, t, doneWork+cur*f, hit)
+						}
+						if hit {
+							energy, t, kept = ks.recover(energy, t, doneWork, 0, eRB, sc.rollback)
+							detected = true
+							break
+						}
+					}
+					if !detected {
+						kept = cur * f
+					}
+				}
+			} else if m == 1 {
 				// Single-span interval: one execution span, the closing
 				// CSCP, rollback to the interval-leading state on a fault.
 				// The pending arrival stays in a register across spans, so

@@ -7,9 +7,11 @@ import (
 	"testing"
 
 	"repro/internal/checkpoint"
+	"repro/internal/fault"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/store"
 	"repro/internal/task"
 )
 
@@ -93,8 +95,9 @@ func batchSchemes() []sim.Scheme {
 // TestBatchScalarEquivalence pins the tentpole invariant: for every
 // batchable scheme over a grid spanning both cost settings, both fault
 // budgets, λ = 0 and the paper's rates (plus a high-λ stress point that
-// forces dense replanning), the batch kernel and the scalar reference
-// produce byte-identical stats.Shard payloads.
+// forces dense replanning), with no store and under every invulnerable
+// store of storeSelection, the batch kernel and the scalar reference
+// produce byte-identical stats.Shard payloads and identical store.Stats.
 func TestBatchScalarEquivalence(t *testing.T) {
 	const reps = 64
 	grid := []struct {
@@ -113,30 +116,16 @@ func TestBatchScalarEquivalence(t *testing.T) {
 		{0.76, 0.01, 0, checkpoint.CCPSetting()}, // zero fault budget
 	}
 	for _, g := range grid {
-		for _, s := range batchSchemes() {
-			name := fmt.Sprintf("%s/U%.2f/λ%g/k%d/ts%g", s.Name(), g.u, g.lambda, g.k, g.costs.Store)
-			p := mustParams(t, g.u, 1, g.lambda, g.k, g.costs)
-			base := rng.Stream(0xbeef, len(name)) ^ uint64(len(name))<<32
-			seeds, keys := shardSeeds(base, reps)
-			want, wantPanic := runScalarShard(s, p, seeds, keys)
-			got, ok, gotPanic := runBatchShard(s, p, seeds, keys)
-			if !ok {
-				t.Errorf("%s: kernel refused a batchable configuration", name)
-				continue
-			}
-			if wantPanic || gotPanic {
-				if wantPanic != gotPanic {
-					t.Errorf("%s: panic mismatch scalar=%v batch=%v", name, wantPanic, gotPanic)
+		for sel := uint8(0); sel < 8; sel++ {
+			for _, s := range batchSchemes() {
+				name := fmt.Sprintf("%s/U%.2f/λ%g/k%d/ts%g/store%d", s.Name(), g.u, g.lambda, g.k, g.costs.Store, sel)
+				p := mustParams(t, g.u, 1, g.lambda, g.k, g.costs)
+				p.Store = storeSelection(sel)
+				base := rng.Stream(0xbeef, len(name)) ^ uint64(len(name))<<32
+				seeds, keys := shardSeeds(base, reps)
+				if err := compareStoreShards(s, p, seeds, keys); err != nil {
+					t.Errorf("%s: %v", name, err)
 				}
-				continue
-			}
-			wb := want.AppendBinary(nil)
-			gb := got.AppendBinary(nil)
-			if !bytes.Equal(wb, gb) {
-				ws, gs := want.Summary(), got.Summary()
-				t.Errorf("%s: shard payloads differ\nscalar: P=%v E=%v T=%v F=%v S=%v\nbatch:  P=%v E=%v T=%v F=%v S=%v",
-					name, ws.P, ws.E, ws.MeanTime, ws.MeanFaults, ws.MeanSwitches,
-					gs.P, gs.E, gs.MeanTime, gs.MeanFaults, gs.MeanSwitches)
 			}
 		}
 	}
@@ -184,6 +173,23 @@ func TestBatchGateFallsBack(t *testing.T) {
 	if sim.RunBatch(rctx, bctx, NewAdaptDVSSCP(), traced, seeds) {
 		t.Error("kernel accepted a traced run")
 	}
+	imperfect := p
+	imperfect.Imperfect = &fault.Imperfection{Coverage: 0.98, StoreCorruption: 0.08}
+	if sim.RunBatch(rctx, bctx, NewAdaptDVSSCP(), imperfect, seeds) {
+		t.Error("kernel accepted imperfect fault tolerance")
+	}
+	for _, sch := range []sim.Scheme{NewAdaptDVSSCP(), NewPoissonScheme(1)} {
+		stored := p
+		stored.Store = store.DefaultConfig(4)
+		if !sim.RunBatch(rctx, bctx, sch, stored, seeds) {
+			t.Errorf("%s: kernel refused an invulnerable tiered store", sch.Name())
+		}
+		stored.Store = costedStore()
+		stored.Store.Tiers[1].Corruption = 0.01
+		if sim.RunBatch(rctx, bctx, sch, stored, seeds) {
+			t.Errorf("%s: kernel accepted a tier with write corruption", sch.Name())
+		}
+	}
 	if !sim.RunBatch(rctx, bctx, NewAdaptDVSSCP().WithOnlineLambda(0.001), p, seeds) {
 		t.Error("kernel refused online λ estimation (now inside the envelope)")
 	}
@@ -192,6 +198,91 @@ func TestBatchGateFallsBack(t *testing.T) {
 	}
 	if !sim.RunBatch(rctx, bctx, NewAdaptDVSSCP().WithOnlineLambda(0.001).WithEagerDVS(), p, seeds) {
 		t.Error("kernel refused combined online-λ + eager-DVS")
+	}
+}
+
+// costedStore is a three-tier stack with write and read costs on every
+// tier, a bound of five images and quasi-geometric maintenance:
+// evictions, demotions, degraded recoveries and restarts all happen at
+// the paper's fault rates.
+func costedStore() *store.Config {
+	return &store.Config{
+		Tiers: []store.Tier{
+			{Name: "sram", Capacity: 1, WriteCycles: 5, ReadCycles: 3},
+			{Name: "nvram", Capacity: 2, WriteCycles: 40, ReadCycles: 20},
+			{Name: "flash", WriteCycles: 90, ReadCycles: 70},
+		},
+		K:      5,
+		Policy: store.PolicyQuasiGeometric,
+	}
+}
+
+// storeSelection is the store axis of the equivalence fuzz: no store,
+// the default NVRAM+flash stack at retention bounds 1, 2, 4, 8 and
+// unbounded, that stack under evict-oldest, and costedStore.
+func storeSelection(sel uint8) *store.Config {
+	switch sel % 8 {
+	case 0:
+		return nil
+	case 6:
+		c := store.DefaultConfig(4)
+		c.Policy = store.PolicyEvictOldest
+		return c
+	case 7:
+		return costedStore()
+	default:
+		return store.DefaultConfig([]int{1, 2, 4, 8, 0}[sel%8-1])
+	}
+}
+
+// compareStoreShards runs the same repetitions through the scalar
+// reference and the kernel with p.Store set, each counting into its own
+// store.Stats, and reports any difference in the shard payloads or the
+// counters. A panic on both sides (the interval guard) is agreement.
+func compareStoreShards(s sim.Scheme, p sim.Params, seeds, keys []uint64) error {
+	var wantStats, gotStats store.Stats
+	p.StoreStats = &wantStats
+	want, wantPanic := runScalarShard(s, p, seeds, keys)
+	p.StoreStats = &gotStats
+	got, ok, gotPanic := runBatchShard(s, p, seeds, keys)
+	switch {
+	case !ok:
+		return fmt.Errorf("kernel refused a batchable configuration")
+	case wantPanic != gotPanic:
+		return fmt.Errorf("panic mismatch: scalar=%v batch=%v", wantPanic, gotPanic)
+	case wantPanic:
+		return nil
+	case !bytes.Equal(want.AppendBinary(nil), got.AppendBinary(nil)):
+		ws, gs := want.Summary(), got.Summary()
+		return fmt.Errorf("shard payloads differ\nscalar: P=%v E=%v T=%v F=%v S=%v\nbatch:  P=%v E=%v T=%v F=%v S=%v",
+			ws.P, ws.E, ws.MeanTime, ws.MeanFaults, ws.MeanSwitches,
+			gs.P, gs.E, gs.MeanTime, gs.MeanFaults, gs.MeanSwitches)
+	case wantStats != gotStats:
+		return fmt.Errorf("store stats differ\nscalar: %+v\nbatch:  %+v", wantStats, gotStats)
+	}
+	return nil
+}
+
+// TestBatchFreeStoreParity is the kernel side of the engine's
+// free-store parity contract (sim's TestFreeStoreParityIdeal): an
+// unlimited, zero-cost, invulnerable store reproduces the storeless
+// kernel's shard bytes for every batchable scheme.
+func TestBatchFreeStoreParity(t *testing.T) {
+	free := &store.Config{Tiers: []store.Tier{{Name: "nvram", Capacity: 2}, {Name: "flash"}}}
+	for _, lambda := range []float64{0.0014, 0.01} {
+		for _, s := range batchSchemes() {
+			p := mustParams(t, 0.78, 1, lambda, 5, checkpoint.SCPSetting())
+			seeds, keys := shardSeeds(uint64(len(s.Name())), 48)
+			want, _, wantPanic := runBatchShard(s, p, seeds, keys)
+			p.Store = free
+			got, ok, gotPanic := runBatchShard(s, p, seeds, keys)
+			if !ok || wantPanic || gotPanic {
+				t.Fatalf("%s λ=%g: batch refused or panicked (ok=%v panics %v/%v)", s.Name(), lambda, ok, wantPanic, gotPanic)
+			}
+			if !bytes.Equal(want.AppendBinary(nil), got.AppendBinary(nil)) {
+				t.Errorf("%s λ=%g: a free store changed the kernel's shard bytes", s.Name(), lambda)
+			}
+		}
 	}
 }
 
@@ -213,15 +304,19 @@ func TestBatchPlannerLedger(t *testing.T) {
 }
 
 // FuzzBatchScalarEquivalence drives the equivalence property over
-// randomized task/fault/cost/scheme parameters: whatever the fuzzer
-// finds, batch and scalar execution must agree byte for byte on the
-// stats.Shard payload (or both reject/panic identically).
+// randomized task/fault/cost/scheme/store parameters (storeSel picks
+// from storeSelection): whatever the fuzzer finds, batch and scalar
+// execution must agree byte for byte on the stats.Shard payload and on
+// store.Stats (or both panic identically).
 func FuzzBatchScalarEquivalence(f *testing.F) {
-	f.Add(0.8, 0.0014, uint8(5), 2.0, 20.0, 0.0, uint8(0), uint8(8), uint64(42))
-	f.Add(0.92, 1e-4, uint8(1), 20.0, 2.0, 0.0, uint8(3), uint8(4), uint64(7))
-	f.Add(1.0, 0.0, uint8(0), 2.0, 20.0, 5.0, uint8(5), uint8(2), uint64(1))
-	f.Add(0.76, 0.02, uint8(2), 1.0, 1.0, 1.0, uint8(7), uint8(6), uint64(99))
-	f.Fuzz(func(t *testing.T, u, lambda float64, k uint8, store, compare, rollback float64, schemeSel, reps uint8, seed uint64) {
+	f.Add(0.8, 0.0014, uint8(5), 2.0, 20.0, 0.0, uint8(0), uint8(8), uint64(42), uint8(0))
+	f.Add(0.92, 1e-4, uint8(1), 20.0, 2.0, 0.0, uint8(3), uint8(4), uint64(7), uint8(0))
+	f.Add(1.0, 0.0, uint8(0), 2.0, 20.0, 5.0, uint8(5), uint8(2), uint64(1), uint8(0))
+	f.Add(0.76, 0.02, uint8(2), 1.0, 1.0, 1.0, uint8(7), uint8(6), uint64(99), uint8(0))
+	f.Add(0.8, 0.0014, uint8(5), 2.0, 20.0, 0.0, uint8(4), uint8(8), uint64(42), uint8(3))
+	f.Add(0.76, 0.01, uint8(5), 20.0, 2.0, 1.0, uint8(5), uint8(12), uint64(5), uint8(1))
+	f.Add(0.82, 0.0016, uint8(2), 2.0, 20.0, 0.0, uint8(0), uint8(9), uint64(8), uint8(7))
+	f.Fuzz(func(t *testing.T, u, lambda float64, k uint8, store, compare, rollback float64, schemeSel, reps uint8, seed uint64, storeSel uint8) {
 		// Sanitise into the validated-parameter envelope; the point is
 		// randomized coverage inside it, not crash-hunting outside it
 		// (Params.Validate guards the real entry points).
@@ -266,25 +361,14 @@ func FuzzBatchScalarEquivalence(f *testing.F) {
 		// yield thousands of sub-intervals per interval, and the fuzz
 		// engine treats a >10s input as a hang. Both paths honour the
 		// same budget, so equivalence is unaffected.
-		p := sim.Params{Task: tk, Costs: costs, Lambda: lambda, MaxIntervals: 1500}
+		p := sim.Params{Task: tk, Costs: costs, Lambda: lambda, MaxIntervals: 1500, Store: storeSelection(storeSel)}
 		if p.Validate() != nil {
 			t.Skip()
 		}
 		n := int(reps%16) + 1
 		seeds, keys := shardSeeds(seed, n)
-		want, wantPanic := runScalarShard(s, p, seeds, keys)
-		got, ok, gotPanic := runBatchShard(s, p, seeds, keys)
-		if !ok {
-			t.Fatal("kernel refused a batchable configuration")
-		}
-		if wantPanic != gotPanic {
-			t.Fatalf("panic mismatch: scalar=%v batch=%v", wantPanic, gotPanic)
-		}
-		if wantPanic {
-			return
-		}
-		if !bytes.Equal(want.AppendBinary(nil), got.AppendBinary(nil)) {
-			t.Fatalf("shard payloads differ for %s u=%v λ=%v k=%d costs=%+v", s.Name(), u, lambda, k%8, costs)
+		if err := compareStoreShards(s, p, seeds, keys); err != nil {
+			t.Fatalf("%s u=%v λ=%v k=%d costs=%+v store=%d: %v", s.Name(), u, lambda, k%8, costs, storeSel%8, err)
 		}
 	})
 }

@@ -267,12 +267,14 @@ func (pl *Planner) envFor(f, lam float64) *policy.Env {
 // the previous cell's entries can never hit again and need no clearing.
 // hits/misses are plain fields, not atomics: a context is
 // single-goroutine, and the increment must cost nothing against the
-// few-instruction hit it measures.
+// few-instruction hit it measures. ents comes first: the cache is one
+// large, page-aligned allocation, so every 64-byte entry then sits on
+// one cache line (a header in front would split each entry over two).
 type planCache struct {
+	ents         [planSets * planWays]planEntry
 	pl           *Planner
 	gen          uint64
 	hits, misses uint64
-	ents         [planSets * planWays]planEntry
 }
 
 // planEntry is one cache way, packed into a single 64-byte cache line:

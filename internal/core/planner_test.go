@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"testing"
+	"unsafe"
 
 	"repro/internal/checkpoint"
 	"repro/internal/cpu"
@@ -263,5 +264,17 @@ func TestPlannerCacheStats(t *testing.T) {
 	if h2 < hits || m2 <= misses {
 		t.Errorf("cache stats went backwards across a cell switch: %d/%d then %d/%d",
 			hits, misses, h2, m2)
+	}
+}
+
+// TestPlanCacheLineLayout pins the plan cache's memory layout: each
+// entry is exactly one 64-byte cache line, and the entry array starts
+// the (page-aligned) cache allocation, so no entry straddles two lines.
+func TestPlanCacheLineLayout(t *testing.T) {
+	if got := unsafe.Sizeof(planEntry{}); got != 64 {
+		t.Errorf("planEntry is %d bytes, want 64", got)
+	}
+	if got := unsafe.Offsetof(planCache{}.ents); got != 0 {
+		t.Errorf("planCache.ents at offset %d, want 0", got)
 	}
 }

@@ -6,6 +6,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/store"
+	"repro/internal/telemetry"
 )
 
 // TestTableBatchScalarEquivalence pins the tentpole invariant at the
@@ -74,28 +76,66 @@ func benchCell(b *testing.B, disable bool) {
 func BenchmarkCellBatch(b *testing.B)  { benchCell(b, false) }
 func BenchmarkCellScalar(b *testing.B) { benchCell(b, true) }
 
-// TestExtensionBatchScalarEquivalence pins the envelope extension at the
-// table level: the E2 λ-knowledge ablation — whose wrong-belief and
-// online-estimator columns were scalar-only before the round-two kernel
-// — produces bit-identical summaries through the batch kernels and the
-// forced-scalar reference loop.
+// TestExtensionBatchScalarEquivalence pins the envelope extensions at
+// the table level: the E2 λ-knowledge ablation (wrong-belief and
+// online-estimator columns), E3 (its imperfect-FT columns stay scalar,
+// its ideal reference batches) and E4 (the invulnerable tiered-store
+// columns batch, the store+imperfect column stays scalar) produce
+// bit-identical summaries — and, for the store columns, identical
+// store counters — through the batch kernels and the forced-scalar
+// reference loop.
 func TestExtensionBatchScalarEquivalence(t *testing.T) {
-	var spec Spec
-	for _, s := range ExtensionTables() {
-		if s.ID == "E2" {
-			spec = s
+	for _, spec := range ExtensionTables() {
+		if spec.ID == "E1" {
+			continue // TMR has no kernel: both runs are scalar
+		}
+		t.Run(spec.ID, func(t *testing.T) {
+			checkBatchScalarTables(t, func(r Runner) (Table, error) { return r.RunExtensionTable(spec) })
+		})
+	}
+}
+
+// TestStoreSpecBatchScalarEquivalence extends the table-level pin to
+// published grids run under Spec.Store: tables 1a, 2a, 3a and 4b on
+// the default NVRAM+flash stack at retention bounds 1, 2, 4, 8 and
+// unbounded, every column (baselines included) through the kernels.
+func TestStoreSpecBatchScalarEquivalence(t *testing.T) {
+	for _, id := range []string{"1a", "2a", "3a", "4b"} {
+		for _, k := range []int{1, 2, 4, 8, 0} {
+			spec, err := TableByID(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec.Store = store.DefaultConfig(k)
+			t.Run(fmt.Sprintf("%s/k%d", id, k), func(t *testing.T) {
+				reg := checkBatchScalarTables(t, func(r Runner) (Table, error) { return r.RunTable(spec) })
+				if reg.Counter(MetricStoreTierWrites(0), "").Value() == 0 || reg.Counter(MetricStoreRecoveries, "").Value() == 0 {
+					t.Error("the store never wrote or never recovered: nothing was compared")
+				}
+			})
 		}
 	}
-	if spec.ID != "E2" {
-		t.Fatal("E2 spec missing")
+}
+
+// checkBatchScalarTables runs a table through the kernels and through
+// the forced-scalar loop and compares every cell summary and every
+// store counter. It returns the batch run's registry.
+func checkBatchScalarTables(t *testing.T, run func(Runner) (Table, error)) *telemetry.Registry {
+	t.Helper()
+	var tables [2]Table
+	var regs [2]*telemetry.Registry
+	for i, disable := range []bool{false, true} {
+		regs[i] = telemetry.NewRegistry()
+		tbl, err := run(Runner{Reps: 16, Seed: 11, Workers: 2, DisableBatch: disable,
+			Sink: telemetry.NewRegistrySink(regs[i], nil)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tables[i] = tbl
 	}
-	batch, err := Runner{Reps: 16, Seed: 11, Workers: 2}.RunExtensionTable(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scalar, err := Runner{Reps: 16, Seed: 11, Workers: 2, DisableBatch: true}.RunExtensionTable(spec)
-	if err != nil {
-		t.Fatal(err)
+	batch, scalar := tables[0], tables[1]
+	if len(batch.Rows) != len(scalar.Rows) {
+		t.Fatalf("row count differs: batch %d scalar %d", len(batch.Rows), len(scalar.Rows))
 	}
 	for i := range batch.Rows {
 		br, sr := batch.Rows[i], scalar.Rows[i]
@@ -107,6 +147,12 @@ func TestExtensionBatchScalarEquivalence(t *testing.T) {
 			}
 		}
 	}
+	for _, name := range StoreCounterNames() {
+		if b, s := regs[0].Counter(name, "").Value(), regs[1].Counter(name, "").Value(); b != s {
+			t.Errorf("%s: batch %d, scalar %d", name, b, s)
+		}
+	}
+	return regs[0]
 }
 
 // TestEagerBatchScalarEquivalence pins the eager-DVS ablation (and its
@@ -171,6 +217,38 @@ func TestAblationCellsNeverFallBack(t *testing.T) {
 		if !sim.RunBatch(rctx, bctx, s, p, seeds) {
 			t.Errorf("%s: fell back to the scalar loop on production cell parameters", s.Name())
 		}
+	}
+}
+
+// TestStoreCellsNeverFallBack pins E4's three store-only columns —
+// the paper scheme over store.DefaultConfig(8), (4) and (2), every tier
+// invulnerable — inside the kernel envelope on production cell
+// parameters, and the store+imperfect-FT column outside it.
+func TestStoreCellsNeverFallBack(t *testing.T) {
+	spec, err := TableByID("1a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := spec.CellParams(0.78, 0.0014)
+	if err != nil {
+		t.Fatal(err)
+	}
+	schemes, err := ExtensionSchemes("E4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds := make([]uint64, 8)
+	for i := range seeds {
+		seeds[i] = mix(42, i)
+	}
+	rctx, bctx := sim.NewRunContext(), sim.NewBatchContext()
+	for _, s := range schemes[1:4] {
+		if !sim.RunBatch(rctx, bctx, s, p, seeds) {
+			t.Errorf("%s: fell back to the scalar loop on production cell parameters", s.Name())
+		}
+	}
+	if s := schemes[4]; sim.RunBatch(rctx, bctx, s, p, seeds) {
+		t.Errorf("%s: the kernel accepted an imperfect-FT column", s.Name())
 	}
 }
 

@@ -216,6 +216,16 @@ func (s storeScheme) RunCtx(rctx *sim.RunContext, p sim.Params, src *rng.Source)
 	return sim.RunScheme(rctx, s.inner, p, src)
 }
 
+// RunBatch implements sim.BatchScheme, forwarding the batch to the
+// wrapped scheme's kernel under the store. The kernel refuses what it
+// cannot reproduce bit for bit — a wrapped scheme without a kernel
+// (the imperfect-FT column), a tier with Corruption > 0 — and the
+// caller falls back to the scalar path.
+func (s storeScheme) RunBatch(rctx *sim.RunContext, b *sim.BatchContext, p sim.Params, seeds []uint64) bool {
+	p.Store = s.cfg
+	return sim.RunBatch(rctx, b, s.inner, p, seeds)
+}
+
 // RunExtensionTable runs one extension spec with the runner, through
 // the same table path as RunTable.
 func (r Runner) RunExtensionTable(spec Spec) (Table, error) {

@@ -106,8 +106,8 @@ type BatchScheme interface {
 	// into b's slices (sized by the kernel via Grow). It returns false —
 	// without touching b — when the configuration is outside the
 	// kernel's envelope (tracing, custom fault processes, imperfect
-	// fault tolerance, tiered stores); the caller then falls back to
-	// the scalar path.
+	// fault tolerance, stores with a corruptible tier); the caller then
+	// falls back to the scalar path.
 	RunBatch(rc *RunContext, b *BatchContext, p Params, seeds []uint64) bool
 }
 

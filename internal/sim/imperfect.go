@@ -139,8 +139,8 @@ func (e *Engine) recoverImperfect() float64 {
 	target := 0.0
 	if i := e.restoreWalk(e.imp.Budget()); i >= 0 {
 		// Images past the restored point hold overtaken state.
-		target = e.set.Images()[i].Work
-		e.sstats.Truncated += uint64(e.set.TruncateAfter(target))
+		target = e.led.Images()[i].Work
+		e.led.truncateAfter(target)
 	} else {
 		e.restart()
 	}

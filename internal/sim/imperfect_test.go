@@ -200,7 +200,7 @@ func TestCheckpointVulnerableExposesOps(t *testing.T) {
 	if math.IsInf(e.divergedAt, 1) {
 		t.Fatal("checkpoint-time fault did not corrupt state")
 	}
-	imgs := e.set.Images()
+	imgs := e.led.Images()
 	if len(imgs) != 1 || !imgs[0].Diverged {
 		t.Fatalf("image written under a mid-op fault should be diverged: %+v", imgs)
 	}

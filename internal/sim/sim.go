@@ -257,18 +257,12 @@ type Engine struct {
 	corruptRestores int
 	restarts        int
 
-	// Stored-checkpoint state (store.go). set is the one ledger of
+	// Stored-checkpoint state (store.go). led holds the one set of
 	// stored images: Params.Store when given, the paper's free store on
 	// a storeless imperfect run, and inactive (untouched) on the ideal
-	// storeless path. sstats points at Params.StoreStats when the run
-	// has a Store, otherwise at ownStats; lastGoodSeq is the sequence
-	// number of the newest non-diverged image — the analytic rollback
-	// target — used by recoveries to decide between the bit-exact ideal
-	// return and the degraded walk.
-	set         store.Set
-	sstats      *store.Stats
-	ownStats    store.Stats
-	lastGoodSeq uint64
+	// storeless path. It counts into Params.StoreStats when the run has
+	// a Store, otherwise into its own scratch.
+	led StoreLedger
 }
 
 // NewEngine prepares a fresh execution: clocks at zero, the processor at
@@ -307,12 +301,11 @@ func (e *Engine) Reset(p Params, src *rng.Source) {
 		}
 	}
 	e.missed, e.corruptRestores, e.restarts = 0, 0, 0
-	e.set.Configure(cfg)
-	e.lastGoodSeq = 0
-	e.sstats = &e.ownStats
-	if p.Store != nil && p.StoreStats != nil {
-		e.sstats = p.StoreStats
+	var stats *store.Stats
+	if p.Store != nil {
+		stats = p.StoreStats
 	}
+	e.led.Reset(cfg, stats)
 
 	switch {
 	case p.FaultProcess != nil:
@@ -473,7 +466,7 @@ func (e *Engine) RunInterval(itv float64, m int, sub checkpoint.Kind, doneWork f
 	if e.imp != nil {
 		return e.runIntervalImperfect(itv, m, sub, doneWork)
 	}
-	if e.set.Active() {
+	if e.led.active() {
 		return e.runIntervalStore(itv, m, sub, doneWork)
 	}
 	f := e.cur.Freq

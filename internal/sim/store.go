@@ -7,9 +7,10 @@ import (
 	"repro/internal/store"
 )
 
-// This file holds the engine's one stored-checkpoint ledger, the
-// checkpoint set (internal/store), and the restore walk every recovery
-// uses. The set is active in two cases: Params.Store replaces the
+// This file holds the engine's one stored-checkpoint ledger
+// (StoreLedger over the checkpoint set of internal/store, shared with
+// the batch kernels of package core) and the restore walk every
+// recovery uses. The set is active in two cases: Params.Store replaces the
 // paper's free, infinite stable storage with a bounded set of images
 // spread over storage tiers, and a storeless imperfect run (imperfect.go)
 // keeps its images in the paper store — one unlimited tier with no
@@ -32,14 +33,14 @@ import (
 //     imperfect-FT model uses.
 //
 // Store activity is counted into Params.StoreStats only when the run
-// has a Params.Store; the paper store counts into engine scratch.
+// has a Params.Store; the paper store counts into ledger scratch.
 //
 // Bit-compatibility contract: with Params.Store nil the ideal path never
 // touches this file. With a store whose tiers are unlimited, zero-cost
 // and invulnerable, trajectories are bit-identical to the storeless
 // engine — pushes charge nothing and draw nothing, and every recovery
 // restores the analytically-ideal target. The parity trick is
-// lastGoodSeq: the engine remembers the sequence number of the newest
+// lastGoodSeq: the ledger remembers the sequence number of the newest
 // non-diverged image; when that exact image survives, the recovery
 // returns the *analytic* kept value (the same float expression the seed
 // path computes) instead of re-deriving it from the image, so no
@@ -49,53 +50,168 @@ import (
 // paper's stable storage, holding every store of the run for free.
 var paperStore = &store.Config{Tiers: []store.Tier{{Name: "paper"}}}
 
-// pushImage inserts a checkpoint image at absolute work, charging tier
-// write costs and drawing per-tier write corruption from the run's rng
+// StoreLedger is the part of one repetition's stored-checkpoint
+// bookkeeping that touches neither energy nor time: the checkpoint set,
+// its activity counters, the analytic rollback target, the restore
+// walk's choice, the recovery case choice and restart. The engine and
+// the batch kernels (package core) both drive it and charge the costs
+// themselves, each in its own way, so the rules have one home. The zero
+// value is inactive.
+type StoreLedger struct {
+	set   store.Set
+	stats *store.Stats
+	own   store.Stats
+	// lastGoodSeq is the sequence number of the newest non-diverged
+	// image: the analytic rollback target the storeless engine would
+	// restore.
+	lastGoodSeq uint64
+	walk        []int // attempt scratch returned by Walk
+}
+
+// Reset prepares the ledger for a repetition under cfg (nil
+// deactivates it). Activity is counted into stats, or into the
+// ledger's own scratch counters when stats is nil.
+func (l *StoreLedger) Reset(cfg *store.Config, stats *store.Stats) {
+	if stats == nil {
+		stats = &l.own
+	}
+	l.stats = stats
+	l.set.Configure(cfg)
+	l.set.CountInto(stats)
+	l.lastGoodSeq = 0
+}
+
+// active reports whether the ledger models a store this repetition.
+func (l *StoreLedger) active() bool { return l.set.Active() }
+
+// config returns the active store configuration.
+func (l *StoreLedger) config() *store.Config { return l.set.Config() }
+
+// Images returns the retained images oldest-first (see store.Set.Images).
+func (l *StoreLedger) Images() []store.Image { return l.set.Images() }
+
+// markCorrupted flags image i as silently damaged.
+func (l *StoreLedger) markCorrupted(i int) { l.set.MarkCorrupted(i) }
+
+// Push stores a checkpoint image at absolute work; the set counts the
+// eviction and the per-tier writes it caused. It returns the physical
+// writes — the fresh image first, then demotions — whose tier writes
+// the caller charges in order (scratch, valid until the next Push).
+func (l *StoreLedger) Push(work float64, diverged bool) []store.Write {
+	writes, _ := l.set.Insert(work, diverged)
+	if !diverged {
+		// Recoveries check the analytic target's survival by this
+		// sequence number.
+		l.lastGoodSeq = l.set.Seq()
+	}
+	return writes
+}
+
+// Walk is the paper's rollback rule (Fig. 3 line 12) over the
+// checkpoint set: images newest to oldest, for the first one a restore
+// succeeds from. Diverged images fail the consistency scan at no cost;
+// every other image examined is a restore attempt that pays its tier
+// read, and a corrupted one also pays a rollback charge and pushes the
+// walk one image older. The walk gives up after budget corrupted
+// attempts. It counts the attempts and the walk depth, and returns the
+// attempted image indices in walk order (scratch, valid until the next
+// Walk) and the restored image's index — the last attempt — or -1 when
+// no attempt succeeded. The caller charges the attempts in order.
+func (l *StoreLedger) Walk(budget int) (attempts []int, chosen int) {
+	imgs := l.set.Images()
+	cfg := l.set.Config()
+	st := l.stats
+	attempts, chosen = l.walk[:0], -1
+	bad := 0
+	for i := len(imgs) - 1; i >= 0 && bad < budget; i-- {
+		im := &imgs[i]
+		if im.Diverged {
+			continue
+		}
+		attempts = append(attempts, i)
+		st.TierRestores[im.Tier]++
+		st.TierRestoreCycles[im.Tier] += cfg.Tiers[im.Tier].ReadCycles
+		if im.Corrupted {
+			bad++
+			continue
+		}
+		chosen = i
+		break
+	}
+	st.ObserveDepth(len(attempts))
+	l.walk = attempts
+	return attempts, chosen
+}
+
+// SettleIdeal is the recovery case choice of the ideal fault-tolerance
+// path after a walk restored image chosen (-1: none). idealKept is the
+// work the storeless engine would retain, relative to doneWork. When
+// the image carrying that state survived, idealKept comes back bit for
+// bit; otherwise the run re-executes from the older image the walk
+// found, or restarts from scratch when the set holds nothing usable.
+// It returns the kept work relative to doneWork (negative when the
+// restore crossed the interval start), the absolute work the rollback
+// restores, and whether the run restarted.
+func (l *StoreLedger) SettleIdeal(chosen int, doneWork, idealKept float64) (kept, target float64, restarted bool) {
+	imgs := l.set.Images()
+	switch {
+	case chosen >= 0 && imgs[chosen].Seq == l.lastGoodSeq:
+		// The analytic rollback target survived: the trajectory is the
+		// storeless one, bit for bit (under zero-cost tiers).
+		limit := doneWork + idealKept
+		if w := imgs[chosen].Work; w > limit {
+			limit = w
+		}
+		l.truncateAfter(limit)
+		return idealKept, doneWork + idealKept, false
+	case chosen >= 0:
+		// Degraded: the target was evicted or corrupted; re-execute
+		// from the older surviving image.
+		w := imgs[chosen].Work
+		l.truncateAfter(w)
+		return w - doneWork, w, false
+	case doneWork == 0 && idealKept == 0:
+		// Rolling back to the task origin needs no stored image — a
+		// first-interval fault, not a restart.
+		return idealKept, doneWork + idealKept, false
+	}
+	l.restart()
+	return -doneWork, 0, true
+}
+
+// truncateAfter drops the images past limit — state overtaken by the
+// rollback — and counts them.
+func (l *StoreLedger) truncateAfter(limit float64) {
+	l.stats.Truncated += uint64(l.set.TruncateAfter(limit))
+}
+
+// restart empties the set after a recovery found no usable image: the
+// run re-executes from scratch (Sodre's restart discipline).
+func (l *StoreLedger) restart() {
+	l.stats.Restarts++
+	l.set.Clear()
+	l.lastGoodSeq = 0
+}
+
+// pushImage stores a checkpoint image at absolute work, charging the
+// tier writes and drawing per-tier write corruption from the run's rng
 // stream (writes into invulnerable tiers draw nothing). preCorrupted
 // additionally marks the fresh image damaged — the imperfect path's
 // stable-storage corruption, drawn by the caller before the tier draws.
 func (e *Engine) pushImage(work float64, diverged, preCorrupted bool) {
-	writes, evicted := e.set.Insert(work, diverged)
-	st := e.sstats
-	if evicted {
-		st.Evictions++
-	}
-	cfg := e.set.Config()
-	for wi, w := range writes {
-		st.TierWrites[w.Tier]++
-		if wi > 0 {
-			st.Demotions++
-		}
+	writes := e.led.Push(work, diverged)
+	cfg := e.led.config()
+	for _, w := range writes {
 		tier := &cfg.Tiers[w.Tier]
 		if tier.WriteCycles > 0 {
 			e.Spend(tier.WriteCycles / e.cur.Freq)
 		}
 		if tier.Corruption > 0 && e.src.Float64() < tier.Corruption {
-			e.set.MarkCorrupted(w.Index)
+			e.led.markCorrupted(w.Index)
 		}
 	}
-	fresh := writes[0].Index
 	if preCorrupted {
-		e.set.MarkCorrupted(fresh)
-	}
-	if !diverged {
-		// The newest non-diverged image is the analytic rollback target
-		// the storeless engine would restore; recoveries check survival
-		// by this sequence number.
-		e.lastGoodSeq = e.set.Images()[fresh].Seq
-	}
-}
-
-// chargeRestoreAttempt charges one restore attempt from image index i
-// (tier read cycles at the current speed) and records it.
-func (e *Engine) chargeRestoreAttempt(i int) {
-	tier := e.set.Tier(i)
-	ti := e.set.Images()[i].Tier
-	st := e.sstats
-	st.TierRestores[ti]++
-	st.TierRestoreCycles[ti] += tier.ReadCycles
-	if tier.ReadCycles > 0 {
-		e.Spend(tier.ReadCycles / e.cur.Freq)
+		e.led.markCorrupted(writes[0].Index)
 	}
 }
 
@@ -169,87 +285,50 @@ func (e *Engine) runIntervalStore(itv float64, m int, sub checkpoint.Kind, doneW
 }
 
 // recoverStoreIdeal performs the store-aware rollback on the ideal
-// path. idealKept is the work the storeless engine would retain
-// (relative to doneWork); when the image carrying that state survives,
-// the same value is returned bit for bit. Otherwise the run re-executes
-// from the older image the restore walk found, or restarts from scratch
-// when the set holds nothing usable. Returns the kept work relative to
-// doneWork (negative when the restore crossed the interval start).
+// path: the restore walk, then the ledger's case choice (SettleIdeal),
+// then the rollback charge. Returns the kept work relative to doneWork.
 func (e *Engine) recoverStoreIdeal(doneWork, idealKept float64) float64 {
-	i := e.restoreWalk(math.MaxInt)
-	imgs := e.set.Images()
-	switch {
-	case i >= 0 && imgs[i].Seq == e.lastGoodSeq:
-		// The analytic rollback target survived: the trajectory is the
-		// storeless one, bit for bit (under zero-cost tiers).
-		limit := doneWork + idealKept
-		if w := imgs[i].Work; w > limit {
-			limit = w
-		}
-		e.sstats.Truncated += uint64(e.set.TruncateAfter(limit))
-		e.Rollback(doneWork + idealKept)
-		return idealKept
-	case i >= 0:
-		// Degraded: the target was evicted or corrupted; re-execute
-		// from the older surviving image.
-		w := imgs[i].Work
-		e.sstats.Truncated += uint64(e.set.TruncateAfter(w))
-		e.Rollback(w)
-		return w - doneWork
-	case doneWork == 0 && idealKept == 0:
-		// Rolling back to the task origin needs no stored image — a
-		// first-interval fault, not a restart.
-		e.Rollback(doneWork + idealKept)
-		return idealKept
+	kept, target, restarted := e.led.SettleIdeal(e.restoreWalk(math.MaxInt), doneWork, idealKept)
+	if restarted {
+		e.restarted()
 	}
-	e.restart()
-	e.Rollback(0)
-	return -doneWork
+	e.Rollback(target)
+	return kept
 }
 
-// restoreWalk is the paper's rollback rule (Fig. 3 line 12) over the
-// checkpoint set: it walks the images newest to oldest for the first
-// one a restore succeeds from. Diverged images fail the consistency
-// scan at no cost; each restore attempt pays the tier read, and a
-// corrupted image also pays a rollback charge and pushes the walk one
-// image older. The walk gives up after budget corrupted attempts. It
-// records the walk depth and returns the restored image's index, or -1
-// when no attempt succeeded.
+// restoreWalk runs the ledger's restore walk and charges its attempts
+// in walk order: a corrupted image pays a rollback charge and then its
+// tier read, the restored one its tier read. Returns the restored
+// image's index, or -1.
 func (e *Engine) restoreWalk(budget int) int {
-	imgs := e.set.Images()
-	depth, attempts := 0, 0
-	chosen := -1
-	for i := len(imgs) - 1; i >= 0 && attempts < budget; i-- {
-		im := imgs[i]
-		if im.Diverged {
-			continue
-		}
-		depth++
-		if im.Corrupted {
-			attempts++
+	attempts, chosen := e.led.Walk(budget)
+	imgs := e.led.Images()
+	cfg := e.led.config()
+	for _, i := range attempts {
+		if i != chosen {
 			e.corruptRestores++
 			e.Spend(e.wallRollback)
-			e.chargeRestoreAttempt(i)
-			if e.p.Trace != nil {
-				e.p.Trace.add(Event{Kind: EvBadStore, Time: e.t, Value: im.Work})
-			}
-			continue
 		}
-		e.chargeRestoreAttempt(i)
-		chosen = i
-		break
+		if rc := cfg.Tiers[imgs[i].Tier].ReadCycles; rc > 0 {
+			e.Spend(rc / e.cur.Freq)
+		}
+		if i != chosen && e.p.Trace != nil {
+			e.p.Trace.add(Event{Kind: EvBadStore, Time: e.t, Value: imgs[i].Work})
+		}
 	}
-	e.sstats.ObserveDepth(depth)
 	return chosen
 }
 
-// restart empties the set after a recovery found no usable image: the
-// run re-executes from scratch (Sodre's restart discipline).
+// restart empties the set after a recovery found no usable image.
 func (e *Engine) restart() {
+	e.led.restart()
+	e.restarted()
+}
+
+// restarted records a restart-from-scratch in the run's result and
+// trace.
+func (e *Engine) restarted() {
 	e.restarts++
-	e.sstats.Restarts++
-	e.set.Clear()
-	e.lastGoodSeq = 0
 	if e.p.Trace != nil {
 		e.p.Trace.add(Event{Kind: EvRestart, Time: e.t})
 	}

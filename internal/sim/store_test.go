@@ -153,7 +153,7 @@ func TestStoreRecoveryCases(t *testing.T) {
 	t.Run("empty set past origin restarts", func(t *testing.T) {
 		e := newEng()
 		kept := e.recoverStoreIdeal(1000, 0)
-		if kept != -1000 || e.restarts != 1 || e.sstats.Restarts != 1 {
+		if kept != -1000 || e.restarts != 1 || e.led.stats.Restarts != 1 {
 			t.Fatalf("kept=%v restarts=%d; want -1000, 1", kept, e.restarts)
 		}
 	})
@@ -169,8 +169,8 @@ func TestStoreRecoveryCases(t *testing.T) {
 		if e.corruptRestores != 1 {
 			t.Fatalf("corruptRestores=%d; want 1 failed attempt", e.corruptRestores)
 		}
-		if e.set.Len() != 0 {
-			t.Fatalf("set not cleared on restart: %d images", e.set.Len())
+		if len(e.led.Images()) != 0 {
+			t.Fatalf("set not cleared on restart: %d images", len(e.led.Images()))
 		}
 	})
 
@@ -182,8 +182,8 @@ func TestStoreRecoveryCases(t *testing.T) {
 		if kept != idealKept {
 			t.Fatalf("kept=%v; want the analytic value %v bit for bit", kept, idealKept)
 		}
-		if e.restarts != 0 || e.sstats.Recoveries != 1 {
-			t.Fatalf("restarts=%d recoveries=%d", e.restarts, e.sstats.Recoveries)
+		if e.restarts != 0 || e.led.stats.Recoveries != 1 {
+			t.Fatalf("restarts=%d recoveries=%d", e.restarts, e.led.stats.Recoveries)
 		}
 	})
 
@@ -198,8 +198,8 @@ func TestStoreRecoveryCases(t *testing.T) {
 		if e.restarts != 0 || e.corruptRestores != 1 {
 			t.Fatalf("restarts=%d corruptRestores=%d; want 0, 1", e.restarts, e.corruptRestores)
 		}
-		if e.set.Len() != 1 || e.set.Images()[0].Work != 400 {
-			t.Fatalf("stale images not truncated: %+v", e.set.Images())
+		if len(e.led.Images()) != 1 || e.led.Images()[0].Work != 400 {
+			t.Fatalf("stale images not truncated: %+v", e.led.Images())
 		}
 	})
 }

@@ -48,9 +48,11 @@ func FuzzStoreConfig(f *testing.F) {
 // FuzzSetOps drives a Set through a random sequence of Insert,
 // TruncateAfter, Clear and MarkCorrupted calls under a random valid
 // config, and after every call compares Images() and the returned
-// writes with a naive model: an image's tier is the larger of its old
-// tier and the tier its recency rank falls in, and the writes are the
-// fresh image, then every image whose tier grew, newest first.
+// writes with a naive model: at the bound the model evicts the victim
+// of its own brute-force policy reference, an image's tier is the
+// larger of its old tier and the tier its recency rank falls in, and
+// the writes are the fresh image, then every image whose tier grew,
+// newest first — each write and eviction counted into the set's Stats.
 //
 // The config comes from nTiers (1-4 tiers), caps (4 bits of capacity
 // per tier; 0 on the last tier means unlimited), k and quasi. Each op
@@ -91,8 +93,33 @@ func FuzzSetOps(f *testing.F) {
 		if err := cfg.Validate(); err != nil {
 			t.Fatalf("built an invalid config %+v: %v", cfg, err)
 		}
-		pol, _ := PolicyByName(cfg.Policy)
 		bound := cfg.Bound()
+
+		// victim is the naive reference of the maintenance policies,
+		// written apart from the set's own: evict-oldest drops image 0;
+		// quasi-geometric drops the rightmost non-newest image whose
+		// sequence number has the fewest trailing zero bits, found by
+		// a full oldest-first scan that counts the bits one by one.
+		zeros := func(seq uint64) int {
+			n := 0
+			for seq != 0 && seq%2 == 0 {
+				seq /= 2
+				n++
+			}
+			return n
+		}
+		victim := func(imgs []Image) int {
+			if !quasi || len(imgs) <= 1 {
+				return 0
+			}
+			best := 0
+			for i := 1; i < len(imgs)-1; i++ {
+				if zeros(imgs[i].Seq) <= zeros(imgs[best].Seq) {
+					best = i
+				}
+			}
+			return best
+		}
 
 		// rankTier is the naive tier of recency rank r: the first tier
 		// whose cumulative capacity exceeds r.
@@ -112,6 +139,8 @@ func FuzzSetOps(f *testing.F) {
 
 		var s Set
 		s.Configure(cfg)
+		var stats, wantStats Stats
+		s.CountInto(&stats)
 		var model []Image
 		var seq uint64
 		work := 0.0
@@ -120,7 +149,7 @@ func FuzzSetOps(f *testing.F) {
 			case 0, 1:
 				wantEvicted := bound > 0 && len(model) >= bound
 				if wantEvicted {
-					v := pol.Victim(model)
+					v := victim(model)
 					model = append(model[:v], model[v+1:]...)
 				}
 				work += float64(b >> 5)
@@ -140,6 +169,16 @@ func FuzzSetOps(f *testing.F) {
 				}
 				if !reflect.DeepEqual(writes, wantWrites) {
 					t.Fatalf("step %d: Insert writes %+v, model %+v", step, writes, wantWrites)
+				}
+				if wantEvicted {
+					wantStats.Evictions++
+				}
+				wantStats.Demotions += uint64(len(wantWrites) - 1)
+				for _, w := range wantWrites {
+					wantStats.TierWrites[w.Tier]++
+				}
+				if stats != wantStats {
+					t.Fatalf("step %d: Insert counted %+v, model %+v", step, stats, wantStats)
 				}
 			case 2:
 				limit := work - float64((b>>2)&7)

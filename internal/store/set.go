@@ -49,12 +49,15 @@ type Write struct {
 // inactive; Configure activates it for a run.
 type Set struct {
 	cfg    *Config
-	pol    Policy
+	policy policyKind
 	bound  int
+	last   int           // index of the deepest tier
 	prefix [MaxTiers]int // cumulative tier capacities
 	imgs   []Image
 	seq    uint64
-	writes []Write // scratch returned by Insert, reused across calls
+	writes [MaxTiers]Write // scratch returned by Insert: a fresh write and at most one demotion per deeper tier
+	stats  *Stats          // receives Insert's counts (CountInto)
+	own    Stats           // stats when the caller gave none
 }
 
 // Configure prepares the set for a run under cfg (which must have been
@@ -63,16 +66,16 @@ type Set struct {
 func (s *Set) Configure(cfg *Config) {
 	if cfg != s.cfg {
 		s.cfg = cfg
-		s.pol = nil
 		if cfg != nil {
-			pol, err := PolicyByName(cfg.Policy)
+			policy, err := policyByName(cfg.Policy)
 			if err != nil {
 				// Config is validated at the Params boundary; reaching
 				// here is a programming error.
 				panic(err)
 			}
-			s.pol = pol
+			s.policy = policy
 			s.bound = cfg.Bound()
+			s.last = len(cfg.Tiers) - 1
 			sum := 0
 			for i, t := range cfg.Tiers {
 				if t.Capacity <= 0 {
@@ -84,8 +87,25 @@ func (s *Set) Configure(cfg *Config) {
 			}
 		}
 	}
+	if s.stats == nil {
+		s.stats = &s.own
+	}
 	s.Clear()
 }
+
+// CountInto directs the counts of every later Insert — evictions,
+// demotions and per-tier writes — into st; nil counts into the set's
+// own scratch.
+func (s *Set) CountInto(st *Stats) {
+	if st == nil {
+		st = &s.own
+	}
+	s.stats = st
+}
+
+// Seq returns the sequence number of the newest stored image (0 after
+// Clear).
+func (s *Set) Seq() uint64 { return s.seq }
 
 // Active reports whether the set models a store this run.
 func (s *Set) Active() bool { return s.cfg != nil }
@@ -113,68 +133,62 @@ func (s *Set) Tier(i int) Tier { return s.cfg.Tiers[s.imgs[i].Tier] }
 // MarkCorrupted flags image i as silently damaged.
 func (s *Set) MarkCorrupted(i int) { s.imgs[i].Corrupted = true }
 
-// rankTier maps a recency rank (0 = newest) to its tier index.
-func (s *Set) rankTier(rank int) int {
-	for t := 0; t < len(s.cfg.Tiers); t++ {
-		if rank < s.prefix[t] {
-			return t
-		}
-	}
-	// Unreachable when the set respects its bound (the last tier
-	// absorbs everything up to the summed capacity).
-	return len(s.cfg.Tiers) - 1
-}
-
 // Insert adds a fresh image at the given absolute work, evicting the
 // policy's victim first when the set is at its bound. It returns the
 // physical writes performed (the fresh image first, then demotions
-// newest-first) and whether an eviction happened. The returned slice is
-// scratch, reused by the next Insert.
+// newest-first) and whether an eviction happened, and counts all of it
+// (see CountInto). The returned slice is scratch, reused by the next
+// Insert.
 func (s *Set) Insert(work float64, diverged bool) (writes []Write, evicted bool) {
-	if s.bound > 0 && len(s.imgs) >= s.bound {
-		s.evict()
+	st := s.stats
+	imgs := s.imgs
+	n := len(imgs)
+	if s.bound > 0 && n >= s.bound {
+		// Evict in place: the images newer than the victim shift down
+		// one slot and the fresh image takes the freed last slot, so
+		// the length never changes at the bound. A set holds a handful
+		// of images, so the shift is an element loop, not a memmove.
+		v := 0
+		if s.policy == quasiGeometric {
+			v = quasiGeometricVictim(imgs)
+		}
+		for i := v; i < n-1; i++ {
+			imgs[i] = imgs[i+1]
+		}
 		evicted = true
+		st.Evictions++
+	} else {
+		imgs = append(imgs, Image{})
+		s.imgs = imgs
+		n++
 	}
 	s.seq++
 	// The fresh image always lands in the fastest tier. Its fields are
-	// set in place: appending a composite literal builds it on the stack
+	// set in place: assigning a composite literal builds it on the stack
 	// first and stalls the copy-out on this per-store hot path.
-	s.imgs = append(s.imgs, Image{})
-	im := &s.imgs[len(s.imgs)-1]
-	im.Work, im.Seq, im.Diverged = work, s.seq, diverged
-	s.writes = append(s.writes[:0], Write{Index: len(s.imgs) - 1})
-	if len(s.imgs) <= s.prefix[0] {
-		// Every recency rank falls in the fastest tier, so no image can
-		// demote — always the case under an unlimited first tier.
-		return s.writes, evicted
-	}
-	s.demote()
-	return s.writes, evicted
-}
-
-// evict discards the maintenance policy's victim.
-func (s *Set) evict() {
-	v := s.pol.Victim(s.imgs)
-	s.imgs = append(s.imgs[:v], s.imgs[v+1:]...)
-}
-
-// demote moves every older image whose recency rank now falls in a
-// deeper tier than it resides in down to that tier (tiers are sticky),
-// appending one write per move, newest first. Every image already sits
-// at or below its rank's tier, and one insert raises a rank by at most
-// one, so only an image whose rank just reached a tier boundary
-// (prefix[t], the first rank past tier t) can need a move: those are
-// the only ones checked.
-func (s *Set) demote() {
-	n := len(s.imgs)
-	for t := 0; t < len(s.cfg.Tiers)-1 && s.prefix[t] < n; t++ {
-		rank := s.prefix[t]
-		i := n - 1 - rank
-		if rt := s.rankTier(rank); rt > s.imgs[i].Tier {
-			s.imgs[i].Tier = rt
-			s.writes = append(s.writes, Write{Index: i, Tier: rt})
+	im := &imgs[n-1]
+	im.Work, im.Seq, im.Tier, im.Diverged, im.Corrupted = work, s.seq, 0, diverged, false
+	s.writes[0] = Write{Index: n - 1}
+	st.TierWrites[0]++
+	nw := 1
+	// Demotions: every older image whose recency rank now falls in a
+	// deeper tier than it resides in moves down to that tier (tiers are
+	// sticky). Every image already sits at or below its rank's tier, and
+	// one insert raises a rank by at most one, so only an image whose
+	// rank just reached a tier boundary — prefix[t], the first rank of
+	// tier t+1 — can need a move. Under an unlimited first tier no rank
+	// reaches one.
+	for t := 0; t < s.last && s.prefix[t] < n; t++ {
+		i := n - 1 - s.prefix[t]
+		if imgs[i].Tier <= t {
+			imgs[i].Tier = t + 1
+			s.writes[nw] = Write{Index: i, Tier: t + 1}
+			nw++
+			st.Demotions++
+			st.TierWrites[t+1]++
 		}
 	}
+	return s.writes[:nw], evicted
 }
 
 // TruncateAfter drops every image whose Work exceeds limit — stale

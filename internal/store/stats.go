@@ -1,5 +1,7 @@
-// Per-run-context store telemetry. The engine increments a Stats owned
-// by its worker goroutine (no sharing, no atomics on the hot path); the
+// Per-run-context store telemetry. A Stats is owned by one worker
+// goroutine (no sharing, no atomics on the hot path): the Set counts its
+// inserts into it (Set.CountInto), and the simulator's ledger its
+// restore walks, truncations and restarts. The
 // experiment runner flushes per-shard deltas into the telemetry sink,
 // the same drain pattern the planner cache counters use.
 

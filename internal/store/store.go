@@ -108,7 +108,7 @@ func (c *Config) Validate() error {
 	if c.K > 0 && !unlimited && c.K > total {
 		return fmt.Errorf("store: retention bound k=%d exceeds total tier capacity %d", c.K, total)
 	}
-	if _, err := PolicyByName(c.Policy); err != nil {
+	if _, err := policyByName(c.Policy); err != nil {
 		return err
 	}
 	return nil
@@ -129,6 +129,21 @@ func (c *Config) Bound() int {
 		total += t.Capacity
 	}
 	return total
+}
+
+// Invulnerable reports whether no write can corrupt an image: every
+// tier has Corruption == 0, so the store draws no randomness. A nil
+// config is invulnerable.
+func (c *Config) Invulnerable() bool {
+	if c == nil {
+		return true
+	}
+	for _, t := range c.Tiers {
+		if t.Corruption > 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Label is a compact human-readable tag used in scheme names and sweep
