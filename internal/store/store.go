@@ -7,7 +7,7 @@
 // subsystem: a run holds at most k checkpoint images spread over a
 // small stack of tiers (RAM → NVRAM → flash/remote), each tier with a
 // capacity in images and per-image write/read cycle costs derived from
-// the storage.Device models. When the set is full, a Policy decides
+// the storage.Device models. When the set is full, a policy decides
 // which image to *keep* — evict-oldest as the baseline, and a
 // Bringmann-style quasi-geometric spacing policy that retains a set of
 // checkpoints whose distances into the past grow (at most)
