@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race check golden bench bench-check determinism fuzz-smoke chaos kill-soak cluster-soak store-soak telemetry-overhead journal-overhead profile profile-smoke pgo perfbench-build
+.PHONY: build test vet race check golden bench bench-check determinism fuzz-smoke chaos kill-soak cluster-soak store-soak telemetry-overhead journal-overhead profile profile-smoke pgo perfbench-build perfbench-smoke
 
 build:
 	$(GO) build ./...
@@ -116,6 +116,19 @@ fuzz-smoke:
 # or cluster would otherwise surface only when the benchmark runs.
 perfbench-build:
 	cd perfbench && $(GO) vet ./...
+
+# Run every benchmark workload for a few traced seconds and fail unless
+# its verdict is correct: the ops' results match the reference path and
+# the traced replay reproduces them through the lower layers. Catches a
+# program change that breaks the benchmark's replay or reference check
+# before a timed run does.
+PERFBENCH_WORKLOADS = tables-cold extensions-scalar serve-jobs cluster-jobs
+perfbench-smoke:
+	@for w in $(PERFBENCH_WORKLOADS); do \
+		line=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 3 --trace 1 | tail -n 1); \
+		echo "$$w: $$line"; \
+		case "$$line" in *'"correct":true'*) ;; *) echo "perfbench-smoke: $$w is not correct" >&2; exit 1 ;; esac; \
+	done
 
 # The chaos soak: the serve job service under fault injection, race
 # detector on.

@@ -241,6 +241,97 @@ func TestGoldenDegradedEquivalence(t *testing.T) {
 	}
 }
 
+// TestGoldenKernelReplay pins the batch kernels to the committed
+// trajectories rather than only to this revision's scalar engine:
+// every recorded case of both golden files is replayed as a one-repetition
+// batch through sim.RunBatch — seeded like runGoldenCase, untraced, with a
+// Wrong column — and must reproduce the recorded completion, time and
+// energy bits, fault and switch counts and silent-corruption outcome.
+// The degraded cases run in the kernels' live-draw mode.
+func TestGoldenKernelReplay(t *testing.T) {
+	imp := experiment.DefaultImperfection()
+	models := []struct {
+		path string
+		imp  *fault.Imperfection
+		st   *store.Config
+	}{
+		{goldenPath, nil, nil},
+		{goldenDegradedPath, &imp, nil},
+		{goldenDegradedPath, &imp, store.DefaultConfig(4)},
+		{goldenDegradedPath, nil, store.DefaultConfig(2)},
+	}
+	want := map[string][]goldenCase{}
+	for _, path := range []string{goldenPath, goldenDegradedPath} {
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("missing golden file: %v", err)
+		}
+		var cases []goldenCase
+		if err := json.Unmarshal(blob, &cases); err != nil {
+			t.Fatal(err)
+		}
+		want[path] = cases
+	}
+	next := map[string]int{}
+	rctx, bctx := sim.NewRunContext(), sim.NewBatchContext()
+	for _, m := range models {
+		for _, s := range goldenSchemes() {
+			for _, g := range goldenGrid() {
+				if g.Lambda == 0 && m.path == goldenDegradedPath {
+					continue
+				}
+				seeds := 4
+				if m.path == goldenDegradedPath {
+					seeds = 2
+				}
+				for seed := uint64(1); seed <= uint64(seeds); seed++ {
+					i := next[m.path]
+					next[m.path]++
+					if i >= len(want[m.path]) {
+						t.Fatalf("%s has only %d cases", m.path, len(want[m.path]))
+					}
+					w := want[m.path][i]
+					if w.Scheme != s.Name() || w.U != g.U || w.Lambda != g.Lambda || w.Seed != seed {
+						t.Fatalf("%s case %d is %s U=%v λ=%v seed %d, want %s U=%v λ=%v seed %d",
+							m.path, i, w.Scheme, w.U, w.Lambda, w.Seed, s.Name(), g.U, g.Lambda, seed)
+					}
+					tk, err := TaskFromUtilization("golden", g.U, 1, 10000, 5)
+					if err != nil {
+						t.Fatal(err)
+					}
+					costs := SCPCosts()
+					if s.Name() == "A_D_C" {
+						costs = CCPCosts()
+					}
+					p := sim.Params{Task: tk, Costs: costs, Lambda: g.Lambda, Imperfect: m.imp, Store: m.st}
+					bctx.GrowWrong(1)
+					if !sim.RunBatch(rctx, bctx, s, p, []uint64{seed}) {
+						t.Fatalf("%s case %d: the kernel refused the batch", m.path, i)
+					}
+					got := goldenCase{
+						Completed:        bctx.Completed[0],
+						TimeBits:         math.Float64bits(bctx.Time[0]),
+						EnergyBits:       math.Float64bits(bctx.Energy[0]),
+						Faults:           int(bctx.Faults[0]),
+						Switches:         int(bctx.Switches[0]),
+						SilentCorruption: bctx.Wrong[0],
+					}
+					if got.Completed != w.Completed || got.TimeBits != w.TimeBits || got.EnergyBits != w.EnergyBits ||
+						got.Faults != w.Faults || got.Switches != w.Switches || got.SilentCorruption != w.SilentCorruption {
+						t.Errorf("%s case %d (%s U=%v λ=%v seed %d): kernel %+v, recorded %+v",
+							m.path, i, w.Scheme, w.U, w.Lambda, w.Seed, got, w)
+					}
+				}
+			}
+		}
+	}
+	for path, n := range next {
+		if n != len(want[path]) {
+			t.Errorf("%s: replayed %d of %d cases", path, n, len(want[path]))
+		}
+	}
+}
+
 // TestGoldenFileFresh fails loudly if the golden file predates a grid or
 // scheme-set change, rather than silently comparing misaligned cases.
 func TestGoldenFileFresh(t *testing.T) {

@@ -42,6 +42,18 @@
 // and the online-λ estimator's continuous rates coexist in the same
 // array.
 //
+// Cells that keep checkpoint images — a tiered store, the imperfect
+// fault-tolerance model — run every repetition from t = 0 through the
+// engine's own ledger (sim.FTLedger, see kernelStore). When they draw
+// randomness beyond the arrivals (coverage, stable-storage and tier
+// write corruption), the batch runs in live-draw mode: each repetition
+// draws its first arrival at the start and each next one only when the
+// previous is consumed, exactly as the engine's Poisson process does,
+// because those draws interleave with the arrivals on one stream.
+// Batches under the imperfect model can end in silent corruption, which
+// they report through the context's Wrong column; they run only when
+// the caller sized it (growOutputs).
+//
 // The scalar path stays as the reference implementation; the
 // batch/scalar equivalence property and fuzz tests pin byte-identical
 // stats.Shard payloads between the two.
@@ -53,6 +65,8 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/cpu"
+	"repro/internal/fault"
+	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/store"
 )
@@ -71,41 +85,104 @@ type batchState struct {
 	store kernelStore
 }
 
-// kernelStore is the kernels' tiered-store path: the ledger the scalar
-// engine keeps (sim.StoreLedger) plus the tier charges at the current
-// speed. The kernels take the store decision once per batch — a nil
-// *kernelStore is a store-free batch — and the methods take and return
-// a repetition's (energy, t) by value, so the kernels keep them in
-// registers and charge in the engine's order: the pushed image's tier
-// writes, then on a fault the restore attempts' reads and the rollback.
+// kernelStore is the kernels' path for every repetition that keeps
+// checkpoint images — a tiered store, the imperfect fault-tolerance
+// model, or both: the ledger the scalar engine keeps (sim.FTLedger)
+// plus the checkpoint, rollback and tier charges at the current speed.
+// The kernels take the decision once per batch — a nil *kernelStore is
+// a batch that keeps no images — and the methods take and return a
+// repetition's (energy, t, x) by value, so the kernels keep them in
+// registers and charge in the engine's order.
 type kernelStore struct {
-	led   sim.StoreLedger
-	cfg   *store.Config
-	stats *store.Stats
-	// Per-tier write and read charges at the current operating point,
-	// as wall time and energy: the engine's Spend(cycles/f), computed
-	// once per speed with the same float expression.
+	led sim.FTLedger
+	p   sim.Params
+	cfg *store.Config
+
+	// Arrivals. A live batch (sim.Params.LiveDraws) draws each next
+	// arrival from src only when the previous one is consumed — the
+	// engine's PoissonProcess.Next — because the ledger's coverage and
+	// corruption draws interleave with them on the same stream. Any
+	// other batch walks the pre-drawn queue (times from pos).
+	live  bool
+	src   *rng.Source
+	lam   float64
+	arr   *fault.Arrivals
+	times []float64
+	pos   int
+
+	// Charges at the current operating point f, as wall time and
+	// energy: the engine's Spend(d) for each checkpoint kind, the
+	// rollback and each tier's write and read, computed once per speed
+	// with the same float expressions.
+	f                    float64
+	op, eOp              [3]float64
+	rb, eRB              float64
 	wWall, wE, rWall, rE [store.MaxTiers]float64
 }
 
-// storeFor returns the batch's store path, or nil for a store-free
-// batch.
-func (st *batchState) storeFor(p sim.Params) *kernelStore {
-	if p.Store == nil {
+// storeFor returns the batch's image-keeping path, or nil for a batch
+// that keeps no images. arrival is the fault-arrival rate.
+func (st *batchState) storeFor(p sim.Params, b *sim.BatchContext, arrival float64) *kernelStore {
+	cfg := p.CheckpointStore()
+	if cfg == nil {
 		return nil
 	}
 	ks := &st.store
-	ks.cfg, ks.stats = p.Store, p.StoreStats
+	ks.p, ks.cfg, ks.live = p, cfg, p.LiveDraws()
+	ks.src, ks.arr, ks.lam = b.Source(), b.Arrivals(), arrival
 	return ks
 }
 
-// begin empties the ledger for a fresh repetition.
-func (ks *kernelStore) begin() { ks.led.Reset(ks.cfg, ks.stats) }
+// begin starts a repetition whose stream is loaded: it empties the
+// ledger and returns the first pending arrival — drawn now on a live
+// batch, as Engine.Reset draws it, or the head of the queue pre-drawn
+// with about hint arrivals otherwise. Only a strictly positive rate
+// draws (Engine.Reset's process switch).
+func (ks *kernelStore) begin(hint int) float64 {
+	ks.led.Reset(&ks.p, ks.src)
+	if !(ks.lam > 0) {
+		return math.Inf(1)
+	}
+	if ks.live {
+		return ks.src.Exp(ks.lam)
+	}
+	ks.arr.Reset(ks.lam, ks.src, hint)
+	ks.times, ks.pos = ks.arr.Times(), 0
+	return ks.times[0]
+}
 
-// atSpeed refreshes the tier charges for operating frequency f. A
-// zero-cost tier charges +0, which leaves energy and time bit for bit
-// where the engine, skipping the Spend, leaves them.
+// consume takes every arrival before end, next (< end) being the
+// pending one, and returns the new pending arrival and the count taken.
+func (ks *kernelStore) consume(next, end float64) (float64, int) {
+	n := 0
+	if ks.live {
+		for next < end {
+			n++
+			next += ks.src.Exp(ks.lam)
+		}
+		return next, n
+	}
+	if ks.times[len(ks.times)-1] < end {
+		ks.times = ks.arr.EnsureBeyond(end)
+	}
+	p0 := ks.pos
+	for ks.times[ks.pos] < end {
+		ks.pos++
+	}
+	return ks.times[ks.pos], ks.pos - p0
+}
+
+// atSpeed refreshes the charges for operating frequency f. A zero-cost
+// tier charges +0, which leaves energy and time bit for bit where the
+// engine, skipping the Spend, leaves them.
 func (ks *kernelStore) atSpeed(f, epc, repl float64) {
+	ks.f = f
+	for k := range ks.op {
+		d := ks.p.Costs.AtSpeed(checkpoint.Kind(k), f)
+		ks.op[k], ks.eOp[k] = d, (f*d*repl)*epc
+	}
+	ks.rb = ks.p.Costs.Rollback / f
+	ks.eRB = (f * ks.rb * repl) * epc
 	for i := range ks.cfg.Tiers {
 		tier := &ks.cfg.Tiers[i]
 		d := tier.WriteCycles / f
@@ -115,44 +192,206 @@ func (ks *kernelStore) atSpeed(f, epc, repl float64) {
 	}
 }
 
-// push stores an image at absolute work and charges its writes in
-// order — the engine's pushImage over invulnerable tiers.
-func (ks *kernelStore) push(energy, t, work float64, diverged bool) (float64, float64) {
-	for _, w := range ks.led.Push(work, diverged) {
+// push stores an image through the ledger: with the write-corruption
+// draws on a live batch, without them (Push, which inlines) when no
+// tier can be corrupted and nothing is drawn anyway.
+func (ks *kernelStore) push(work float64, diverged bool) []store.Write {
+	if ks.live {
+		return ks.led.Record(work, diverged)
+	}
+	return ks.led.Push(work, diverged)
+}
+
+// charge charges the tier writes of a push, in write order.
+func (ks *kernelStore) charge(energy, t float64, writes []store.Write) (float64, float64) {
+	for _, w := range writes {
 		energy += ks.wE[w.Tier]
 		t += ks.wWall[w.Tier]
 	}
 	return energy, t
 }
 
-// recover is the engine's recoverStoreIdeal: the restore walk, the
-// restored image's tier read, the ledger's case choice, then the
-// rollback charge (eRB, wRB). Inside the envelope no image is ever
-// corrupted, so the walk's only attempt is the image it restores. It
-// returns the kept work relative to doneWork.
-func (ks *kernelStore) recover(energy, t, doneWork, idealKept, eRB, wRB float64) (float64, float64, float64) {
-	_, chosen := ks.led.Walk(math.MaxInt)
-	if chosen >= 0 {
-		ti := ks.led.Images()[chosen].Tier
+// walk runs the ledger's restore walk and charges its attempts in walk
+// order — a corrupted image a rollback and then its tier read, the
+// restored one its tier read — as the engine's restoreWalk does. It
+// returns the restored image's index, or -1.
+func (ks *kernelStore) walk(energy, t float64, budget int) (float64, float64, int) {
+	attempts, chosen := ks.led.Walk(budget)
+	imgs := ks.led.Images()
+	for _, i := range attempts {
+		if i != chosen {
+			energy += ks.eRB
+			t += ks.rb
+		}
+		ti := imgs[i].Tier
 		energy += ks.rE[ti]
 		t += ks.rWall[ti]
 	}
-	kept, _, _ := ks.led.SettleIdeal(chosen, doneWork, idealKept)
-	energy += eRB
-	t += wRB
-	return energy, t, kept
+	return energy, t, chosen
 }
 
-// closeM1 is the store bookkeeping of a single-span interval of wall
-// length cur once its closing CSCP is charged: the push, and on a
-// fault (hit) the recovery. It returns the kept work, the engine's
-// runIntervalStore at m = 1.
-func (ks *kernelStore) closeM1(energy, t, doneWork, cur, f float64, hit bool, eRB, wRB float64) (float64, float64, float64) {
-	energy, t = ks.push(energy, t, doneWork+cur*f, hit)
-	if !hit {
-		return energy, t, cur * f
+// recover is the engine's recoverStoreIdeal: the restore walk, the
+// ledger's case choice, then the rollback charge. It returns the kept
+// work relative to doneWork.
+func (ks *kernelStore) recover(energy, t, doneWork, idealKept float64) (float64, float64, float64) {
+	energy, t, chosen := ks.walk(energy, t, math.MaxInt)
+	kept, _, _ := ks.led.SettleIdeal(chosen, doneWork, idealKept)
+	return energy + ks.eRB, t + ks.rb, kept
+}
+
+// interval runs one interval of wall length cur split into m spans of
+// length span (energy eSp each) with sub-checkpoints of flavour sub,
+// starting at task progress doneWork with the pending arrival next:
+// the engine's RunInterval on the paths that keep images, operation
+// for operation. It returns the advanced (energy, t, x, next), the kept
+// work relative to doneWork (negative when a recovery crosses the
+// interval start), the faults consumed and whether an error was
+// detected.
+func (ks *kernelStore) interval(energy, t, x, next, doneWork, cur, span, eSp float64, m int, sub checkpoint.Kind) (float64, float64, float64, float64, float64, int, bool) {
+	if ks.led.Imperfect() {
+		return ks.imperfect(energy, t, x, next, doneWork, cur, span, eSp, m, sub)
 	}
-	return ks.recover(energy, t, doneWork, 0, eRB, wRB)
+	// runIntervalStore: the ideal model over a tiered store.
+	f := ks.f
+	faults, n := 0, 0
+	switch {
+	case m == 1:
+		hit := false
+		end := x + span
+		if next < end {
+			next, n = ks.consume(next, end)
+			faults += n
+			hit = true
+		}
+		energy += eSp
+		t += span
+		x = end
+		energy += ks.eOp[checkpoint.CSCP]
+		t += ks.op[checkpoint.CSCP]
+		energy, t = ks.charge(energy, t, ks.push(doneWork+cur*f, hit))
+		if !hit {
+			return energy, t, x, next, cur * f, faults, false
+		}
+		energy, t, kept := ks.recover(energy, t, doneWork, 0)
+		return energy, t, x, next, kept, faults, true
+	case sub == checkpoint.SCP:
+		// Detection deferred to the closing CSCP; every store after the
+		// earliest fault holds diverged state.
+		firstOffset := -1.0
+		for j := 0; j < m; j++ {
+			end := x + span
+			if next < end {
+				if firstOffset < 0 {
+					firstOffset = float64(j)*span + (next - x)
+				}
+				next, n = ks.consume(next, end)
+				faults += n
+			}
+			energy += eSp
+			t += span
+			x = end
+			if j < m-1 {
+				energy += ks.eOp[checkpoint.SCP]
+				t += ks.op[checkpoint.SCP]
+				energy, t = ks.charge(energy, t, ks.push(doneWork+float64(j+1)*span*f, firstOffset >= 0))
+			}
+		}
+		energy += ks.eOp[checkpoint.CSCP]
+		t += ks.op[checkpoint.CSCP]
+		energy, t = ks.charge(energy, t, ks.push(doneWork+cur*f, firstOffset >= 0))
+		if firstOffset < 0 {
+			return energy, t, x, next, cur * f, faults, false
+		}
+		energy, t, kept := ks.recover(energy, t, doneWork, math.Floor(firstOffset/span)*span*f)
+		return energy, t, x, next, kept, faults, true
+	default:
+		// CCP flavour: detection at the next comparison aborts the
+		// interval; CCPs store nothing, the closing CSCP does.
+		for j := 0; j < m; j++ {
+			hit := false
+			end := x + span
+			if next < end {
+				next, n = ks.consume(next, end)
+				faults += n
+				hit = true
+			}
+			energy += eSp
+			t += span
+			x = end
+			if j < m-1 {
+				energy += ks.eOp[checkpoint.CCP]
+				t += ks.op[checkpoint.CCP]
+			} else {
+				energy += ks.eOp[checkpoint.CSCP]
+				t += ks.op[checkpoint.CSCP]
+				energy, t = ks.charge(energy, t, ks.push(doneWork+cur*f, hit))
+			}
+			if hit {
+				energy, t, kept := ks.recover(energy, t, doneWork, 0)
+				return energy, t, x, next, kept, faults, true
+			}
+		}
+		return energy, t, x, next, cur * f, faults, false
+	}
+}
+
+// imperfect is interval under the imperfect model — the engine's
+// runIntervalImperfect over live arrivals. Both flavours unify: an SCP
+// boundary stores, a CCP boundary compares, the closing CSCP does both.
+// A fault in a span starts divergence at its offset; with vulnerable
+// operations a checkpoint's duration passes through the fault clock,
+// and a fault there starts divergence at the image it writes.
+func (ks *kernelStore) imperfect(energy, t, x, next, doneWork, cur, span, eSp float64, m int, sub checkpoint.Kind) (float64, float64, float64, float64, float64, int, bool) {
+	f := ks.f
+	vulnerable := ks.led.Vulnerable()
+	faults := 0
+	for j := 0; j < m; j++ {
+		end := x + span
+		if next < end {
+			ks.led.Strike(doneWork + (float64(j)*span+(next-x))*f)
+			for next < end {
+				faults++
+				next += ks.src.Exp(ks.lam)
+			}
+		}
+		energy += eSp
+		t += span
+		x = end
+		k := sub
+		if j == m-1 {
+			k = checkpoint.CSCP
+		}
+		d := ks.op[k]
+		struck := false
+		if vulnerable && d > 0 {
+			end = x + d
+			for next < end {
+				struck = true
+				faults++
+				next += ks.src.Exp(ks.lam)
+			}
+			x = end
+		}
+		energy += ks.eOp[k]
+		t += d
+		work := doneWork + float64(j+1)*span*f
+		if struck {
+			ks.led.Strike(work)
+		}
+		if k != checkpoint.CCP {
+			energy, t = ks.charge(energy, t, ks.led.Store(work, struck))
+		}
+		if k == checkpoint.SCP {
+			continue
+		}
+		if detected, _ := ks.led.Compare(); detected {
+			var chosen int
+			energy, t, chosen = ks.walk(energy, t, ks.led.CascadeBudget())
+			target, _ := ks.led.Resume(chosen)
+			return energy + ks.eRB, t + ks.rb, x, next, target - doneWork, faults, true
+		}
+	}
+	return energy, t, x, next, cur * f, faults, false
 }
 
 // speedCosts caches the wall-clock overhead durations and energy per
@@ -215,17 +454,30 @@ func buildSpeedCosts(dst []speedCosts, model *cpu.Model, costs checkpoint.Costs)
 }
 
 // batchable reports whether the parameters are inside the kernel
-// envelope: the ideal-model warm path, where the only randomness a
-// repetition consumes is its Poisson fault arrivals. A tiered store is
-// inside when every tier is invulnerable (Corruption == 0): its
-// bookkeeping is deterministic and draws nothing, so the kernels run
-// it through the engine's own ledger (kernelStore). Tracing wants
-// per-event timelines, custom fault processes draw through their own
-// code paths, and imperfect fault tolerance and fallible tiers consume
-// extra randomness — all of those take the scalar reference path.
+// envelope: every configuration whose fault arrivals are the plain
+// Poisson process. Stores and the imperfect fault-tolerance model run
+// through the engine's own ledger (kernelStore), in live-draw mode when
+// they draw randomness of their own. Tracing wants per-event
+// timelines and custom fault processes draw through their own code
+// paths — those two take the scalar reference path.
 func batchable(p sim.Params) bool {
-	return p.Trace == nil && p.FaultProcess == nil && p.Store.Invulnerable() &&
-		(p.Imperfect == nil || p.Imperfect.IsIdeal())
+	return p.Trace == nil && p.FaultProcess == nil
+}
+
+// growOutputs sizes b's outputs for n repetitions. A batch under the
+// imperfect model can end in silent corruption, which only the Wrong
+// column carries: such a batch runs only when the caller sized that
+// column, and is otherwise refused with b untouched. A sized column is
+// cleared, and the imperfect batches fill it per repetition.
+func growOutputs(b *sim.BatchContext, p sim.Params, n int) bool {
+	if p.ImperfectFT() && len(b.Wrong) < n {
+		return false
+	}
+	b.Grow(n)
+	if len(b.Wrong) >= n {
+		clear(b.Wrong[:n])
+	}
+	return true
 }
 
 // arrivalHint estimates how many fault arrivals one repetition consumes
@@ -257,11 +509,10 @@ var (
 // kernel. One operating point, one interval length, m = 1 everywhere —
 // the flattened equivalent of run() over the engine's m==1 fast path.
 func (s *FixedCSCP) RunBatch(rctx *sim.RunContext, b *sim.BatchContext, p sim.Params, seeds []uint64) bool {
-	if !batchable(p) {
+	n := len(seeds)
+	if !batchable(p) || !growOutputs(b, p, n) {
 		return false
 	}
-	n := len(seeds)
-	b.Grow(n)
 	model := p.CPUModel()
 	pt, err := model.AtFreq(s.Freq)
 	if err != nil {
@@ -292,11 +543,56 @@ func (s *FixedCSCP) RunBatch(rctx *sim.RunContext, b *sim.BatchContext, p sim.Pa
 	hint := arrivalHint(lam, N, f)
 	src, arr := b.Source(), b.Arrivals()
 	st := batchScratch(b)
-	ks := st.storeFor(p)
-	if ks != nil {
-		ks.atSpeed(f, epc, repl)
-	}
 	b.States.Reseed(seeds)
+
+	if ks := st.storeFor(p, b, lam); ks != nil {
+		// A cell that keeps images runs every repetition from t = 0
+		// through the ledger: the prefix snapshots below do not capture
+		// the checkpoint set. Each interval is the engine's RunInterval
+		// at m = 1.
+		ks.atSpeed(f, epc, repl)
+		for i := 0; i < n; i++ {
+			b.States.Load(src, i)
+			next := ks.begin(hint)
+			var t, energy, x float64
+			rc := N
+			faults := 0
+			completed := false
+			for k := 0; k < budget; k++ {
+				rd := D - t
+				rcf := rc / f
+				if rcf > rd {
+					break // infeasible
+				}
+				cur := minPos(itv, rcf)
+				if cur <= 0 {
+					panic(fmt.Sprintf("sim: non-positive interval %v", cur))
+				}
+				eCur := eItv
+				if cur != itv {
+					eCur = (f * cur * repl) * epc
+				}
+				var kept float64
+				var nf int
+				energy, t, x, next, kept, nf, _ = ks.interval(energy, t, x, next, N-rc, cur, cur, eCur, 1, checkpoint.SCP)
+				faults += nf
+				rc -= kept
+				if rc <= sim.EpsWork {
+					completed = t <= D
+					break
+				}
+			}
+			b.Completed[i] = completed
+			b.Energy[i] = energy
+			b.Time[i] = t
+			b.Faults[i] = float64(faults)
+			b.Switches[i] = 0
+			if ks.led.Imperfect() {
+				b.Wrong[i] = ks.led.Wrong(completed)
+			}
+		}
+		return true
+	}
 
 	// Shared fault-free prefix (see the adaptive kernel for the full
 	// rationale): with one speed and one interval length every
@@ -306,12 +602,10 @@ func (s *FixedCSCP) RunBatch(rctx *sim.RunContext, b *sim.BatchContext, p sim.Pa
 	// interval top; a repetition jumps to the interval its first
 	// arrival lands in, and a repetition whose first arrival falls
 	// after the end of execution is the shared trajectory verbatim.
-	// A store cell runs every repetition live: the snapshots do not
-	// capture the checkpoint set.
 	pxT, pxE, pxRC, pxX := st.pxT[:0], st.pxE[:0], st.pxRC[:0], st.pxX[:0]
 	termValid, termCompleted := false, false
 	var termT, termE, xTotal float64
-	if ks == nil {
+	{
 		var t, x, energy float64
 		rc := N
 		broke := false
@@ -373,9 +667,7 @@ func (s *FixedCSCP) RunBatch(rctx *sim.RunContext, b *sim.BatchContext, p sim.Pa
 		var t, energy, x float64
 		rc := N
 		it0 := 0
-		if ks != nil {
-			ks.begin()
-		} else {
+		{
 			if termValid && next >= xTotal {
 				b.Completed[i] = termCompleted
 				b.Energy[i] = termE
@@ -440,11 +732,7 @@ func (s *FixedCSCP) RunBatch(rctx *sim.RunContext, b *sim.BatchContext, p sim.Pa
 			// Closing CSCP.
 			energy += eCSCP
 			t += wallCSCP
-			if ks != nil {
-				var kept float64
-				energy, t, kept = ks.closeM1(energy, t, N-rc, cur, f, hit, eRB, wallRB)
-				rc -= kept
-			} else if !hit {
+			if !hit {
 				rc -= cur * f
 			} else {
 				// Detection at the CSCP: rollback, nothing kept.
@@ -482,16 +770,14 @@ func (s *Adaptive) RunBatch(rctx *sim.RunContext, b *sim.BatchContext, p sim.Par
 // and passing the true rate here. A nil rctx (no plan cache to plan
 // through) refuses the batch, as sim.RunBatch does.
 func (s *Adaptive) RunBatchArrival(rctx *sim.RunContext, b *sim.BatchContext, p sim.Params, seeds []uint64, arrival float64) bool {
-	if rctx == nil || !batchable(p) {
+	n := len(seeds)
+	if rctx == nil || !batchable(p) || !growOutputs(b, p, n) {
 		return false
 	}
-	n := len(seeds)
-	b.Grow(n)
 	pl := s.plannerFor(rctx, p)
 	st := batchScratch(b)
 	model := p.CPUModel()
 	st.costs = buildSpeedCosts(st.costs, model, p.Costs)
-	ks := st.storeFor(p)
 
 	D := p.Task.Deadline
 	N := p.Task.Cycles
@@ -530,6 +816,11 @@ func (s *Adaptive) RunBatchArrival(rctx *sim.RunContext, b *sim.BatchContext, p 
 	}
 	hint := arrivalHint(arrival, N, sc0.pt.Freq)
 
+	if ks := st.storeFor(p, b, arrival); ks != nil {
+		s.runKeepingImages(b, st, ks, pl, p, sc0, itv0, sub0, lam0, pseudo, hint)
+		return true
+	}
+
 	// Shared fault-free prefix: until its first fault arrival, every
 	// repetition follows the same deterministic trajectory under the
 	// initial plan (no replans, no speed switches, no randomness —
@@ -540,9 +831,8 @@ func (s *Adaptive) RunBatchArrival(rctx *sim.RunContext, b *sim.BatchContext, p 
 	// its first arrival lands in. The snapshots come from the same
 	// float operations in the same order, so the jump is bit-exact.
 	// Eager-DVS replans every interval, so its prefix would need the
-	// whole evolving plan state snapshotted, and a store cell's prefix
-	// the checkpoint set — those cells skip the prefix and run every
-	// repetition live.
+	// whole evolving plan state snapshotted — those cells skip the
+	// prefix and run every repetition from the start.
 	e0pc := sc0.pt.EnergyPerCycle()
 	f0 := sc0.pt.Freq
 	e0SCP := (f0 * sc0.wall[checkpoint.SCP] * repl) * e0pc
@@ -565,7 +855,7 @@ func (s *Adaptive) RunBatchArrival(rctx *sim.RunContext, b *sim.BatchContext, p 
 	eSp0 := (f0 * span0 * repl) * e0pc
 	eItv0 := (f0 * itv0 * repl) * e0pc
 
-	usePrefix := !eager && ks == nil
+	usePrefix := !eager
 	pxT, pxE, pxRC, pxX := st.pxT[:0], st.pxE[:0], st.pxRC[:0], st.pxX[:0]
 	// Terminal state of the never-faulting trajectory. Invalid only when
 	// the walk stops at the live loop's non-positive-interval guard; the
@@ -670,9 +960,6 @@ func (s *Adaptive) RunBatchArrival(rctx *sim.RunContext, b *sim.BatchContext, p 
 		var t, energy, x float64
 		rc := N
 		it0 := 0
-		if ks != nil {
-			ks.begin()
-		}
 		if usePrefix {
 			if termValid && next >= xTotal {
 				// First fault (if any) arrives after execution ends: the
@@ -775,9 +1062,6 @@ func (s *Adaptive) RunBatchArrival(rctx *sim.RunContext, b *sim.BatchContext, p 
 				eCCP = (f * sc.wall[checkpoint.CCP] * repl) * epc
 				eCSCP = (f * sc.wall[checkpoint.CSCP] * repl) * epc
 				eRB = (f * sc.rollback * repl) * epc
-				if ks != nil {
-					ks.atSpeed(f, epc, repl)
-				}
 				reconst = true
 			}
 			if reconst {
@@ -812,110 +1096,7 @@ func (s *Adaptive) RunBatchArrival(rctx *sim.RunContext, b *sim.BatchContext, p 
 
 			kept := 0.0
 			detected := false
-			if ks != nil {
-				// Store cell: the engine's runIntervalStore, operation for
-				// operation — the spans and checkpoint charges of the
-				// store-free flavours below, plus a push after every
-				// storing checkpoint and the store-aware recovery.
-				doneWork := N - rc
-				if m == 1 {
-					hit := false
-					end := x + cur
-					if next < end {
-						if times[len(times)-1] < end {
-							times = arr.EnsureBeyond(end)
-						}
-						p0 := pos
-						for times[pos] < end {
-							pos++
-						}
-						faults += pos - p0
-						next = times[pos]
-						hit = true
-					}
-					energy += eItv
-					t += cur
-					x = end
-					energy += eCSCP
-					t += sc.wall[checkpoint.CSCP]
-					energy, t, kept = ks.closeM1(energy, t, doneWork, cur, f, hit, eRB, sc.rollback)
-					detected = hit
-				} else if !subCCP {
-					firstOffset := -1.0
-					for j := 0; j < m; j++ {
-						end := x + span
-						if next < end {
-							if times[len(times)-1] < end {
-								times = arr.EnsureBeyond(end)
-							}
-							if firstOffset < 0 {
-								firstOffset = float64(j)*span + (next - x)
-							}
-							p0 := pos
-							for times[pos] < end {
-								pos++
-							}
-							faults += pos - p0
-							next = times[pos]
-						}
-						energy += eSp
-						t += span
-						x = end
-						if j < m-1 {
-							energy += eSCP
-							t += sc.wall[checkpoint.SCP]
-							energy, t = ks.push(energy, t, doneWork+float64(j+1)*span*f, firstOffset >= 0)
-						}
-					}
-					energy += eCSCP
-					t += sc.wall[checkpoint.CSCP]
-					energy, t = ks.push(energy, t, doneWork+cur*f, firstOffset >= 0)
-					if firstOffset < 0 {
-						kept = cur * f
-					} else {
-						kept = math.Floor(firstOffset/span) * span * f
-						energy, t, kept = ks.recover(energy, t, doneWork, kept, eRB, sc.rollback)
-						detected = true
-					}
-				} else {
-					for j := 0; j < m; j++ {
-						hit := false
-						end := x + span
-						if next < end {
-							if times[len(times)-1] < end {
-								times = arr.EnsureBeyond(end)
-							}
-							p0 := pos
-							for times[pos] < end {
-								pos++
-							}
-							faults += pos - p0
-							next = times[pos]
-							hit = true
-						}
-						energy += eSp
-						t += span
-						x = end
-						if j < m-1 {
-							energy += eCCP
-							t += sc.wall[checkpoint.CCP]
-						} else {
-							// CCPs store nothing; the closing CSCP does.
-							energy += eCSCP
-							t += sc.wall[checkpoint.CSCP]
-							energy, t = ks.push(energy, t, doneWork+cur*f, hit)
-						}
-						if hit {
-							energy, t, kept = ks.recover(energy, t, doneWork, 0, eRB, sc.rollback)
-							detected = true
-							break
-						}
-					}
-					if !detected {
-						kept = cur * f
-					}
-				}
-			} else if m == 1 {
+			if m == 1 {
 				// Single-span interval: one execution span, the closing
 				// CSCP, rollback to the interval-leading state on a fault.
 				// The pending arrival stays in a register across spans, so
@@ -1062,4 +1243,103 @@ func (s *Adaptive) RunBatchArrival(rctx *sim.RunContext, b *sim.BatchContext, p 
 		b.Switches[i] = float64(switches)
 	}
 	return true
+}
+
+// runKeepingImages is the adaptive kernel's loop for a batch whose
+// cells keep checkpoint images (a tiered store, the imperfect model):
+// every repetition from t = 0, each interval through the ledger
+// (kernelStore.interval), planned, switched and replanned exactly as
+// the image-free loop above — Adaptive.run over the engine. The
+// initial plan (sc0, itv0, sub0 at rate lam0) is the batch's; pseudo
+// is the online estimator's pseudo-exposure.
+func (s *Adaptive) runKeepingImages(b *sim.BatchContext, st *batchState, ks *kernelStore, pl *Planner, p sim.Params, sc0 *speedCosts, itv0, sub0, lam0, pseudo float64, hint int) {
+	D := p.Task.Deadline
+	N := p.Task.Cycles
+	repl := float64(p.ReplicaCount())
+	budget := p.MaxIntervalBudget()
+	estimate := s.EstimateLambdaPrior > 0
+	eager := s.DVS && s.EagerSpeedReeval
+	src := b.Source()
+	for i := range b.Completed {
+		b.States.Load(src, i)
+		next := ks.begin(hint)
+		var t, energy, x, epc float64
+		rc := N
+		var faults, switches, det int
+		rf := p.Task.FaultBudget
+		sc := sc0
+		itv, subLen := itv0, sub0
+		var lastSc *speedCosts
+		completed := false
+		f := sc.pt.Freq
+		for it := 0; it < budget; it++ {
+			rd := D - t
+			if eager {
+				lamE := lam0
+				if estimate {
+					lamE = (1 + float64(det)) / (pseudo + x)
+				}
+				if pSC, pItv, pSub, pBad := st.plan(pl, rc, rd, lamE, rf); !pBad {
+					sc, itv, subLen = pSC, pItv, pSub
+					f = sc.pt.Freq
+				}
+			}
+			rcf := rc / f
+			if rcf > rd {
+				break // infeasible
+			}
+			cur := minPos(itv, rcf)
+			if cur <= 0 {
+				panic(fmt.Sprintf("sim: non-positive interval %v", cur))
+			}
+			if sc != lastSc {
+				if lastSc != nil {
+					switches++
+				}
+				lastSc = sc
+				epc = sc.pt.EnergyPerCycle()
+				ks.atSpeed(f, epc, repl)
+			}
+			m := 1
+			if s.UseSub && subLen > 0 {
+				m = int(math.Ceil(cur/subLen - 1e-9))
+				if m < 1 {
+					m = 1
+				}
+			}
+			span := cur / float64(m)
+			var kept float64
+			var nf int
+			var detected bool
+			energy, t, x, next, kept, nf, detected = ks.interval(energy, t, x, next, N-rc, cur, span, (f*span*repl)*epc, m, s.Sub)
+			faults += nf
+			rc -= kept
+			if detected {
+				det++
+				if rf > 0 {
+					rf--
+				}
+				lamR := lam0
+				if estimate {
+					lamR = (1 + float64(det)) / (pseudo + x)
+				}
+				if pSC, pItv, pSub, pBad := st.plan(pl, rc, D-t, lamR, rf); !pBad {
+					sc, itv, subLen = pSC, pItv, pSub
+					f = sc.pt.Freq
+				}
+			}
+			if rc <= sim.EpsWork {
+				completed = t <= D
+				break
+			}
+		}
+		b.Completed[i] = completed
+		b.Energy[i] = energy
+		b.Time[i] = t
+		b.Faults[i] = float64(faults)
+		b.Switches[i] = float64(switches)
+		if ks.led.Imperfect() {
+			b.Wrong[i] = ks.led.Wrong(completed)
+		}
+	}
 }

@@ -44,8 +44,9 @@ func runScalarShard(s sim.Scheme, p sim.Params, seeds, keys []uint64) (out stats
 	return out, false
 }
 
-// runBatchShard runs the same repetitions through the batch kernel.
-// ok reports whether the scheme/params were batchable at all.
+// runBatchShard runs the same repetitions through the batch kernel,
+// with the silent-corruption column sized as the experiment layer
+// sizes it. ok reports whether the scheme/params were batchable at all.
 func runBatchShard(s sim.Scheme, p sim.Params, seeds, keys []uint64) (out stats.Shard, ok, panicked bool) {
 	defer func() {
 		if recover() != nil {
@@ -54,10 +55,11 @@ func runBatchShard(s sim.Scheme, p sim.Params, seeds, keys []uint64) (out stats.
 	}()
 	rctx := sim.NewRunContext()
 	bctx := sim.NewBatchContext()
+	bctx.GrowWrong(len(seeds))
 	if !sim.RunBatch(rctx, bctx, s, p, seeds) {
 		return out, false, false
 	}
-	out.ObserveRuns(keys, bctx.Completed, bctx.Energy, bctx.Time, bctx.Faults, bctx.Switches)
+	out.ObserveBatch(keys, bctx.Completed, bctx.Wrong, bctx.Energy, bctx.Time, bctx.Faults, bctx.Switches)
 	return out, true, false
 }
 
@@ -95,9 +97,10 @@ func batchSchemes() []sim.Scheme {
 // TestBatchScalarEquivalence pins the tentpole invariant: for every
 // batchable scheme over a grid spanning both cost settings, both fault
 // budgets, λ = 0 and the paper's rates (plus a high-λ stress point that
-// forces dense replanning), with no store and under every invulnerable
-// store of storeSelection, the batch kernel and the scalar reference
-// produce byte-identical stats.Shard payloads and identical store.Stats.
+// forces dense replanning), with no store and under every store of
+// storeSelection (the corruptible one in live-draw mode), the batch
+// kernel and the scalar reference produce byte-identical stats.Shard
+// payloads and identical store.Stats.
 func TestBatchScalarEquivalence(t *testing.T) {
 	const reps = 64
 	grid := []struct {
@@ -116,7 +119,7 @@ func TestBatchScalarEquivalence(t *testing.T) {
 		{0.76, 0.01, 0, checkpoint.CCPSetting()}, // zero fault budget
 	}
 	for _, g := range grid {
-		for sel := uint8(0); sel < 8; sel++ {
+		for sel := uint8(0); sel < storeChoices; sel++ {
 			for _, s := range batchSchemes() {
 				name := fmt.Sprintf("%s/U%.2f/λ%g/k%d/ts%g/store%d", s.Name(), g.u, g.lambda, g.k, g.costs.Store, sel)
 				p := mustParams(t, g.u, 1, g.lambda, g.k, g.costs)
@@ -125,6 +128,49 @@ func TestBatchScalarEquivalence(t *testing.T) {
 				seeds, keys := shardSeeds(base, reps)
 				if err := compareStoreShards(s, p, seeds, keys); err != nil {
 					t.Errorf("%s: %v", name, err)
+				}
+			}
+		}
+	}
+}
+
+// TestBatchImperfectEquivalence pins the kernels' live-draw mode: for
+// every batchable scheme under imperfect fault-tolerance models that
+// exercise each knob — coverage misses and silent corruption, latent
+// store corruption with deep cascades and restarts, vulnerable
+// checkpoint operations, a one-attempt cascade budget — storeless, over
+// the default stack and over a corruptible store, the kernel and the
+// scalar reference produce byte-identical shards (silent-corruption
+// count included) and identical store.Stats.
+func TestBatchImperfectEquivalence(t *testing.T) {
+	const reps = 48
+	models := []fault.Imperfection{
+		{Coverage: 0.98, StoreCorruption: 0.08, CheckpointVulnerable: true},
+		{Coverage: 0.5, StoreCorruption: 0.3},
+		{Coverage: 0, CheckpointVulnerable: true},
+		{Coverage: 1, StoreCorruption: 1, CascadeBudget: 1},
+	}
+	grid := []struct {
+		u, lambda float64
+		costs     checkpoint.Costs
+	}{
+		{0.78, 0.0014, checkpoint.SCPSetting()},
+		{0.82, 0.004, checkpoint.CCPSetting()},
+		{0.80, 0, checkpoint.SCPSetting()},
+	}
+	stores := []*store.Config{nil, store.DefaultConfig(4), corruptibleStore()}
+	for mi, im := range models {
+		for _, g := range grid {
+			for si, st := range stores {
+				for _, s := range batchSchemes() {
+					name := fmt.Sprintf("%s/imp%d/U%.2f/λ%g/store%d", s.Name(), mi, g.u, g.lambda, si)
+					p := mustParams(t, g.u, 1, g.lambda, 5, g.costs)
+					im := im
+					p.Imperfect, p.Store = &im, st
+					seeds, keys := shardSeeds(uint64(len(name))<<8|uint64(mi), reps)
+					if err := compareStoreShards(s, p, seeds, keys); err != nil {
+						t.Errorf("%s: %v", name, err)
+					}
 				}
 			}
 		}
@@ -160,34 +206,53 @@ func TestBatchLambdaRebind(t *testing.T) {
 // TestBatchGateFallsBack pins the kernel envelope from both sides:
 // configurations the kernel cannot reproduce bit-for-bit must refuse
 // the batch (so the caller runs the scalar reference), never silently
-// approximate — while the online-λ and eager-DVS ablations, scalar-only
-// before the round-two kernel, must now be accepted so the E-table
-// cells never fall back to the scalar loop.
+// approximate — and a batch that can end in silent corruption must
+// refuse, leaving b untouched, unless the caller sized the Wrong
+// column. Everything else is inside: stores of every kind, the
+// imperfect model, and the online-λ and eager-DVS ablations.
 func TestBatchGateFallsBack(t *testing.T) {
 	p := mustParams(t, 0.8, 1, 0.0014, 5, checkpoint.SCPSetting())
 	seeds, _ := shardSeeds(1, 4)
 	rctx, bctx := sim.NewRunContext(), sim.NewBatchContext()
 
-	traced := p
-	traced.Trace = &sim.Trace{}
-	if sim.RunBatch(rctx, bctx, NewAdaptDVSSCP(), traced, seeds) {
-		t.Error("kernel accepted a traced run")
-	}
-	imperfect := p
-	imperfect.Imperfect = &fault.Imperfection{Coverage: 0.98, StoreCorruption: 0.08}
-	if sim.RunBatch(rctx, bctx, NewAdaptDVSSCP(), imperfect, seeds) {
-		t.Error("kernel accepted imperfect fault tolerance")
-	}
 	for _, sch := range []sim.Scheme{NewAdaptDVSSCP(), NewPoissonScheme(1)} {
+		traced := p
+		traced.Trace = &sim.Trace{}
+		if sim.RunBatch(rctx, bctx, sch, traced, seeds) {
+			t.Errorf("%s: kernel accepted a traced run", sch.Name())
+		}
+		custom := p
+		custom.FaultProcess = func(src *rng.Source) fault.Process { return fault.NewPoisson(p.Lambda, src) }
+		if sim.RunBatch(rctx, bctx, sch, custom, seeds) {
+			t.Errorf("%s: kernel accepted a custom fault process", sch.Name())
+		}
+
+		imperfect := p
+		imperfect.Imperfect = &fault.Imperfection{Coverage: 0.98, StoreCorruption: 0.08}
+		fresh := sim.NewBatchContext()
+		fresh.Grow(len(seeds))
+		for i := range fresh.Energy {
+			fresh.Energy[i] = -1
+		}
+		if sim.RunBatch(rctx, fresh, sch, imperfect, seeds) {
+			t.Errorf("%s: kernel ran an SDC-capable batch without a Wrong column", sch.Name())
+		}
+		if fresh.Wrong != nil || fresh.Energy[0] != -1 {
+			t.Errorf("%s: a refused batch touched the context", sch.Name())
+		}
+		fresh.GrowWrong(len(seeds))
+		if !sim.RunBatch(rctx, fresh, sch, imperfect, seeds) {
+			t.Errorf("%s: kernel refused imperfect FT with a Wrong column", sch.Name())
+		}
+
 		stored := p
 		stored.Store = store.DefaultConfig(4)
 		if !sim.RunBatch(rctx, bctx, sch, stored, seeds) {
 			t.Errorf("%s: kernel refused an invulnerable tiered store", sch.Name())
 		}
-		stored.Store = costedStore()
-		stored.Store.Tiers[1].Corruption = 0.01
-		if sim.RunBatch(rctx, bctx, sch, stored, seeds) {
-			t.Errorf("%s: kernel accepted a tier with write corruption", sch.Name())
+		stored.Store = corruptibleStore()
+		if !sim.RunBatch(rctx, bctx, sch, stored, seeds) {
+			t.Errorf("%s: kernel refused a tier with write corruption", sch.Name())
 		}
 	}
 	if !sim.RunBatch(rctx, bctx, NewAdaptDVSSCP().WithOnlineLambda(0.001), p, seeds) {
@@ -217,11 +282,26 @@ func costedStore() *store.Config {
 	}
 }
 
+// corruptibleStore is costedStore with write corruption on its two
+// deeper tiers: every write there draws from the repetition's stream,
+// so its cells run in the kernels' live-draw mode even under the ideal
+// fault-tolerance model.
+func corruptibleStore() *store.Config {
+	c := costedStore()
+	c.Tiers[1].Corruption = 0.05
+	c.Tiers[2].Corruption = 0.2
+	return c
+}
+
+// storeChoices is the number of entries of storeSelection.
+const storeChoices = 9
+
 // storeSelection is the store axis of the equivalence fuzz: no store,
 // the default NVRAM+flash stack at retention bounds 1, 2, 4, 8 and
-// unbounded, that stack under evict-oldest, and costedStore.
+// unbounded, that stack under evict-oldest, costedStore and
+// corruptibleStore.
 func storeSelection(sel uint8) *store.Config {
-	switch sel % 8 {
+	switch sel % storeChoices {
 	case 0:
 		return nil
 	case 6:
@@ -230,15 +310,32 @@ func storeSelection(sel uint8) *store.Config {
 		return c
 	case 7:
 		return costedStore()
+	case 8:
+		return corruptibleStore()
 	default:
-		return store.DefaultConfig([]int{1, 2, 4, 8, 0}[sel%8-1])
+		return store.DefaultConfig([]int{1, 2, 4, 8, 0}[sel%storeChoices-1])
+	}
+}
+
+// imperfectSelection is the imperfection axis of the equivalence fuzz:
+// detection coverage {1, 0.98, 0.5, 0} (bits 0–1), stable-storage
+// corruption {0, 0.08, 1} (sel>>2 mod 3), vulnerable checkpoint
+// operations (bit 4) and cascade budget {default, 1} (bit 5). Zero is
+// the ideal model, so an input without the axis keeps its meaning.
+func imperfectSelection(sel uint8) *fault.Imperfection {
+	return &fault.Imperfection{
+		Coverage:             []float64{1, 0.98, 0.5, 0}[sel&3],
+		StoreCorruption:      []float64{0, 0.08, 1}[(sel>>2)%3],
+		CheckpointVulnerable: sel&16 != 0,
+		CascadeBudget:        int(sel>>5) & 1,
 	}
 }
 
 // compareStoreShards runs the same repetitions through the scalar
 // reference and the kernel with p.Store set, each counting into its own
-// store.Stats, and reports any difference in the shard payloads or the
-// counters. A panic on both sides (the interval guard) is agreement.
+// store.Stats, and reports any difference in the shard payloads — the
+// silent-corruption count included — or the counters. A panic on both
+// sides (the interval guard) is agreement.
 func compareStoreShards(s sim.Scheme, p sim.Params, seeds, keys []uint64) error {
 	var wantStats, gotStats store.Stats
 	p.StoreStats = &wantStats
@@ -254,9 +351,9 @@ func compareStoreShards(s sim.Scheme, p sim.Params, seeds, keys []uint64) error 
 		return nil
 	case !bytes.Equal(want.AppendBinary(nil), got.AppendBinary(nil)):
 		ws, gs := want.Summary(), got.Summary()
-		return fmt.Errorf("shard payloads differ\nscalar: P=%v E=%v T=%v F=%v S=%v\nbatch:  P=%v E=%v T=%v F=%v S=%v",
-			ws.P, ws.E, ws.MeanTime, ws.MeanFaults, ws.MeanSwitches,
-			gs.P, gs.E, gs.MeanTime, gs.MeanFaults, gs.MeanSwitches)
+		return fmt.Errorf("shard payloads differ\nscalar: P=%v E=%v T=%v F=%v S=%v SDC=%v\nbatch:  P=%v E=%v T=%v F=%v S=%v SDC=%v",
+			ws.P, ws.E, ws.MeanTime, ws.MeanFaults, ws.MeanSwitches, ws.SDC,
+			gs.P, gs.E, gs.MeanTime, gs.MeanFaults, gs.MeanSwitches, gs.SDC)
 	case wantStats != gotStats:
 		return fmt.Errorf("store stats differ\nscalar: %+v\nbatch:  %+v", wantStats, gotStats)
 	}
@@ -304,19 +401,24 @@ func TestBatchPlannerLedger(t *testing.T) {
 }
 
 // FuzzBatchScalarEquivalence drives the equivalence property over
-// randomized task/fault/cost/scheme/store parameters (storeSel picks
-// from storeSelection): whatever the fuzzer finds, batch and scalar
-// execution must agree byte for byte on the stats.Shard payload and on
-// store.Stats (or both panic identically).
+// randomized task/fault/cost/scheme/store/imperfection parameters
+// (storeSel picks from storeSelection, impSel from imperfectSelection):
+// whatever the fuzzer finds, batch and scalar execution must agree
+// byte for byte on the stats.Shard payload and on store.Stats (or both
+// panic identically).
 func FuzzBatchScalarEquivalence(f *testing.F) {
-	f.Add(0.8, 0.0014, uint8(5), 2.0, 20.0, 0.0, uint8(0), uint8(8), uint64(42), uint8(0))
-	f.Add(0.92, 1e-4, uint8(1), 20.0, 2.0, 0.0, uint8(3), uint8(4), uint64(7), uint8(0))
-	f.Add(1.0, 0.0, uint8(0), 2.0, 20.0, 5.0, uint8(5), uint8(2), uint64(1), uint8(0))
-	f.Add(0.76, 0.02, uint8(2), 1.0, 1.0, 1.0, uint8(7), uint8(6), uint64(99), uint8(0))
-	f.Add(0.8, 0.0014, uint8(5), 2.0, 20.0, 0.0, uint8(4), uint8(8), uint64(42), uint8(3))
-	f.Add(0.76, 0.01, uint8(5), 20.0, 2.0, 1.0, uint8(5), uint8(12), uint64(5), uint8(1))
-	f.Add(0.82, 0.0016, uint8(2), 2.0, 20.0, 0.0, uint8(0), uint8(9), uint64(8), uint8(7))
-	f.Fuzz(func(t *testing.T, u, lambda float64, k uint8, store, compare, rollback float64, schemeSel, reps uint8, seed uint64, storeSel uint8) {
+	f.Add(0.8, 0.0014, uint8(5), 2.0, 20.0, 0.0, uint8(0), uint8(8), uint64(42), uint8(0), uint8(0))
+	f.Add(0.92, 1e-4, uint8(1), 20.0, 2.0, 0.0, uint8(3), uint8(4), uint64(7), uint8(0), uint8(0))
+	f.Add(1.0, 0.0, uint8(0), 2.0, 20.0, 5.0, uint8(5), uint8(2), uint64(1), uint8(0), uint8(0))
+	f.Add(0.76, 0.02, uint8(2), 1.0, 1.0, 1.0, uint8(7), uint8(6), uint64(99), uint8(0), uint8(0))
+	f.Add(0.8, 0.0014, uint8(5), 2.0, 20.0, 0.0, uint8(4), uint8(8), uint64(42), uint8(3), uint8(0))
+	f.Add(0.76, 0.01, uint8(5), 20.0, 2.0, 1.0, uint8(5), uint8(12), uint64(5), uint8(1), uint8(0))
+	f.Add(0.82, 0.0016, uint8(2), 2.0, 20.0, 0.0, uint8(0), uint8(9), uint64(8), uint8(7), uint8(0))
+	f.Add(0.82, 0.0016, uint8(2), 2.0, 20.0, 0.0, uint8(4), uint8(9), uint64(8), uint8(8), uint8(0))
+	f.Add(0.78, 0.0014, uint8(5), 2.0, 20.0, 0.0, uint8(4), uint8(15), uint64(3), uint8(0), uint8(1|1<<2|16))
+	f.Add(0.8, 0.002, uint8(5), 20.0, 2.0, 1.0, uint8(0), uint8(15), uint64(4), uint8(3), uint8(2|2<<2|16|32))
+	f.Add(0.9, 0.004, uint8(1), 2.0, 20.0, 0.0, uint8(5), uint8(11), uint64(6), uint8(8), uint8(3|1<<2))
+	f.Fuzz(func(t *testing.T, u, lambda float64, k uint8, store, compare, rollback float64, schemeSel, reps uint8, seed uint64, storeSel, impSel uint8) {
 		// Sanitise into the validated-parameter envelope; the point is
 		// randomized coverage inside it, not crash-hunting outside it
 		// (Params.Validate guards the real entry points).
@@ -361,14 +463,15 @@ func FuzzBatchScalarEquivalence(f *testing.F) {
 		// yield thousands of sub-intervals per interval, and the fuzz
 		// engine treats a >10s input as a hang. Both paths honour the
 		// same budget, so equivalence is unaffected.
-		p := sim.Params{Task: tk, Costs: costs, Lambda: lambda, MaxIntervals: 1500, Store: storeSelection(storeSel)}
+		p := sim.Params{Task: tk, Costs: costs, Lambda: lambda, MaxIntervals: 1500,
+			Store: storeSelection(storeSel), Imperfect: imperfectSelection(impSel)}
 		if p.Validate() != nil {
 			t.Skip()
 		}
 		n := int(reps%16) + 1
 		seeds, keys := shardSeeds(seed, n)
 		if err := compareStoreShards(s, p, seeds, keys); err != nil {
-			t.Fatalf("%s u=%v λ=%v k=%d costs=%+v store=%d: %v", s.Name(), u, lambda, k%8, costs, storeSel%8, err)
+			t.Fatalf("%s u=%v λ=%v k=%d costs=%+v store=%d imp=%+v: %v", s.Name(), u, lambda, k%8, costs, storeSel%storeChoices, *p.Imperfect, err)
 		}
 	})
 }

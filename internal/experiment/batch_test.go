@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -78,19 +79,40 @@ func BenchmarkCellScalar(b *testing.B) { benchCell(b, true) }
 
 // TestExtensionBatchScalarEquivalence pins the envelope extensions at
 // the table level: the E2 λ-knowledge ablation (wrong-belief and
-// online-estimator columns), E3 (its imperfect-FT columns stay scalar,
-// its ideal reference batches) and E4 (the invulnerable tiered-store
-// columns batch, the store+imperfect column stays scalar) produce
-// bit-identical summaries — and, for the store columns, identical
-// store counters — through the batch kernels and the forced-scalar
-// reference loop.
+// online-estimator columns), E3 (the imperfect-FT columns in the
+// kernels' live-draw mode beside the ideal reference) and E4 (the
+// tiered-store columns and the store+imperfect column) produce
+// bit-identical summaries — silent-corruption rate included — and
+// identical store counters through the batch kernels and the
+// forced-scalar reference loop. E3 and E4 run enough repetitions that
+// silent corruption occurs, so its comparison is not vacuous.
 func TestExtensionBatchScalarEquivalence(t *testing.T) {
 	for _, spec := range ExtensionTables() {
 		if spec.ID == "E1" {
 			continue // TMR has no kernel: both runs are scalar
 		}
 		t.Run(spec.ID, func(t *testing.T) {
-			checkBatchScalarTables(t, func(r Runner) (Table, error) { return r.RunExtensionTable(spec) })
+			reps := 16
+			if spec.ID != "E2" {
+				reps = 250
+			}
+			var batch Table
+			checkBatchScalarTables(t, reps, func(r Runner) (Table, error) {
+				tbl, err := r.RunExtensionTable(spec)
+				if !r.DisableBatch {
+					batch = tbl
+				}
+				return tbl, err
+			})
+			sdc := 0.0
+			for _, row := range batch.Rows {
+				for _, c := range row.Cells {
+					sdc += c.SDC
+				}
+			}
+			if spec.ID != "E2" && sdc == 0 {
+				t.Error("no silent corruption in the imperfect-FT columns: nothing was compared")
+			}
 		})
 	}
 }
@@ -108,7 +130,7 @@ func TestStoreSpecBatchScalarEquivalence(t *testing.T) {
 			}
 			spec.Store = store.DefaultConfig(k)
 			t.Run(fmt.Sprintf("%s/k%d", id, k), func(t *testing.T) {
-				reg := checkBatchScalarTables(t, func(r Runner) (Table, error) { return r.RunTable(spec) })
+				reg := checkBatchScalarTables(t, 16, func(r Runner) (Table, error) { return r.RunTable(spec) })
 				if reg.Counter(MetricStoreTierWrites(0), "").Value() == 0 || reg.Counter(MetricStoreRecoveries, "").Value() == 0 {
 					t.Error("the store never wrote or never recovered: nothing was compared")
 				}
@@ -117,16 +139,19 @@ func TestStoreSpecBatchScalarEquivalence(t *testing.T) {
 	}
 }
 
-// checkBatchScalarTables runs a table through the kernels and through
-// the forced-scalar loop and compares every cell summary and every
-// store counter. It returns the batch run's registry.
-func checkBatchScalarTables(t *testing.T, run func(Runner) (Table, error)) *telemetry.Registry {
+// checkBatchScalarTables runs a table at reps repetitions per cell
+// through the kernels and through the forced-scalar loop and compares
+// every cell summary (the silent-corruption rate and its interval bit
+// for bit) and every store counter, and checks that the forced-scalar
+// run counts every shard as scalar. It returns the batch run's
+// registry.
+func checkBatchScalarTables(t *testing.T, reps int, run func(Runner) (Table, error)) *telemetry.Registry {
 	t.Helper()
 	var tables [2]Table
 	var regs [2]*telemetry.Registry
 	for i, disable := range []bool{false, true} {
 		regs[i] = telemetry.NewRegistry()
-		tbl, err := run(Runner{Reps: 16, Seed: 11, Workers: 2, DisableBatch: disable,
+		tbl, err := run(Runner{Reps: reps, Seed: 11, Workers: 2, DisableBatch: disable,
 			Sink: telemetry.NewRegistrySink(regs[i], nil)})
 		if err != nil {
 			t.Fatal(err)
@@ -145,7 +170,15 @@ func checkBatchScalarTables(t *testing.T, run func(Runner) (Table, error)) *tele
 				t.Errorf("U=%v λ=%v %s:\nbatch:  %s\nscalar: %s",
 					br.U, br.Lambda, br.Cells[j].Scheme, bs, ss)
 			}
+			bc, sc := br.Cells[j], sr.Cells[j]
+			if math.Float64bits(bc.SDC) != math.Float64bits(sc.SDC) || math.Float64bits(bc.SDCCI) != math.Float64bits(sc.SDCCI) {
+				t.Errorf("U=%v λ=%v %s: SDC batch %v±%v, scalar %v±%v",
+					br.U, br.Lambda, bc.Scheme, bc.SDC, bc.SDCCI, sc.SDC, sc.SDCCI)
+			}
 		}
+	}
+	if all, scalar := regs[1].Counter(MetricShards, "").Value(), regs[1].Counter(MetricShardsScalar, "").Value(); all == 0 || scalar != all {
+		t.Errorf("DisableBatch: %s = %d of %s = %d, want every shard", MetricShardsScalar, scalar, MetricShards, all)
 	}
 	for _, name := range StoreCounterNames() {
 		if b, s := regs[0].Counter(name, "").Value(), regs[1].Counter(name, "").Value(); b != s {
@@ -220,10 +253,11 @@ func TestAblationCellsNeverFallBack(t *testing.T) {
 	}
 }
 
-// TestStoreCellsNeverFallBack pins E4's three store-only columns —
-// the paper scheme over store.DefaultConfig(8), (4) and (2), every tier
-// invulnerable — inside the kernel envelope on production cell
-// parameters, and the store+imperfect-FT column outside it.
+// TestStoreCellsNeverFallBack pins E4's store columns inside the kernel
+// envelope on production cell parameters: the three store-only columns
+// — the paper scheme over store.DefaultConfig(8), (4) and (2) — on any
+// context, and the store+imperfect-FT column on a context whose Wrong
+// column is sized (and on no other: it can end in silent corruption).
 func TestStoreCellsNeverFallBack(t *testing.T) {
 	spec, err := TableByID("1a")
 	if err != nil {
@@ -247,8 +281,36 @@ func TestStoreCellsNeverFallBack(t *testing.T) {
 			t.Errorf("%s: fell back to the scalar loop on production cell parameters", s.Name())
 		}
 	}
-	if s := schemes[4]; sim.RunBatch(rctx, bctx, s, p, seeds) {
-		t.Errorf("%s: the kernel accepted an imperfect-FT column", s.Name())
+	s := schemes[4]
+	if sim.RunBatch(rctx, bctx, s, p, seeds) {
+		t.Errorf("%s: the kernel ran an imperfect-FT batch without a Wrong column", s.Name())
+	}
+	bctx.GrowWrong(len(seeds))
+	if !sim.RunBatch(rctx, bctx, s, p, seeds) {
+		t.Errorf("%s: fell back to the scalar loop with a Wrong column", s.Name())
+	}
+}
+
+// TestImperfectCellsNeverFallBack pins the whole of E2, E3 and E4
+// inside the kernels through the runner's own ledger: no shard of those
+// tables runs the scalar loop. E1's TMR_DVS column has no kernel, so
+// its shards — and only those — count as scalar.
+func TestImperfectCellsNeverFallBack(t *testing.T) {
+	const reps, shard = 40, 16
+	for _, spec := range ExtensionTables() {
+		reg := telemetry.NewRegistry()
+		r := Runner{Reps: reps, Seed: 3, Workers: 2, ShardSize: shard, Sink: telemetry.NewRegistrySink(reg, nil)}
+		if _, err := r.RunExtensionTable(spec); err != nil {
+			t.Fatal(err)
+		}
+		want := int64(0)
+		if spec.ID == "E1" {
+			want = int64(len(spec.Us)*len(spec.Lambdas)) * ((reps + shard - 1) / shard)
+		}
+		scalar, all := reg.Counter(MetricShardsScalar, "").Value(), reg.Counter(MetricShards, "").Value()
+		if all == 0 || scalar != want {
+			t.Errorf("%s: %d of %d shards ran the scalar loop, want %d", spec.ID, scalar, all, want)
+		}
 	}
 }
 

@@ -272,6 +272,11 @@ const (
 	// MetricShards counts executed shard units (including skipped shards
 	// of failed cells).
 	MetricShards = "grid_shards_total"
+	// MetricShardsScalar counts the shard units among them that ran the
+	// scalar reference loop instead of a batch kernel — by fallback
+	// (tracing, a custom fault process, a scheme without a kernel) or
+	// because DisableBatch forced it.
+	MetricShardsScalar = "grid_shards_scalar_total"
 	// MetricShardsStolen counts shard units moved between worker deques
 	// by work stealing.
 	MetricShardsStolen = "grid_shards_stolen_total"

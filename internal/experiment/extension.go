@@ -183,6 +183,17 @@ func (s imperfectScheme) RunCtx(rctx *sim.RunContext, p sim.Params, src *rng.Sou
 	return sim.RunScheme(rctx, s.inner, p, src)
 }
 
+// RunBatch implements sim.BatchScheme, forwarding the batch to the
+// wrapped scheme's kernel under the imperfect-FT model, which the
+// kernels run in their live-draw mode. A wrapped scheme without a
+// kernel, or a context without a Wrong column, refuses, and the caller
+// falls back to the scalar path.
+func (s imperfectScheme) RunBatch(rctx *sim.RunContext, b *sim.BatchContext, p sim.Params, seeds []uint64) bool {
+	im := s.im
+	p.Imperfect = &im
+	return sim.RunBatch(rctx, b, s.inner, p, seeds)
+}
+
 // StoreScheme wraps a scheme so every run executes under the given
 // tiered checkpoint store, overriding whatever the cell parameters say.
 // The scheme's own planning is untouched — it still assumes every
@@ -217,10 +228,8 @@ func (s storeScheme) RunCtx(rctx *sim.RunContext, p sim.Params, src *rng.Source)
 }
 
 // RunBatch implements sim.BatchScheme, forwarding the batch to the
-// wrapped scheme's kernel under the store. The kernel refuses what it
-// cannot reproduce bit for bit — a wrapped scheme without a kernel
-// (the imperfect-FT column), a tier with Corruption > 0 — and the
-// caller falls back to the scalar path.
+// wrapped scheme's kernel under the store. A wrapped scheme without a
+// kernel refuses, and the caller falls back to the scalar path.
 func (s storeScheme) RunBatch(rctx *sim.RunContext, b *sim.BatchContext, p sim.Params, seeds []uint64) bool {
 	p.Store = s.cfg
 	return sim.RunBatch(rctx, b, s.inner, p, seeds)

@@ -331,10 +331,11 @@ func (s *sched) runUnit(u shardUnit, rctx *sim.RunContext, bctx *sim.BatchContex
 	c.mu.Unlock()
 
 	var err error
+	scalar := false
 	if !skip {
 		for attempt := 0; ; attempt++ {
 			scratch.Reset()
-			err = c.exec(s.ctx, rctx, bctx, scratch, u.start, u.end, storeCur, s.r.DisableBatch)
+			scalar, err = c.exec(s.ctx, rctx, bctx, scratch, u.start, u.end, storeCur, s.r.DisableBatch)
 			if err == nil && s.r.shardFault != nil && s.r.shardFault(u.cell, u.start, u.end, attempt) {
 				// Chaos: the shard is spuriously cancelled after the work
 				// is done — discard its statistics and re-run it in place.
@@ -352,6 +353,9 @@ func (s *sched) runUnit(u shardUnit, rctx *sim.RunContext, bctx *sim.BatchContex
 	var dh, dm uint64
 	if s.sink != nil {
 		s.sink.Count(MetricShards, 1)
+		if scalar {
+			s.sink.Count(MetricShardsScalar, 1)
+		}
 		hits, misses := core.PlannerCacheStats(rctx)
 		dh, dm = hits-*seenHits, misses-*seenMisses
 		*seenHits, *seenMisses = hits, misses
@@ -400,7 +404,8 @@ func (s *sched) runUnit(u shardUnit, rctx *sim.RunContext, bctx *sim.BatchContex
 // *CellError; a panicking scheme is recovered into one with Panicked set
 // and the stack captured, and the caller then drops its contexts.
 // storeStats, when non-nil, receives the engine's store activity.
-func (c *cellState) exec(ctx context.Context, rctx *sim.RunContext, bctx *sim.BatchContext, scratch *stats.Shard, start, end int, storeStats *store.Stats, disableBatch bool) (err error) {
+// scalar reports that the shard ran the scalar loop.
+func (c *cellState) exec(ctx context.Context, rctx *sim.RunContext, bctx *sim.BatchContext, scratch *stats.Shard, start, end int, storeStats *store.Stats, disableBatch bool) (scalar bool, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			ce := c.wrap(fmt.Errorf("%v", p))
@@ -410,55 +415,58 @@ func (c *cellState) exec(ctx context.Context, rctx *sim.RunContext, bctx *sim.Ba
 		}
 	}()
 	if c.paramsErr != nil {
-		return c.wrap(c.paramsErr)
+		return false, c.wrap(c.paramsErr)
 	}
 	params := c.params
 	// Aim the engine's store counters at the caller's accumulator. The
 	// pointer rides through even when a wrapper scheme (StoreScheme)
 	// injects the store config mid-run, so wrapped cells report too.
 	params.StoreStats = storeStats
-	if rerr := execRange(ctx, rctx, bctx, scratch, c.scheme, params, c.seed, start, end, disableBatch); rerr != nil {
-		return c.wrap(rerr)
+	scalar, rerr := execRange(ctx, rctx, bctx, scratch, c.scheme, params, c.seed, start, end, disableBatch)
+	if rerr != nil {
+		return scalar, c.wrap(rerr)
 	}
-	return nil
+	return scalar, nil
 }
 
 // execRange runs repetitions [start, end) of the cell identified by
 // cellSeed into scratch — the execution core of cellState.exec. The batch
 // kernel is the warm default; the scalar loop is the reference and the
 // fallback for configurations outside the kernel envelope; both produce
-// byte-identical Shard payloads. Panics propagate to the caller, which
-// owns recovery policy.
-func execRange(ctx context.Context, rctx *sim.RunContext, bctx *sim.BatchContext, scratch *stats.Shard, scheme sim.Scheme, params sim.Params, cellSeed uint64, start, end int, disableBatch bool) error {
+// byte-identical Shard payloads. scalar reports that the range ran the
+// scalar loop. Panics propagate to the caller, which owns recovery
+// policy.
+func execRange(ctx context.Context, rctx *sim.RunContext, bctx *sim.BatchContext, scratch *stats.Shard, scheme sim.Scheme, params sim.Params, cellSeed uint64, start, end int, disableBatch bool) (scalar bool, err error) {
 	if !disableBatch && bctx != nil {
 		// One cancellation poll per batch — the same granularity the
 		// scalar loop polls at (a shard is at most a few hundred reps).
 		if cerr := ctx.Err(); cerr != nil {
-			return cerr
+			return false, cerr
 		}
 		n := end - start
 		bctx.Grow(n)
+		bctx.GrowWrong(n)
 		// Bulk counter-based derivation: one pass per stream family,
 		// element-for-element identical to mix/repKey over the range.
 		rng.StreamBatch(cellSeed, start, bctx.Seeds[:n])
 		rng.StreamBatch(cellSeed^0xd1342543de82ef95, start, bctx.Keys[:n])
 		if sim.RunBatch(rctx, bctx, scheme, params, bctx.Seeds) {
-			scratch.ObserveRuns(bctx.Keys, bctx.Completed,
+			scratch.ObserveBatch(bctx.Keys, bctx.Completed, bctx.Wrong,
 				bctx.Energy, bctx.Time, bctx.Faults, bctx.Switches)
-			return nil
+			return false, nil
 		}
 	}
 	for rep := start; rep < end; rep++ {
 		if (rep-start)&0xff == 0 {
 			if cerr := ctx.Err(); cerr != nil {
-				return cerr
+				return true, cerr
 			}
 		}
 		res := sim.RunScheme(rctx, scheme, params, rctx.Reseed(mix(cellSeed, rep)))
 		scratch.ObserveRun(repKey(cellSeed, rep), res.Completed, res.SilentCorruption,
 			res.Energy, res.Time, float64(res.Faults), float64(res.Switches))
 	}
-	return nil
+	return true, nil
 }
 
 // failCell records a cell's first failure: the table error, the failed

@@ -61,7 +61,7 @@ func execUnit(ctx context.Context, rctx *sim.RunContext, bctx *sim.BatchContext,
 	}
 	c := Runner{Seed: seed}.newCellState(spec, 0, col, u, lambda, schemes[col])
 	var scratch stats.Shard
-	if err := c.exec(ctx, rctx, bctx, &scratch, start, end, nil, false); err != nil {
+	if _, err := c.exec(ctx, rctx, bctx, &scratch, start, end, nil, false); err != nil {
 		return nil, err
 	}
 	return scratch.AppendBinary(nil), nil

@@ -63,7 +63,7 @@ func TestExecUnitWarmEqualsCold(t *testing.T) {
 		}
 		imp := ImperfectScheme(t1a.Schemes()[adaptive], DefaultImperfection())
 		var sh stats.Shard
-		if err := execRange(ctx, rctx, bctx, &sh, imp, p, 123, 0, 120, false); err != nil {
+		if _, err := execRange(ctx, rctx, bctx, &sh, imp, p, 123, 0, 120, false); err != nil {
 			t.Fatalf("warm-up imperfect FT: %v", err)
 		}
 	}

@@ -143,6 +143,7 @@ func (s *Server) initTelemetry() {
 	reg.Counter(experiment.MetricPlannerHits, "plan-cache hits drained from worker run contexts")
 	reg.Counter(experiment.MetricPlannerMisses, "plan-cache misses drained from worker run contexts")
 	reg.Counter(experiment.MetricShards, "rep-shard units executed by the work-stealing grid scheduler")
+	reg.Counter(experiment.MetricShardsScalar, "rep-shard units among grid_shards_total that ran the scalar reference loop instead of a batch kernel")
 	reg.Counter(experiment.MetricShardsStolen, "rep-shard units moved between worker deques by stealing")
 	reg.Counter(experiment.MetricShardRetries, "rep-shard chaos re-executions (discarded, never double-merged)")
 	for _, name := range experiment.StoreCounterNames() {

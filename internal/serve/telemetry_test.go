@@ -150,6 +150,7 @@ func TestMetricsEndpointCoversJobLedger(t *testing.T) {
 	for _, name := range []string{
 		"simd_job_retries_total", "simd_jobs_failed_total", "simd_uptime_seconds",
 		"grid_cells_completed_total", "planner_cache_hits_total", "mission_frames_total",
+		"grid_shards_total", "grid_shards_scalar_total",
 	} {
 		if _, ok := mets[name]; !ok {
 			t.Errorf("missing family %s", name)
@@ -240,6 +241,12 @@ func TestStatuszMatchesMetrics(t *testing.T) {
 	}
 	if st.Store["store_recoveries_total"]+st.Store["store_restarts_total"] == 0 {
 		t.Error("no store recoveries or restarts recorded on table 1a — fault injection should have forced rollbacks")
+	}
+	// The store grid job batches every shard; the single runs are not
+	// grid shards at all.
+	if mets["grid_shards_total"] == 0 || mets["grid_shards_scalar_total"] != 0 {
+		t.Errorf("grid_shards_scalar_total = %v of grid_shards_total = %v, want 0 of >0",
+			mets["grid_shards_scalar_total"], mets["grid_shards_total"])
 	}
 }
 

@@ -15,10 +15,18 @@ import (
 // batch/scalar equivalence property and fuzz tests).
 //
 // The slices are parallel, indexed by position in the batch's seed
-// slice; Grow sizes them. Seeds and Keys are caller-owned input scratch
-// (the experiment layer fills the per-repetition rng seeds and quantile
-// sketch keys there to avoid per-batch allocation); the remaining
-// slices are the kernel's outputs, consumed by stats.Shard.ObserveRuns.
+// slice; Grow sizes them, except Wrong. Seeds and Keys are caller-owned
+// input scratch (the experiment layer fills the per-repetition rng
+// seeds and quantile sketch keys there to avoid per-batch allocation);
+// the remaining slices are the kernel's outputs, consumed by
+// stats.Shard.ObserveBatch (or ObserveRuns, which drops Wrong).
+//
+// Wrong is the silent-corruption column, and the caller opts into it:
+// GrowWrong sizes it, Grow never does. A batch that can end in silent
+// corruption (the imperfect fault-tolerance model) runs only when the
+// column holds at least len(seeds) elements; otherwise the kernel
+// refuses the batch, so a caller that reads only the five other
+// columns never drops a corrupted completion.
 type BatchContext struct {
 	// Seeds holds the per-repetition stream seeds of the current batch.
 	Seeds []uint64
@@ -32,6 +40,9 @@ type BatchContext struct {
 	// Faults and Switches are the per-repetition counts, pre-widened to
 	// float64 for stats accumulation.
 	Faults, Switches []float64
+	// Wrong reports Result.SilentCorruption per repetition: completed
+	// with replica divergence still undetected. Sized only by GrowWrong.
+	Wrong []bool
 
 	// States holds the batch's per-repetition initial generator states
 	// in structure-of-arrays form. Kernels derive them from the seed
@@ -48,20 +59,28 @@ type BatchContext struct {
 // NewBatchContext returns an empty context ready for its first batch.
 func NewBatchContext() *BatchContext { return &BatchContext{} }
 
-// Grow sizes every per-repetition slice to length n, reusing backing
-// arrays. Previous contents are unspecified — kernels write every
-// element of the outputs they produce.
+// Grow sizes every per-repetition slice but Wrong to length n, reusing
+// backing arrays. Previous contents are unspecified — kernels write
+// every element of the outputs they produce.
 func (b *BatchContext) Grow(n int) {
 	b.Seeds = growU64(b.Seeds, n)
 	b.Keys = growU64(b.Keys, n)
-	if cap(b.Completed) < n {
-		b.Completed = make([]bool, n)
-	}
-	b.Completed = b.Completed[:n]
+	b.Completed = growBool(b.Completed, n)
 	b.Energy = growF64(b.Energy, n)
 	b.Time = growF64(b.Time, n)
 	b.Faults = growF64(b.Faults, n)
 	b.Switches = growF64(b.Switches, n)
+}
+
+// GrowWrong sizes the Wrong column to length n, opting the caller into
+// batches that can end in silent corruption.
+func (b *BatchContext) GrowWrong(n int) { b.Wrong = growBool(b.Wrong, n) }
+
+func growBool(s []bool, n int) []bool {
+	if cap(s) < n {
+		return make([]bool, n)
+	}
+	return s[:n]
 }
 
 func growU64(s []uint64, n int) []uint64 {
@@ -98,16 +117,16 @@ func (b *BatchContext) SetScratch(v any) { b.scratch = v }
 // whole batch of repetitions through a flat kernel. RunBatch must be
 // bit-for-bit equivalent to len(seeds) scalar RunCtx calls with the
 // same seeds, observed through the stats.Shard fields (Completed,
-// Energy, Time, Faults, Switches; silent corruption is impossible on
-// the batchable configurations).
+// Energy, Time, Faults, Switches, and silent corruption through Wrong).
 type BatchScheme interface {
 	Scheme
-	// RunBatch runs len(b.Seeds[:n]) repetitions, writing the outputs
-	// into b's slices (sized by the kernel via Grow). It returns false —
-	// without touching b — when the configuration is outside the
-	// kernel's envelope (tracing, custom fault processes, imperfect
-	// fault tolerance, stores with a corruptible tier); the caller then
-	// falls back to the scalar path.
+	// RunBatch runs len(seeds) repetitions, writing the outputs into
+	// b's slices (sized by the kernel via Grow; Wrong by the caller). It
+	// returns false — without touching b — when the configuration is
+	// outside the kernel's envelope (tracing, custom fault processes),
+	// when the batch can end in silent corruption and b's Wrong column
+	// is shorter than seeds, or when the scheme has no kernel; the
+	// caller then falls back to the scalar path.
 	RunBatch(rc *RunContext, b *BatchContext, p Params, seeds []uint64) bool
 }
 

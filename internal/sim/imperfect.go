@@ -4,6 +4,9 @@ import (
 	"math"
 
 	"repro/internal/checkpoint"
+	"repro/internal/fault"
+	"repro/internal/rng"
+	"repro/internal/store"
 )
 
 // This file implements the imperfect-fault-tolerance extension of the
@@ -41,6 +44,122 @@ import (
 // The engine enters this path only when Params.Imperfect is non-nil and
 // not ideal; otherwise the seed code path runs unchanged and no
 // additional randomness is consumed (the golden-equivalence guarantee).
+//
+// The model's state machine is FTLedger: divergence tracking, the
+// coverage comparison, the diverged/corrupted push, the budgeted
+// restore walk, restart and silent corruption at finish. It touches
+// neither energy nor time, so the engine below and the batch kernels'
+// live-draw mode (package core) both drive it, each charging the costs
+// its own way, and draw from the repetition's stream in the same order.
+
+// FTLedger is one repetition's fault-tolerance bookkeeping: the stored
+// images (StoreLedger) and, under a non-ideal Params.Imperfect, the
+// imperfect model's state — where the oldest undetected divergence
+// began, and the comparisons that missed it. Every random draw beyond
+// the fault arrivals is made here, from the repetition's stream, in
+// the engine's order: per stored image the stable-storage corruption
+// draw, then the tier write-corruption draws; per comparison with
+// divergence present the coverage draw. The zero value is inactive.
+type FTLedger struct {
+	StoreLedger
+	imp *fault.Imperfection // nil on the ideal model
+	// divergedAt is the absolute task progress at which the oldest
+	// currently-undetected divergence began (+Inf when clean).
+	divergedAt float64
+	missed     int
+}
+
+// Reset prepares the ledger for a repetition under p, drawing from src.
+// The images live in p.CheckpointStore(); activity is counted into
+// p.StoreStats when the run has a Params.Store, otherwise into the
+// ledger's own scratch.
+func (l *FTLedger) Reset(p *Params, src *rng.Source) {
+	l.imp = nil
+	if p.ImperfectFT() {
+		l.imp = p.Imperfect
+	}
+	l.divergedAt = math.Inf(1)
+	l.missed = 0
+	var stats *store.Stats
+	if p.Store != nil {
+		stats = p.StoreStats
+	}
+	l.StoreLedger.Reset(p.CheckpointStore(), stats, src)
+}
+
+// Imperfect reports whether the repetition runs the imperfect model.
+func (l *FTLedger) Imperfect() bool { return l.imp != nil }
+
+// Vulnerable reports whether checkpoint operations are exposed to the
+// fault process.
+func (l *FTLedger) Vulnerable() bool { return l.imp.CheckpointVulnerable }
+
+// CascadeBudget is the number of corrupted restore attempts one
+// recovery may spend before restarting.
+func (l *FTLedger) CascadeBudget() int { return l.imp.Budget() }
+
+// Strike records that the replicas diverged at absolute work w: a fault
+// struck useful execution there, or a checkpoint operation storing w.
+func (l *FTLedger) Strike(w float64) {
+	if w < l.divergedAt {
+		l.divergedAt = w
+	}
+}
+
+// Store pushes the image a storing checkpoint writes at absolute work.
+// It is diverged when the operation was struck or divergence began
+// before work — the two halves differ and the image fails its
+// consistency check for free at recovery time. A non-diverged image
+// draws the stable-storage corruption first: the damage passes the
+// consistency check and is unmasked only by a restore attempt. The
+// tier draws follow inside Record. It returns the writes to charge.
+func (l *FTLedger) Store(work float64, struck bool) []store.Write {
+	diverged := struck || work > l.divergedAt
+	corrupted := !diverged && l.imp.StoreCorruption > 0 && l.src.Float64() < l.imp.StoreCorruption
+	writes := l.Record(work, diverged)
+	if corrupted {
+		l.markCorrupted(writes[0].Index)
+	}
+	return writes
+}
+
+// Compare applies detection coverage at a comparison point: detected
+// reports that present divergence was flagged, missed that it slipped
+// through. With no divergence present nothing is drawn.
+func (l *FTLedger) Compare() (detected, missed bool) {
+	if math.IsInf(l.divergedAt, 1) {
+		return false, false
+	}
+	cov := l.imp.Coverage
+	if cov >= 1 || (cov > 0 && l.src.Float64() < cov) {
+		return true, false
+	}
+	l.missed++
+	return false, true
+}
+
+// Resume settles a detected divergence after the restore walk (Walk
+// with CascadeBudget) chose image chosen, -1 for none: images past the
+// restored point hold overtaken state and are dropped, or the set
+// empties for a restart from the beginning. The replicas agree again
+// afterwards. It returns the absolute work restored to.
+func (l *FTLedger) Resume(chosen int) (target float64, restarted bool) {
+	if chosen >= 0 {
+		target = l.Images()[chosen].Work
+		l.truncateAfter(target)
+	} else {
+		l.restart()
+		restarted = true
+	}
+	l.divergedAt = math.Inf(1)
+	return target, restarted
+}
+
+// Wrong reports silent data corruption: the repetition completed with
+// divergence still undetected.
+func (l *FTLedger) Wrong(completed bool) bool {
+	return completed && !math.IsInf(l.divergedAt, 1)
+}
 
 // runIntervalImperfect is RunInterval under an imperfect fault-tolerance
 // model. The two flavours unify over the checkpoint set: SCP
@@ -54,10 +173,7 @@ func (e *Engine) runIntervalImperfect(itv float64, m int, sub checkpoint.Kind, d
 	for j := 0; j < m; j++ {
 		off, n := e.ExecSpan(span)
 		if n > 0 {
-			w := doneWork + (float64(j)*span+off)*f
-			if w < e.divergedAt {
-				e.divergedAt = w
-			}
+			e.led.Strike(doneWork + (float64(j)*span+off)*f)
 		}
 		boundary := sub
 		if j == m-1 {
@@ -78,7 +194,7 @@ func (e *Engine) runIntervalImperfect(itv float64, m int, sub checkpoint.Kind, d
 func (e *Engine) checkpointOpImperfect(k checkpoint.Kind, work float64) {
 	d := e.wallCost(k)
 	struck := false
-	if e.imp.CheckpointVulnerable && d > 0 {
+	if e.led.Vulnerable() && d > 0 {
 		// The operation's duration passes through the fault clock: any
 		// arrival during it corrupts the replica state mid-operation.
 		_, n := e.ExecSpan(d)
@@ -95,39 +211,23 @@ func (e *Engine) checkpointOpImperfect(k checkpoint.Kind, work float64) {
 	if e.p.Trace != nil {
 		e.p.Trace.add(Event{Kind: EvCheckpoint, Time: e.t, Checkpoint: k})
 	}
-	if struck && work < e.divergedAt {
-		e.divergedAt = work
+	if struck {
+		e.led.Strike(work)
 	}
 	if k == checkpoint.CCP {
 		return // compare-only: nothing stored
 	}
-	// The replicas disagreed while storing (or the op was struck
-	// mid-write): the two halves differ, and the image fails its
-	// consistency check for free at recovery time.
-	diverged := struck || work > e.divergedAt
-	// Stable-storage damage: the image still looks consistent and is
-	// unmasked only by a restore attempt. Drawn only for non-diverged
-	// images, before any tier draw inside pushImage.
-	corrupted := !diverged && e.imp.StoreCorruption > 0 && e.src.Float64() < e.imp.StoreCorruption
-	e.pushImage(work, diverged, corrupted)
+	e.chargeWrites(e.led.Store(work, struck))
 }
 
 // compareImperfect applies detection coverage at a comparison point and
-// reports whether present divergence was detected. With no divergence
-// present, no randomness is consumed.
+// reports whether present divergence was detected.
 func (e *Engine) compareImperfect() bool {
-	if math.IsInf(e.divergedAt, 1) {
-		return false
-	}
-	cov := e.imp.Coverage
-	if cov >= 1 || (cov > 0 && e.src.Float64() < cov) {
-		return true
-	}
-	e.missed++
-	if e.p.Trace != nil {
+	detected, missed := e.led.Compare()
+	if missed && e.p.Trace != nil {
 		e.p.Trace.add(Event{Kind: EvMissedDetect, Time: e.t})
 	}
-	return false
+	return detected
 }
 
 // recoverImperfect performs rollback after a detected divergence: restore
@@ -136,15 +236,10 @@ func (e *Engine) compareImperfect() bool {
 // beginning of the task as the last resort. It returns the absolute work
 // level restored to.
 func (e *Engine) recoverImperfect() float64 {
-	target := 0.0
-	if i := e.restoreWalk(e.imp.Budget()); i >= 0 {
-		// Images past the restored point hold overtaken state.
-		target = e.led.Images()[i].Work
-		e.led.truncateAfter(target)
-	} else {
-		e.restart()
+	target, restarted := e.led.Resume(e.restoreWalk(e.led.CascadeBudget()))
+	if restarted {
+		e.restarted()
 	}
-	e.divergedAt = math.Inf(1)
 	e.Rollback(target)
 	return target
 }

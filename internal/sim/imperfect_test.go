@@ -197,7 +197,7 @@ func TestCheckpointVulnerableExposesOps(t *testing.T) {
 	if e.faults == faultsBefore {
 		t.Fatal("no fault during an 800-cycle vulnerable checkpoint at λ=0.01")
 	}
-	if math.IsInf(e.divergedAt, 1) {
+	if math.IsInf(e.led.divergedAt, 1) {
 		t.Fatal("checkpoint-time fault did not corrupt state")
 	}
 	imgs := e.led.Images()

@@ -95,6 +95,32 @@ type Params struct {
 	StoreStats *store.Stats
 }
 
+// ImperfectFT reports whether p runs the imperfect fault-tolerance
+// model: a non-nil Imperfect that is not ideal.
+func (p Params) ImperfectFT() bool {
+	return p.Imperfect != nil && !p.Imperfect.IsIdeal()
+}
+
+// CheckpointStore returns the store a repetition under p keeps its
+// checkpoint images in: Params.Store when given, the paper's free
+// store on a storeless imperfect run, and nil on the ideal storeless
+// path, which keeps none.
+func (p Params) CheckpointStore() *store.Config {
+	if p.Store == nil && p.ImperfectFT() {
+		return paperStore
+	}
+	return p.Store
+}
+
+// LiveDraws reports whether a repetition under p draws randomness
+// beyond its Poisson fault arrivals — coverage and stable-storage
+// corruption under the imperfect model, write corruption in a store
+// tier with Corruption > 0 — which then interleaves with the arrival
+// draws on the repetition's stream.
+func (p Params) LiveDraws() bool {
+	return p.ImperfectFT() || corruptible(p.Store)
+}
+
 // ReplicaCount returns the redundancy degree (default DMR).
 func (p Params) ReplicaCount() int {
 	if p.Replicas <= 0 {
@@ -248,21 +274,16 @@ type Engine struct {
 	cscps      int
 	subs       int
 
-	// Imperfect-fault-tolerance state (imperfect.go). imp is nil on the
-	// ideal path; divergedAt is the absolute task progress at which the
-	// oldest currently-undetected divergence began (+Inf when clean).
-	imp             *fault.Imperfection
-	divergedAt      float64
-	missed          int
 	corruptRestores int
 	restarts        int
 
-	// Stored-checkpoint state (store.go). led holds the one set of
-	// stored images: Params.Store when given, the paper's free store on
-	// a storeless imperfect run, and inactive (untouched) on the ideal
-	// storeless path. It counts into Params.StoreStats when the run has
-	// a Store, otherwise into its own scratch.
-	led StoreLedger
+	// Fault-tolerance state (imperfect.go, store.go). led holds the
+	// imperfect model's state and the one set of stored images:
+	// Params.Store when given, the paper's free store on a storeless
+	// imperfect run, and inactive (untouched) on the ideal storeless
+	// path. It counts into Params.StoreStats when the run has a Store,
+	// otherwise into its own scratch.
+	led FTLedger
 }
 
 // NewEngine prepares a fresh execution: clocks at zero, the processor at
@@ -291,21 +312,8 @@ func (e *Engine) Reset(p Params, src *rng.Source) {
 		e.meter.ResetFor(p.ReplicaCount())
 	}
 	e.faults, e.detections, e.cscps, e.subs = 0, 0, 0, 0
-	e.divergedAt = math.Inf(1)
-	e.imp = nil
-	cfg := p.Store
-	if p.Imperfect != nil && !p.Imperfect.IsIdeal() {
-		e.imp = p.Imperfect
-		if cfg == nil {
-			cfg = paperStore
-		}
-	}
-	e.missed, e.corruptRestores, e.restarts = 0, 0, 0
-	var stats *store.Stats
-	if p.Store != nil {
-		stats = p.StoreStats
-	}
-	e.led.Reset(cfg, stats)
+	e.corruptRestores, e.restarts = 0, 0
+	e.led.Reset(&p, src)
 
 	switch {
 	case p.FaultProcess != nil:
@@ -463,7 +471,7 @@ func (e *Engine) RunInterval(itv float64, m int, sub checkpoint.Kind, doneWork f
 	if sub != checkpoint.SCP && sub != checkpoint.CCP {
 		panic(fmt.Sprintf("sim: sub-checkpoint flavour must be SCP or CCP, got %v", sub))
 	}
-	if e.imp != nil {
+	if e.led.Imperfect() {
 		return e.runIntervalImperfect(itv, m, sub, doneWork)
 	}
 	if e.led.active() {
@@ -566,8 +574,8 @@ func (e *Engine) Finish(completed bool, reason FailReason) Result {
 		SubCheckpoints: e.subs,
 		Switches:       e.meter.Switches(),
 
-		SilentCorruption: completed && !math.IsInf(e.divergedAt, 1),
-		MissedDetections: e.missed,
+		SilentCorruption: e.led.Wrong(completed),
+		MissedDetections: e.led.missed,
 		CorruptRestores:  e.corruptRestores,
 		Restarts:         e.restarts,
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/checkpoint"
+	"repro/internal/rng"
 	"repro/internal/store"
 )
 
@@ -52,15 +53,20 @@ var paperStore = &store.Config{Tiers: []store.Tier{{Name: "paper"}}}
 
 // StoreLedger is the part of one repetition's stored-checkpoint
 // bookkeeping that touches neither energy nor time: the checkpoint set,
-// its activity counters, the analytic rollback target, the restore
-// walk's choice, the recovery case choice and restart. The engine and
-// the batch kernels (package core) both drive it and charge the costs
-// themselves, each in its own way, so the rules have one home. The zero
-// value is inactive.
+// its activity counters, the tier write-corruption draws, the analytic
+// rollback target, the restore walk's choice, the recovery case choice
+// and restart. The engine and the batch kernels (package core) both
+// drive it and charge the costs themselves, each in its own way, so the
+// rules have one home. The zero value is inactive.
 type StoreLedger struct {
 	set   store.Set
 	stats *store.Stats
 	own   store.Stats
+	// src is the repetition's stream, drawn for the write corruption
+	// of tiers with Corruption > 0 (never touched when no tier has it:
+	// corruptible is false).
+	src         *rng.Source
+	corruptible bool
 	// lastGoodSeq is the sequence number of the newest non-diverged
 	// image: the analytic rollback target the storeless engine would
 	// restore.
@@ -69,13 +75,18 @@ type StoreLedger struct {
 }
 
 // Reset prepares the ledger for a repetition under cfg (nil
-// deactivates it). Activity is counted into stats, or into the
-// ledger's own scratch counters when stats is nil.
-func (l *StoreLedger) Reset(cfg *store.Config, stats *store.Stats) {
+// deactivates it), drawing tier write corruption from src. Activity is
+// counted into stats, or into the ledger's own scratch counters when
+// stats is nil.
+func (l *StoreLedger) Reset(cfg *store.Config, stats *store.Stats, src *rng.Source) {
 	if stats == nil {
 		stats = &l.own
 	}
 	l.stats = stats
+	l.src = src
+	if cfg != l.set.Config() {
+		l.corruptible = corruptible(cfg)
+	}
 	l.set.Configure(cfg)
 	l.set.CountInto(stats)
 	l.lastGoodSeq = 0
@@ -93,10 +104,30 @@ func (l *StoreLedger) Images() []store.Image { return l.set.Images() }
 // markCorrupted flags image i as silently damaged.
 func (l *StoreLedger) markCorrupted(i int) { l.set.MarkCorrupted(i) }
 
-// Push stores a checkpoint image at absolute work; the set counts the
-// eviction and the per-tier writes it caused. It returns the physical
-// writes — the fresh image first, then demotions — whose tier writes
-// the caller charges in order (scratch, valid until the next Push).
+// Record stores a checkpoint image at absolute work — every push of a
+// run — and draws the write corruption: each write into a tier with
+// Corruption > 0 draws that probability from the stream, in write
+// order, and a hit silently damages the written image. It returns the
+// physical writes — the fresh image first, then demotions — whose tier
+// writes the caller charges in order (scratch, valid until the next
+// push).
+func (l *StoreLedger) Record(work float64, diverged bool) []store.Write {
+	writes := l.Push(work, diverged)
+	if l.corruptible {
+		tiers := l.set.Config().Tiers
+		for _, w := range writes {
+			if c := tiers[w.Tier].Corruption; c > 0 && l.src.Float64() < c {
+				l.set.MarkCorrupted(w.Index)
+			}
+		}
+	}
+	return writes
+}
+
+// Push is Record without the corruption draws, for a store whose tiers
+// are all invulnerable, where Record draws nothing: the set counts the
+// eviction and the per-tier writes the insert caused. Small enough to
+// inline into the kernels' store path.
 func (l *StoreLedger) Push(work float64, diverged bool) []store.Write {
 	writes, _ := l.set.Insert(work, diverged)
 	if !diverged {
@@ -105,6 +136,19 @@ func (l *StoreLedger) Push(work float64, diverged bool) []store.Write {
 		l.lastGoodSeq = l.set.Seq()
 	}
 	return writes
+}
+
+// corruptible reports whether a write into some tier of cfg can be
+// corrupted (nil: no store, nothing to corrupt).
+func corruptible(cfg *store.Config) bool {
+	if cfg != nil {
+		for _, t := range cfg.Tiers {
+			if t.Corruption > 0 {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // Walk is the paper's rollback rule (Fig. 3 line 12) over the
@@ -193,25 +237,21 @@ func (l *StoreLedger) restart() {
 	l.lastGoodSeq = 0
 }
 
-// pushImage stores a checkpoint image at absolute work, charging the
-// tier writes and drawing per-tier write corruption from the run's rng
-// stream (writes into invulnerable tiers draw nothing). preCorrupted
-// additionally marks the fresh image damaged — the imperfect path's
-// stable-storage corruption, drawn by the caller before the tier draws.
-func (e *Engine) pushImage(work float64, diverged, preCorrupted bool) {
-	writes := e.led.Push(work, diverged)
+// pushImage stores a checkpoint image at absolute work through the
+// ledger (which draws the per-tier write corruption) and charges the
+// tier writes.
+func (e *Engine) pushImage(work float64, diverged bool) {
+	e.chargeWrites(e.led.Record(work, diverged))
+}
+
+// chargeWrites charges the tier write cost of each physical write, in
+// write order.
+func (e *Engine) chargeWrites(writes []store.Write) {
 	cfg := e.led.config()
 	for _, w := range writes {
-		tier := &cfg.Tiers[w.Tier]
-		if tier.WriteCycles > 0 {
-			e.Spend(tier.WriteCycles / e.cur.Freq)
+		if wc := cfg.Tiers[w.Tier].WriteCycles; wc > 0 {
+			e.Spend(wc / e.cur.Freq)
 		}
-		if tier.Corruption > 0 && e.src.Float64() < tier.Corruption {
-			e.led.markCorrupted(w.Index)
-		}
-	}
-	if preCorrupted {
-		e.led.markCorrupted(writes[0].Index)
 	}
 }
 
@@ -226,7 +266,7 @@ func (e *Engine) runIntervalStore(itv float64, m int, sub checkpoint.Kind, doneW
 	if m == 1 {
 		off := e.execSpan(itv)
 		e.CheckpointOp(checkpoint.CSCP)
-		e.pushImage(doneWork+itv*f, off >= 0, false)
+		e.pushImage(doneWork+itv*f, off >= 0)
 		if off < 0 {
 			return itv * f, false
 		}
@@ -248,11 +288,11 @@ func (e *Engine) runIntervalStore(itv float64, m int, sub checkpoint.Kind, doneW
 			}
 			if j < m-1 {
 				e.CheckpointOp(checkpoint.SCP)
-				e.pushImage(doneWork+float64(j+1)*span*f, struck, false)
+				e.pushImage(doneWork+float64(j+1)*span*f, struck)
 			}
 		}
 		e.CheckpointOp(checkpoint.CSCP)
-		e.pushImage(doneWork+itv*f, struck, false)
+		e.pushImage(doneWork+itv*f, struck)
 		if firstOffset < 0 {
 			return itv * f, false
 		}
@@ -271,7 +311,7 @@ func (e *Engine) runIntervalStore(itv float64, m int, sub checkpoint.Kind, doneW
 			if boundary == checkpoint.CSCP {
 				// CCPs store nothing; only the closing CSCP writes an
 				// image, diverged when the last span was struck.
-				e.pushImage(doneWork+itv*f, off >= 0, false)
+				e.pushImage(doneWork+itv*f, off >= 0)
 			}
 			if off >= 0 {
 				return e.recoverStoreIdeal(doneWork, 0), true
@@ -317,12 +357,6 @@ func (e *Engine) restoreWalk(budget int) int {
 		}
 	}
 	return chosen
-}
-
-// restart empties the set after a recovery found no usable image.
-func (e *Engine) restart() {
-	e.led.restart()
-	e.restarted()
 }
 
 // restarted records a restart-from-scratch in the run's result and

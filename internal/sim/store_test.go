@@ -160,8 +160,8 @@ func TestStoreRecoveryCases(t *testing.T) {
 
 	t.Run("all images unusable restarts", func(t *testing.T) {
 		e := newEng()
-		e.pushImage(400, true, false) // diverged
-		e.pushImage(800, false, true) // corrupted
+		e.pushImage(400, true) // diverged
+		pushCorrupted(e, 800)
 		kept := e.recoverStoreIdeal(1000, 0)
 		if kept != -1000 || e.restarts != 1 {
 			t.Fatalf("kept=%v restarts=%d; want -1000, 1", kept, e.restarts)
@@ -176,7 +176,7 @@ func TestStoreRecoveryCases(t *testing.T) {
 
 	t.Run("surviving target returns analytic kept exactly", func(t *testing.T) {
 		e := newEng()
-		e.pushImage(700, false, false)
+		e.pushImage(700, false)
 		idealKept := 0.3000000000000004 // deliberately dusty
 		kept := e.recoverStoreIdeal(699.7, idealKept)
 		if kept != idealKept {
@@ -189,8 +189,8 @@ func TestStoreRecoveryCases(t *testing.T) {
 
 	t.Run("evicted target degrades to older image", func(t *testing.T) {
 		e := newEng()
-		e.pushImage(400, false, false)
-		e.pushImage(800, false, true) // newest (the analytic target) is corrupted
+		e.pushImage(400, false)
+		pushCorrupted(e, 800) // newest (the analytic target) is corrupted
 		kept := e.recoverStoreIdeal(1000, 0)
 		if want := 400.0 - 1000.0; kept != want {
 			t.Fatalf("kept=%v; want %v (re-execute from the older image)", kept, want)
@@ -202,6 +202,13 @@ func TestStoreRecoveryCases(t *testing.T) {
 			t.Fatalf("stale images not truncated: %+v", e.led.Images())
 		}
 	})
+}
+
+// pushCorrupted pushes a non-diverged image at work and marks it
+// silently damaged.
+func pushCorrupted(e *Engine, work float64) {
+	e.pushImage(work, false)
+	e.led.markCorrupted(len(e.led.Images()) - 1)
 }
 
 // TestStoreChargesCosts: tier write/read cycles show up in the wall

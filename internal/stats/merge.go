@@ -305,13 +305,25 @@ func (s *Shard) ObserveRun(key uint64, completed, wrong bool, energy, timeToDone
 
 // ObserveRuns folds a whole batch of repetitions in — the
 // structure-of-arrays counterpart of ObserveRun, fed by the batch
-// execution kernel. The slices are parallel and must have equal length;
-// observation i is exactly ObserveRun(keys[i], completed[i], false,
-// energy[i], timeToDone[i], faults[i], switches[i]). Corrupted
-// completions cannot occur on the batchable (ideal fault-tolerance)
-// path, so there is no wrong slice; runs that can corrupt go through
-// ObserveRun.
+// execution kernel: ObserveBatch with a nil wrong column, for batches
+// that cannot end in silent corruption.
 func (s *Shard) ObserveRuns(keys []uint64, completed []bool, energy, timeToDone, faults, switches []float64) {
+	s.ObserveBatch(keys, completed, nil, energy, timeToDone, faults, switches)
+}
+
+// ObserveBatch is the batch intake. The slices are parallel and must
+// have equal length, except that wrong may be nil (no repetition
+// corrupted); observation i is exactly ObserveRun(keys[i],
+// completed[i], wrong[i], energy[i], timeToDone[i], faults[i],
+// switches[i]).
+func (s *Shard) ObserveBatch(keys []uint64, completed, wrong []bool, energy, timeToDone, faults, switches []float64) {
+	if wrong != nil {
+		for i := range keys {
+			if wrong[i] && completed[i] {
+				s.wrong++
+			}
+		}
+	}
 	for i := range keys {
 		s.trials++
 		s.faults.Add(faults[i])

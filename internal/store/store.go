@@ -131,21 +131,6 @@ func (c *Config) Bound() int {
 	return total
 }
 
-// Invulnerable reports whether no write can corrupt an image: every
-// tier has Corruption == 0, so the store draws no randomness. A nil
-// config is invulnerable.
-func (c *Config) Invulnerable() bool {
-	if c == nil {
-		return true
-	}
-	for _, t := range c.Tiers {
-		if t.Corruption > 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Label is a compact human-readable tag used in scheme names and sweep
 // rows, e.g. "k4/quasi-geometric".
 func (c *Config) Label() string {
