@@ -44,12 +44,12 @@
 //
 // Cells that keep checkpoint images — a tiered store, the imperfect
 // fault-tolerance model — run every repetition from t = 0 through the
-// engine's own ledger (sim.FTLedger, see kernelStore). When they draw
-// randomness beyond the arrivals (coverage, stable-storage and tier
-// write corruption), the batch runs in live-draw mode: each repetition
-// draws its first arrival at the start and each next one only when the
-// previous is consumed, exactly as the engine's Poisson process does,
-// because those draws interleave with the arrivals on one stream.
+// engine's own ledger (sim.FTLedger, see kernelStore), in live-draw
+// mode: each repetition draws its first arrival at the start and each
+// next one only when the previous is consumed, exactly as the engine's
+// Poisson process does, so the ledger's coverage, stable-storage and
+// tier write-corruption draws interleave with the arrivals on one
+// stream as they do in the engine.
 // Batches under the imperfect model can end in silent corruption, which
 // they report through the context's Wrong column; they run only when
 // the caller sized it (growOutputs).
@@ -65,7 +65,6 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/cpu"
-	"repro/internal/fault"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/store"
@@ -98,17 +97,12 @@ type kernelStore struct {
 	p   sim.Params
 	cfg *store.Config
 
-	// Arrivals. A live batch (sim.Params.LiveDraws) draws each next
-	// arrival from src only when the previous one is consumed — the
-	// engine's PoissonProcess.Next — because the ledger's coverage and
-	// corruption draws interleave with them on the same stream. Any
-	// other batch walks the pre-drawn queue (times from pos).
-	live  bool
-	src   *rng.Source
-	lam   float64
-	arr   *fault.Arrivals
-	times []float64
-	pos   int
+	// Arrivals: each next one is drawn from src at rate lam only when
+	// the previous one is consumed — the engine's PoissonProcess.Next —
+	// because the ledger's coverage and corruption draws interleave with
+	// them on the same stream.
+	src *rng.Source
+	lam float64
 
 	// Charges at the current operating point f, as wall time and
 	// energy: the engine's Spend(d) for each checkpoint kind, the
@@ -128,48 +122,31 @@ func (st *batchState) storeFor(p sim.Params, b *sim.BatchContext, arrival float6
 		return nil
 	}
 	ks := &st.store
-	ks.p, ks.cfg, ks.live = p, cfg, p.LiveDraws()
-	ks.src, ks.arr, ks.lam = b.Source(), b.Arrivals(), arrival
+	ks.p, ks.cfg = p, cfg
+	ks.src, ks.lam = b.Source(), arrival
 	return ks
 }
 
 // begin starts a repetition whose stream is loaded: it empties the
-// ledger and returns the first pending arrival — drawn now on a live
-// batch, as Engine.Reset draws it, or the head of the queue pre-drawn
-// with about hint arrivals otherwise. Only a strictly positive rate
-// draws (Engine.Reset's process switch).
-func (ks *kernelStore) begin(hint int) float64 {
+// ledger and draws the first pending arrival, as Engine.Reset does.
+// Only a strictly positive rate draws (Engine.Reset's process switch).
+func (ks *kernelStore) begin() float64 {
 	ks.led.Reset(&ks.p, ks.src)
 	if !(ks.lam > 0) {
 		return math.Inf(1)
 	}
-	if ks.live {
-		return ks.src.Exp(ks.lam)
-	}
-	ks.arr.Reset(ks.lam, ks.src, hint)
-	ks.times, ks.pos = ks.arr.Times(), 0
-	return ks.times[0]
+	return ks.src.Exp(ks.lam)
 }
 
-// consume takes every arrival before end, next (< end) being the
-// pending one, and returns the new pending arrival and the count taken.
+// consume takes every arrival before end, next being the pending one,
+// and returns the new pending arrival and the count taken.
 func (ks *kernelStore) consume(next, end float64) (float64, int) {
 	n := 0
-	if ks.live {
-		for next < end {
-			n++
-			next += ks.src.Exp(ks.lam)
-		}
-		return next, n
+	for next < end {
+		n++
+		next += ks.src.Exp(ks.lam)
 	}
-	if ks.times[len(ks.times)-1] < end {
-		ks.times = ks.arr.EnsureBeyond(end)
-	}
-	p0 := ks.pos
-	for ks.times[ks.pos] < end {
-		ks.pos++
-	}
-	return ks.times[ks.pos], ks.pos - p0
+	return next, n
 }
 
 // atSpeed refreshes the charges for operating frequency f. A zero-cost
@@ -190,16 +167,6 @@ func (ks *kernelStore) atSpeed(f, epc, repl float64) {
 		d = tier.ReadCycles / f
 		ks.rWall[i], ks.rE[i] = d, (f*d*repl)*epc
 	}
-}
-
-// push stores an image through the ledger: with the write-corruption
-// draws on a live batch, without them (Push, which inlines) when no
-// tier can be corrupted and nothing is drawn anyway.
-func (ks *kernelStore) push(work float64, diverged bool) []store.Write {
-	if ks.live {
-		return ks.led.Record(work, diverged)
-	}
-	return ks.led.Push(work, diverged)
 }
 
 // charge charges the tier writes of a push, in write order.
@@ -268,7 +235,7 @@ func (ks *kernelStore) interval(energy, t, x, next, doneWork, cur, span, eSp flo
 		x = end
 		energy += ks.eOp[checkpoint.CSCP]
 		t += ks.op[checkpoint.CSCP]
-		energy, t = ks.charge(energy, t, ks.push(doneWork+cur*f, hit))
+		energy, t = ks.charge(energy, t, ks.led.Record(doneWork+cur*f, hit))
 		if !hit {
 			return energy, t, x, next, cur * f, faults, false
 		}
@@ -293,12 +260,12 @@ func (ks *kernelStore) interval(energy, t, x, next, doneWork, cur, span, eSp flo
 			if j < m-1 {
 				energy += ks.eOp[checkpoint.SCP]
 				t += ks.op[checkpoint.SCP]
-				energy, t = ks.charge(energy, t, ks.push(doneWork+float64(j+1)*span*f, firstOffset >= 0))
+				energy, t = ks.charge(energy, t, ks.led.Record(doneWork+float64(j+1)*span*f, firstOffset >= 0))
 			}
 		}
 		energy += ks.eOp[checkpoint.CSCP]
 		t += ks.op[checkpoint.CSCP]
-		energy, t = ks.charge(energy, t, ks.push(doneWork+cur*f, firstOffset >= 0))
+		energy, t = ks.charge(energy, t, ks.led.Record(doneWork+cur*f, firstOffset >= 0))
 		if firstOffset < 0 {
 			return energy, t, x, next, cur * f, faults, false
 		}
@@ -324,7 +291,7 @@ func (ks *kernelStore) interval(energy, t, x, next, doneWork, cur, span, eSp flo
 			} else {
 				energy += ks.eOp[checkpoint.CSCP]
 				t += ks.op[checkpoint.CSCP]
-				energy, t = ks.charge(energy, t, ks.push(doneWork+cur*f, hit))
+				energy, t = ks.charge(energy, t, ks.led.Record(doneWork+cur*f, hit))
 			}
 			if hit {
 				energy, t, kept := ks.recover(energy, t, doneWork, 0)
@@ -456,10 +423,10 @@ func buildSpeedCosts(dst []speedCosts, model *cpu.Model, costs checkpoint.Costs)
 // batchable reports whether the parameters are inside the kernel
 // envelope: every configuration whose fault arrivals are the plain
 // Poisson process. Stores and the imperfect fault-tolerance model run
-// through the engine's own ledger (kernelStore), in live-draw mode when
-// they draw randomness of their own. Tracing wants per-event
-// timelines and custom fault processes draw through their own code
-// paths — those two take the scalar reference path.
+// through the engine's own ledger (kernelStore) in live-draw mode.
+// Tracing wants per-event timelines and custom fault processes draw
+// through their own code paths — those two take the scalar reference
+// path.
 func batchable(p sim.Params) bool {
 	return p.Trace == nil && p.FaultProcess == nil
 }
@@ -540,8 +507,7 @@ func (s *FixedCSCP) RunBatch(rctx *sim.RunContext, b *sim.BatchContext, p sim.Pa
 	N := p.Task.Cycles
 	lam := p.Lambda
 	budget := p.MaxIntervalBudget()
-	hint := arrivalHint(lam, N, f)
-	src, arr := b.Source(), b.Arrivals()
+	src := b.Source()
 	st := batchScratch(b)
 	b.States.Reseed(seeds)
 
@@ -553,7 +519,7 @@ func (s *FixedCSCP) RunBatch(rctx *sim.RunContext, b *sim.BatchContext, p sim.Pa
 		ks.atSpeed(f, epc, repl)
 		for i := 0; i < n; i++ {
 			b.States.Load(src, i)
-			next := ks.begin(hint)
+			next := ks.begin()
 			var t, energy, x float64
 			rc := N
 			faults := 0
@@ -602,10 +568,14 @@ func (s *FixedCSCP) RunBatch(rctx *sim.RunContext, b *sim.BatchContext, p sim.Pa
 	// interval top; a repetition jumps to the interval its first
 	// arrival lands in, and a repetition whose first arrival falls
 	// after the end of execution is the shared trajectory verbatim.
+	hint := arrivalHint(lam, N, f)
+	arr := b.Arrivals()
 	pxT, pxE, pxRC, pxX := st.pxT[:0], st.pxE[:0], st.pxRC[:0], st.pxX[:0]
 	termValid, termCompleted := false, false
 	var termT, termE, xTotal float64
 	{
+		// The block scopes the walk's t, x, energy and rc: each
+		// repetition below starts its own.
 		var t, x, energy float64
 		rc := N
 		broke := false
@@ -664,34 +634,29 @@ func (s *FixedCSCP) RunBatch(rctx *sim.RunContext, b *sim.BatchContext, p sim.Pa
 		}
 		pos := 0
 		next := times[0]
-		var t, energy, x float64
-		rc := N
-		it0 := 0
-		{
-			if termValid && next >= xTotal {
-				b.Completed[i] = termCompleted
-				b.Energy[i] = termE
-				b.Time[i] = termT
-				b.Faults[i], b.Switches[i] = 0, 0
-				continue
-			}
-			// Largest snapshot index with x[j] <= next — the interval
-			// the first arrival lands in (span consumption is strict
-			// next < end).
-			if last > 0 {
-				lo, hi := 0, last
-				for lo < hi {
-					mid := int(uint(lo+hi+1) >> 1)
-					if pxX[mid] <= next {
-						lo = mid
-					} else {
-						hi = mid - 1
-					}
-				}
-				it0 = lo
-			}
-			t, energy, rc, x = pxT[it0], pxE[it0], pxRC[it0], pxX[it0]
+		if termValid && next >= xTotal {
+			b.Completed[i] = termCompleted
+			b.Energy[i] = termE
+			b.Time[i] = termT
+			b.Faults[i], b.Switches[i] = 0, 0
+			continue
 		}
+		// Largest snapshot index with x[j] <= next — the interval the
+		// first arrival lands in (span consumption is strict next < end).
+		it0 := 0
+		if last > 0 {
+			lo, hi := 0, last
+			for lo < hi {
+				mid := int(uint(lo+hi+1) >> 1)
+				if pxX[mid] <= next {
+					lo = mid
+				} else {
+					hi = mid - 1
+				}
+			}
+			it0 = lo
+		}
+		t, energy, rc, x := pxT[it0], pxE[it0], pxRC[it0], pxX[it0]
 		faults := 0
 		completed := false
 		for k := it0; k < budget; k++ {
@@ -814,12 +779,11 @@ func (s *Adaptive) RunBatchArrival(rctx *sim.RunContext, b *sim.BatchContext, p 
 		}
 		return true
 	}
-	hint := arrivalHint(arrival, N, sc0.pt.Freq)
-
 	if ks := st.storeFor(p, b, arrival); ks != nil {
-		s.runKeepingImages(b, st, ks, pl, p, sc0, itv0, sub0, lam0, pseudo, hint)
+		s.runKeepingImages(b, st, ks, pl, p, sc0, itv0, sub0, lam0, pseudo)
 		return true
 	}
+	hint := arrivalHint(arrival, N, sc0.pt.Freq)
 
 	// Shared fault-free prefix: until its first fault arrival, every
 	// repetition follows the same deterministic trajectory under the
@@ -1252,7 +1216,7 @@ func (s *Adaptive) RunBatchArrival(rctx *sim.RunContext, b *sim.BatchContext, p 
 // the image-free loop above — Adaptive.run over the engine. The
 // initial plan (sc0, itv0, sub0 at rate lam0) is the batch's; pseudo
 // is the online estimator's pseudo-exposure.
-func (s *Adaptive) runKeepingImages(b *sim.BatchContext, st *batchState, ks *kernelStore, pl *Planner, p sim.Params, sc0 *speedCosts, itv0, sub0, lam0, pseudo float64, hint int) {
+func (s *Adaptive) runKeepingImages(b *sim.BatchContext, st *batchState, ks *kernelStore, pl *Planner, p sim.Params, sc0 *speedCosts, itv0, sub0, lam0, pseudo float64) {
 	D := p.Task.Deadline
 	N := p.Task.Cycles
 	repl := float64(p.ReplicaCount())
@@ -1262,7 +1226,7 @@ func (s *Adaptive) runKeepingImages(b *sim.BatchContext, st *batchState, ks *ker
 	src := b.Source()
 	for i := range b.Completed {
 		b.States.Load(src, i)
-		next := ks.begin(hint)
+		next := ks.begin()
 		var t, energy, x, epc float64
 		rc := N
 		var faults, switches, det int

@@ -98,7 +98,7 @@ func batchSchemes() []sim.Scheme {
 // batchable scheme over a grid spanning both cost settings, both fault
 // budgets, λ = 0 and the paper's rates (plus a high-λ stress point that
 // forces dense replanning), with no store and under every store of
-// storeSelection (the corruptible one in live-draw mode), the batch
+// storeSelection (the corruptible one drawing on its writes), the batch
 // kernel and the scalar reference produce byte-identical stats.Shard
 // payloads and identical store.Stats.
 func TestBatchScalarEquivalence(t *testing.T) {
@@ -284,7 +284,7 @@ func costedStore() *store.Config {
 
 // corruptibleStore is costedStore with write corruption on its two
 // deeper tiers: every write there draws from the repetition's stream,
-// so its cells run in the kernels' live-draw mode even under the ideal
+// so its draws interleave with the fault arrivals even under the ideal
 // fault-tolerance model.
 func corruptibleStore() *store.Config {
 	c := costedStore()

@@ -112,15 +112,6 @@ func (p Params) CheckpointStore() *store.Config {
 	return p.Store
 }
 
-// LiveDraws reports whether a repetition under p draws randomness
-// beyond its Poisson fault arrivals — coverage and stable-storage
-// corruption under the imperfect model, write corruption in a store
-// tier with Corruption > 0 — which then interleaves with the arrival
-// draws on the repetition's stream.
-func (p Params) LiveDraws() bool {
-	return p.ImperfectFT() || corruptible(p.Store)
-}
-
 // ReplicaCount returns the redundancy degree (default DMR).
 func (p Params) ReplicaCount() int {
 	if p.Replicas <= 0 {

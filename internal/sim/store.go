@@ -107,12 +107,18 @@ func (l *StoreLedger) markCorrupted(i int) { l.set.MarkCorrupted(i) }
 // Record stores a checkpoint image at absolute work — every push of a
 // run — and draws the write corruption: each write into a tier with
 // Corruption > 0 draws that probability from the stream, in write
-// order, and a hit silently damages the written image. It returns the
+// order, and a hit silently damages the written image. The set counts
+// the eviction and the per-tier writes the insert caused. It returns the
 // physical writes — the fresh image first, then demotions — whose tier
 // writes the caller charges in order (scratch, valid until the next
 // push).
 func (l *StoreLedger) Record(work float64, diverged bool) []store.Write {
-	writes := l.Push(work, diverged)
+	writes, _ := l.set.Insert(work, diverged)
+	if !diverged {
+		// Recoveries check the analytic target's survival by this
+		// sequence number.
+		l.lastGoodSeq = l.set.Seq()
+	}
 	if l.corruptible {
 		tiers := l.set.Config().Tiers
 		for _, w := range writes {
@@ -120,20 +126,6 @@ func (l *StoreLedger) Record(work float64, diverged bool) []store.Write {
 				l.set.MarkCorrupted(w.Index)
 			}
 		}
-	}
-	return writes
-}
-
-// Push is Record without the corruption draws, for a store whose tiers
-// are all invulnerable, where Record draws nothing: the set counts the
-// eviction and the per-tier writes the insert caused. Small enough to
-// inline into the kernels' store path.
-func (l *StoreLedger) Push(work float64, diverged bool) []store.Write {
-	writes, _ := l.set.Insert(work, diverged)
-	if !diverged {
-		// Recoveries check the analytic target's survival by this
-		// sequence number.
-		l.lastGoodSeq = l.set.Seq()
 	}
 	return writes
 }
