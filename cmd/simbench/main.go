@@ -7,7 +7,7 @@
 //
 //   - Table1a, Table3a: one full published sub-table grid through the
 //     experiment runner — the run-context path with warm engines and
-//     plan caches, exactly what `make tables` pays per table. Reported
+//     planners, exactly what `make tables` pays per table. Reported
 //     per repetition (ns/rep, allocs/rep, reps/sec), and swept across
 //     the -cpu list: each point pins GOMAXPROCS and the runner's worker
 //     count to n and reports reps_per_sec plus speedup_vs_1cpu, the

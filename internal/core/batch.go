@@ -29,18 +29,15 @@
 // do not capture — those cells run the live loop from the start, still
 // far cheaper than the scalar engine.
 //
-// Post-fault replans, by contrast, key on continuous (rc, rd) states:
+// Post-fault replans, by contrast, start from continuous (rc, rd) states:
 // a fault's surviving work is quantised to span boundaries, but t (and
 // so rd) accumulates a path-dependent mix of span, checkpoint and
 // rollback durations, and the reachable set grows combinatorially with
-// fault depth. The kernel plans through the same per-RunContext plan
-// cache as the scalar engine (Planner.lookup, an 8192-set × 2-way
-// array), whose hits are the hot initial plan and the recurring
-// fraction of replans; the rest lean on making the miss path
-// (Planner.compute) fast rather than on hit rate. The planning λ is
-// part of the key, so a λ sweep over one planner retains its entries
-// and the online-λ estimator's continuous rates coexist in the same
-// array.
+// fault depth, so an exact-input plan cache hits too rarely to pay for
+// its probes. The kernel plans directly through the RunContext's
+// planner (Planner.planIdx), the same call the scalar engine makes:
+// the per-(f, λ) constants are pooled, and the hoisted initial plan is
+// computed once per batch.
 //
 // Cells that keep checkpoint images — a tiered store, the imperfect
 // fault-tolerance model — run every repetition from t = 0 through the
@@ -72,7 +69,7 @@ import (
 
 // batchState is the per-BatchContext scratch of the kernels: the
 // per-operating-point cost table and the fault-free prefix trajectory.
-// Planning state lives in the RunContext's plan cache.
+// Planning state lives in the RunContext's planner.
 type batchState struct {
 	costs []speedCosts
 
@@ -388,16 +385,16 @@ func batchScratch(b *sim.BatchContext) *batchState {
 	return st
 }
 
-// plan is the batch-side plan consultation: one probe of pl's context
-// plan cache, resolved to the batch's speedCosts entry (nil iff bad) so
-// callers never re-resolve the operating point. st.costs is built from
-// model.Points() in order, so the entry's point index indexes it.
+// plan is the batch-side plan: pl's decision resolved to the batch's
+// speedCosts entry (nil iff bad), so callers never re-resolve the
+// operating point. st.costs is built from model.Points() in order, so
+// the planned point index indexes it.
 func (st *batchState) plan(pl *Planner, rc, rd, lam float64, rf int) (sc *speedCosts, itv, subLen float64, bad bool) {
-	e := pl.lookup(rc, rd, lam, rf)
-	if e.ptIdx == badConfigIdx {
-		return nil, e.itv, e.sub, true
+	idx, itv, subLen := pl.planIdx(rc, rd, lam, rf)
+	if idx == badConfigIdx {
+		return nil, itv, subLen, true
 	}
-	return &st.costs[e.ptIdx], e.itv, e.sub, false
+	return &st.costs[idx], itv, subLen, false
 }
 
 // buildCosts fills the per-point cost table from the model and cost
@@ -720,7 +717,7 @@ func (s *FixedCSCP) RunBatch(rctx *sim.RunContext, b *sim.BatchContext, p sim.Pa
 
 // RunBatch implements sim.BatchScheme: the adaptive kernel — planned
 // intervals, optional sub-checkpoints, optional DVS, online λ
-// estimation and the eager-DVS ablation — over rctx's plan cache.
+// estimation and the eager-DVS ablation — planned by rctx's planner.
 func (s *Adaptive) RunBatch(rctx *sim.RunContext, b *sim.BatchContext, p sim.Params, seeds []uint64) bool {
 	return s.RunBatchArrival(rctx, b, p, seeds, p.Lambda)
 }
@@ -732,7 +729,7 @@ func (s *Adaptive) RunBatch(rctx *sim.RunContext, b *sim.BatchContext, p sim.Par
 // belief. The arrival times are bit-identical to that process's (the
 // queue draws the same exponentials in the same order), so the
 // experiment wrapper batches those cells by stripping its FaultProcess
-// and passing the true rate here. A nil rctx (no plan cache to plan
+// and passing the true rate here. A nil rctx (no planner to plan
 // through) refuses the batch, as sim.RunBatch does.
 func (s *Adaptive) RunBatchArrival(rctx *sim.RunContext, b *sim.BatchContext, p sim.Params, seeds []uint64, arrival float64) bool {
 	n := len(seeds)

@@ -177,11 +177,12 @@ func TestBatchImperfectEquivalence(t *testing.T) {
 	}
 }
 
-// TestBatchLambdaRebind pins the plan cache across a λ sweep: the rate
-// is part of every entry's key (the online estimator plans at
-// continuous rates), so reusing one BatchContext across consecutive
-// cells — where plannerFor hands back the *same* planner for every
-// rate — must not serve a stale plan. This is exactly the worker-loop
+// TestBatchLambdaRebind pins the planner across a λ sweep: the rate is
+// a per-plan input (the online estimator plans at continuous rates), so
+// reusing one BatchContext across consecutive cells — where plannerFor
+// hands back the *same* planner for every rate — must not plan with a
+// previous rate's pooled TEst factors, interval environment or NumSub
+// memo. This is exactly the worker-loop
 // shape: one context, one planner, consecutive cells differing only
 // in λ.
 func TestBatchLambdaRebind(t *testing.T) {
@@ -384,19 +385,23 @@ func TestBatchFreeStoreParity(t *testing.T) {
 }
 
 // TestBatchPlannerLedger pins that batch planning flows through the
-// context's planner counters: PlannerCacheStats must see both hits
-// (repeated equivalence classes) and misses (first sightings) from a
-// batched cell, so the telemetry ledger stays meaningful.
+// context's plan count, so the telemetry ledger stays meaningful: a
+// fault-free batch computes its hoisted initial plan once for the whole
+// batch, and a faulty batch adds its post-fault replans on top.
 func TestBatchPlannerLedger(t *testing.T) {
-	p := mustParams(t, 0.78, 1, 0.0016, 5, checkpoint.SCPSetting())
 	seeds, _ := shardSeeds(7, 128)
 	rctx, bctx := sim.NewRunContext(), sim.NewBatchContext()
-	if !sim.RunBatch(rctx, bctx, NewAdaptDVSSCP(), p, seeds) {
+	if !sim.RunBatch(rctx, bctx, NewAdaptDVSSCP(), mustParams(t, 0.78, 1, 0, 5, checkpoint.SCPSetting()), seeds) {
 		t.Fatal("kernel refused a batchable configuration")
 	}
-	hits, misses := PlannerCacheStats(rctx)
-	if hits == 0 || misses == 0 {
-		t.Fatalf("batch planner ledger empty: hits=%d misses=%d", hits, misses)
+	if n := PlansComputed(rctx); n != 1 {
+		t.Fatalf("fault-free batch computed %d plans, want the one hoisted initial plan", n)
+	}
+	if !sim.RunBatch(rctx, bctx, NewAdaptDVSSCP(), mustParams(t, 0.78, 1, 0.0016, 5, checkpoint.SCPSetting()), seeds) {
+		t.Fatal("kernel refused a batchable configuration")
+	}
+	if n := PlansComputed(rctx); n <= 2 {
+		t.Fatalf("faulty batch left the plan count at %d, want its replans counted", n)
 	}
 }
 

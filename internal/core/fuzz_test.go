@@ -31,9 +31,10 @@ func foldRange(x, lo, hi float64) float64 {
 //   - every plan has a positive interval and a positive sub-interval no
 //     longer than the interval, unless the configuration is reported
 //     BadConfig;
-//   - planning is a pure function of its inputs: an uncached planner and
-//     a context planner replaying from the plan cache return
-//     bit-identical plans.
+//   - planning is a pure function of its inputs: a fresh planner and a
+//     context planner whose pooled state (TEst factor table, interval
+//     environments, NumSub memos and the one-entry memos in front of
+//     them) holds earlier inputs' values return bit-identical plans.
 func FuzzPlannerChoose(f *testing.F) {
 	f.Add(7800.0, 10000.0, 0.0014, 5, uint8(0b011))
 	f.Add(7800.0, 10000.0, 0.0, 5, uint8(0b111))
@@ -41,9 +42,9 @@ func FuzzPlannerChoose(f *testing.F) {
 	f.Add(-3.0, -4.0, 0.1, 2, uint8(0b010))
 	f.Add(1e-6, 1e9, 1e-9, 100, uint8(0b101))
 	// One context across inputs (a fuzz worker runs them sequentially):
-	// its plan cache accumulates earlier inputs' planners' entries under
-	// retired generations, so every input also checks that none of them
-	// is served to the current planner.
+	// inputs with the same configuration share its planner, whose pools
+	// and memos then hold earlier inputs' (f, λ, interval) state, so
+	// every input also checks that none of it leaks into the plan.
 	rctx := sim.NewRunContext()
 	f.Fuzz(func(t *testing.T, rc, rd, lam float64, rf int, cfgBits uint8) {
 		// Fold the raw inputs into the envelope the engine can produce:
@@ -105,14 +106,15 @@ func FuzzPlannerChoose(f *testing.F) {
 			t.Fatalf("non-positive planned frequency %v", plan.Point.Freq)
 		}
 
-		// Purity: the cached replay and an uncached planner agree
-		// bit-for-bit.
+		// Purity: the warm context planner (planning the state again,
+		// now with its one-entry memos holding this very input) and a
+		// fresh planner agree bit-for-bit.
 		if again := pl.Plan(rc, rd, lam, rf); again != plan {
 			t.Fatalf("warm replan diverged: %+v vs %+v", again, plan)
 		}
 		cold := NewPlanner(cfg, cpu.TwoSpeed(), costs, tk)
 		if fresh := cold.Plan(rc, rd, lam, rf); fresh != plan {
-			t.Fatalf("uncached plan diverged: %+v vs %+v", fresh, plan)
+			t.Fatalf("fresh planner diverged from the context planner: %+v vs %+v", fresh, plan)
 		}
 	})
 }

@@ -3,10 +3,11 @@ package core
 import (
 	"bytes"
 	"testing"
-	"unsafe"
 
+	"repro/internal/analysis"
 	"repro/internal/checkpoint"
 	"repro/internal/cpu"
+	"repro/internal/policy"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -52,68 +53,49 @@ func TestRunCtxMatchesRun(t *testing.T) {
 	}
 }
 
-// liveEntries counts the plan-cache ways holding an entry of the
-// context's current planner.
-func liveEntries(c *planCache) int {
-	n := 0
-	for i := range c.ents {
-		if c.ents[i].gen == c.gen {
-			n++
-		}
+// contextPlanner returns the planner parked in rctx, failing the test
+// when there is none.
+func contextPlanner(t *testing.T, rctx *sim.RunContext) *Planner {
+	t.Helper()
+	pl, ok := rctx.Scratch().(*Planner)
+	if !ok || pl == nil {
+		t.Fatal("no planner in context scratch")
 	}
-	return n
+	return pl
 }
 
-// TestPlannerMemoHitsFaultFree pins the cache economics the planner is
-// built on: fault-free repetitions of one cell share a single plan key,
-// so the planner computes once and replays.
+// TestPlannerMemoHitsFaultFree pins the planner economics a cell runs
+// on: fault-free repetitions of one cell reuse the context's planner —
+// one per cell, never rebuilt per repetition — compute exactly one plan
+// each (the initial one; no fault, no replan), and share one pooled
+// (f, λ) environment.
 func TestPlannerMemoHitsFaultFree(t *testing.T) {
 	s := NewAdaptDVSSCP()
 	p := params(0.78, 1, 0, 5, checkpoint.SCPSetting()) // λ=0: no faults, no replans
 	rctx := sim.NewRunContext()
-	for seed := uint64(1); seed <= 50; seed++ {
+	const reps = 50
+	var first *Planner
+	for seed := uint64(1); seed <= reps; seed++ {
 		s.RunCtx(rctx, p, rctx.Reseed(seed))
+		pl := contextPlanner(t, rctx)
+		if first == nil {
+			first = pl
+		} else if pl != first {
+			t.Fatalf("seed %d: one cell rebuilt its planner", seed)
+		}
 	}
-	c, ok := rctx.Scratch().(*planCache)
-	if !ok || c.pl == nil {
-		t.Fatal("no planner in context scratch")
+	if got := PlansComputed(rctx); got != reps {
+		t.Errorf("fault-free cell computed %d plans over %d reps, want one each", got, reps)
 	}
-	if c.gen != 1 {
-		t.Fatalf("one cell built %d planners, want exactly 1", c.gen)
-	}
-	if n := liveEntries(c); n != 1 {
-		t.Errorf("fault-free cell cached %d plans, want exactly 1", n)
-	}
-}
-
-// TestPlannerMemoIsExactInput verifies a planner returns bit-identical
-// plans for repeated inputs and distinguishes every changed input.
-func TestPlannerMemoIsExactInput(t *testing.T) {
-	p := params(0.78, 1, 0.0014, 5, checkpoint.SCPSetting())
-	rctx := sim.NewRunContext()
-	pl := NewAdaptDVSSCP().plannerFor(rctx, p)
-
-	base := pl.Plan(p.Task.Cycles, p.Task.Deadline, p.Lambda, 5)
-	again := pl.Plan(p.Task.Cycles, p.Task.Deadline, p.Lambda, 5)
-	if base != again {
-		t.Fatalf("identical inputs, different plans: %+v vs %+v", base, again)
-	}
-
-	fresh := NewPlanner(*NewAdaptDVSSCP(), p.CPUModel(), p.Costs, p.Task)
-	if got := fresh.Plan(p.Task.Cycles, p.Task.Deadline, p.Lambda, 5); got != base {
-		t.Fatalf("cached plan differs from fresh computation: %+v vs %+v", base, got)
-	}
-
-	// A changed input keys separately (the plans themselves may or may
-	// not coincide — the interval rules are piecewise).
-	pl.Plan(p.Task.Cycles, p.Task.Deadline-1, p.Lambda, 5)
-	if n := liveEntries(rctx.Scratch().(*planCache)); n != 2 {
-		t.Errorf("cache holds %d entries, want 2", n)
+	if len(first.envs) != 1 || len(first.subs) != 1 {
+		t.Errorf("fault-free cell pooled %d interval / %d NumSub environments, want 1 / 1",
+			len(first.envs), len(first.subs))
 	}
 }
 
 // TestPlannerBadFixedFrequency pins the construction-time resolution of
-// an unsatisfiable fixed-speed configuration, cached or not.
+// an unsatisfiable fixed-speed configuration, for a single-run planner
+// and a context planner alike.
 func TestPlannerBadFixedFrequency(t *testing.T) {
 	p := params(0.78, 1, 0.0014, 5, checkpoint.SCPSetting())
 	s := &Adaptive{Sub: checkpoint.SCP, UseSub: true, FixedFreq: 3}
@@ -121,7 +103,7 @@ func TestPlannerBadFixedFrequency(t *testing.T) {
 		NewPlanner(*s, cpu.TwoSpeed(), p.Costs, p.Task),
 		s.plannerFor(sim.NewRunContext(), p),
 	} {
-		for range 2 { // miss, then hit
+		for range 2 { // a first plan, then a replan
 			if pln := pl.Plan(p.Task.Cycles, p.Task.Deadline, p.Lambda, 5); pln != (Plan{BadConfig: true}) {
 				t.Fatalf("frequency 3 on the two-speed model planned %+v, want BadConfig", pln)
 			}
@@ -130,43 +112,62 @@ func TestPlannerBadFixedFrequency(t *testing.T) {
 }
 
 // TestPlannerScratchInvalidation: a context that served one cell must
-// never hand a stale planner to a different scheme configuration or
-// platform, and returning to the first configuration plans identically
-// to a fresh run under a new generation.
+// never hand a stale planner to a different configuration. A change of
+// scheme configuration, CPU model, cost model or task each rebuilds the
+// planner; an identical cell — even a different λ, which is a per-plan
+// input — reuses it; and returning to the first configuration plans
+// identically to a fresh run.
 func TestPlannerScratchInvalidation(t *testing.T) {
-	rctx := sim.NewRunContext()
 	pA := params(0.78, 1, 0.0014, 5, checkpoint.SCPSetting())
-	pB := params(0.80, 1, 0.0014, 5, checkpoint.CCPSetting())
-
-	NewAdaptDVSSCP().RunCtx(rctx, pA, rctx.Reseed(1))
-	c, _ := rctx.Scratch().(*planCache)
-	if c == nil || c.pl == nil {
-		t.Fatal("planner not parked in scratch")
+	threeSpeed, err := cpu.NewModel([]cpu.OperatingPoint{
+		{Freq: 1, Voltage: cpu.DefaultVoltage(1)},
+		{Freq: 1.5, Voltage: cpu.DefaultVoltage(1.5)},
+		{Freq: 2, Voltage: cpu.DefaultVoltage(2)},
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	plA := c.pl
+	withModel, withCosts, withTask, withLambda := pA, pA, pA, pA
+	withModel.CPU = threeSpeed
+	withCosts.Costs = checkpoint.CCPSetting()
+	withTask.Task = params(0.80, 1, 0.0014, 5, checkpoint.SCPSetting()).Task
+	withLambda.Lambda = 0.0016
 
-	NewAdaptDVSCCP().RunCtx(rctx, pB, rctx.Reseed(1))
-	if c.pl == plA {
-		t.Fatal("context reused a planner across different scheme/cell configurations")
+	base := NewAdaptDVSSCP()
+	cases := []struct {
+		name    string
+		s       *Adaptive
+		p       sim.Params
+		rebuild bool
+	}{
+		{"scheme", NewAdaptDVSCCP(), pA, true},
+		{"cpu model", base, withModel, true},
+		{"costs", base, withCosts, true},
+		{"task", base, withTask, true},
+		{"lambda", base, withLambda, false},
 	}
-
-	r1 := NewAdaptDVSSCP().RunCtx(rctx, pA, rctx.Reseed(7))
-	r2 := NewAdaptDVSSCP().Run(pA, rng.New(7))
-	if r1 != r2 {
-		t.Fatalf("after scratch churn, RunCtx diverged: %+v vs %+v", r1, r2)
-	}
-	if c.gen != 3 || c.pl.gen != c.gen {
-		t.Fatalf("three configuration switches left generation %d (planner %d), want 3", c.gen, c.pl.gen)
+	for _, tc := range cases {
+		rctx := sim.NewRunContext()
+		base.RunCtx(rctx, pA, rctx.Reseed(1))
+		plA := contextPlanner(t, rctx)
+		tc.s.RunCtx(rctx, tc.p, rctx.Reseed(1))
+		if rebuilt := contextPlanner(t, rctx) != plA; rebuilt != tc.rebuild {
+			t.Errorf("%s change: planner rebuilt = %v, want %v", tc.name, rebuilt, tc.rebuild)
+		}
+		r1 := base.RunCtx(rctx, pA, rctx.Reseed(7))
+		if r2 := base.Run(pA, rng.New(7)); r1 != r2 {
+			t.Fatalf("%s change: returning to the first cell, RunCtx diverged: %+v vs %+v", tc.name, r1, r2)
+		}
 	}
 }
 
-// TestPlanCacheSwitchIsolation pins the generation tag: one context
-// alternates between two planners whose configurations (DVS on, fixed
-// f2) plan the identical (rc, rd, λ, rf) states differently, through
-// both the scalar Plan and the batch kernel's plan. Every plan must
-// equal that planner's own uncached compute — an entry of the other
-// planner, sitting in the same set under the same state key, must
-// never be served.
+// TestPlanCacheSwitchIsolation pins planner isolation across a context's
+// configuration switches: one context alternates between two planners
+// whose configurations (DVS on, fixed f2) plan the identical
+// (rc, rd, λ, rf) states differently, through both the scalar Plan and
+// the batch kernel's plan. Every plan must equal a fresh planner's for
+// that configuration — nothing the other configuration's planner pooled
+// may leak into it.
 func TestPlanCacheSwitchIsolation(t *testing.T) {
 	p := params(0.78, 1, 0.0014, 5, checkpoint.SCPSetting())
 	type state struct {
@@ -186,7 +187,7 @@ func TestPlanCacheSwitchIsolation(t *testing.T) {
 	}
 	differ := false
 	for _, st := range states {
-		differ = differ || ref[0].compute(st.rc, st.rd, st.lam, st.rf) != ref[1].compute(st.rc, st.rd, st.lam, st.rf)
+		differ = differ || ref[0].Plan(st.rc, st.rd, st.lam, st.rf) != ref[1].Plan(st.rc, st.rd, st.lam, st.rf)
 	}
 	if !differ {
 		t.Fatal("the two configurations plan every state identically; the test would pin nothing")
@@ -199,7 +200,7 @@ func TestPlanCacheSwitchIsolation(t *testing.T) {
 		for i, s := range schemes {
 			pl := s.plannerFor(rctx, p)
 			for _, st := range states {
-				want := ref[i].compute(st.rc, st.rd, st.lam, st.rf)
+				want := ref[i].Plan(st.rc, st.rd, st.lam, st.rf)
 				if got := pl.Plan(st.rc, st.rd, st.lam, st.rf); got != want {
 					t.Fatalf("round %d %s scalar %+v: planned %+v, want %+v", round, s.Name(), st, got, want)
 				}
@@ -235,46 +236,60 @@ func TestPlanCacheSwitchIsolation(t *testing.T) {
 	}
 }
 
-// TestPlannerCacheStats pins the telemetry counters: fault-free
-// repetitions of one cell hit the plan cache after the first miss, and
-// the context-lifetime totals survive a planner rebuild on cell switch.
+// TestPlannerCacheStats pins the plan ledger telemetry reads: every
+// repetition of a fault-free cell computes exactly its one initial plan,
+// and the context-lifetime total survives a planner rebuild on cell
+// switch.
 func TestPlannerCacheStats(t *testing.T) {
 	rctx := sim.NewRunContext()
-	if h, m := PlannerCacheStats(rctx); h != 0 || m != 0 {
-		t.Fatalf("fresh context reports %d/%d, want 0/0", h, m)
+	if n := PlansComputed(rctx); n != 0 {
+		t.Fatalf("fresh context reports %d plans, want 0", n)
 	}
 
 	s := NewAdaptDVSSCP()
-	p := params(0.78, 1, 0, 5, checkpoint.SCPSetting()) // λ=0: one plan key per rep
+	p := params(0.78, 1, 0, 5, checkpoint.SCPSetting()) // λ=0: one plan per rep
 	const reps = 50
 	for seed := uint64(1); seed <= reps; seed++ {
 		s.RunCtx(rctx, p, rctx.Reseed(seed))
 	}
-	hits, misses := PlannerCacheStats(rctx)
-	if hits != reps-1 || misses != 1 {
-		t.Errorf("fault-free cell: %d hits / %d misses, want %d / 1", hits, misses, reps-1)
+	plans := PlansComputed(rctx)
+	if plans != reps {
+		t.Errorf("fault-free cell: %d plans, want %d", plans, reps)
 	}
 
-	// Switching cells rebuilds the planner; the totals must carry over,
+	// Switching cells rebuilds the planner; the total must carry over,
 	// never reset.
 	s2 := NewAdaptDVSCCP()
 	p2 := params(0.80, 1, 0.0014, 5, checkpoint.CCPSetting())
 	s2.RunCtx(rctx, p2, rctx.Reseed(1))
-	h2, m2 := PlannerCacheStats(rctx)
-	if h2 < hits || m2 <= misses {
-		t.Errorf("cache stats went backwards across a cell switch: %d/%d then %d/%d",
-			hits, misses, h2, m2)
+	if got := PlansComputed(rctx); got <= plans {
+		t.Errorf("plan count went backwards across a cell switch: %d then %d", plans, got)
 	}
 }
 
-// TestPlanCacheLineLayout pins the plan cache's memory layout: each
-// entry is exactly one 64-byte cache line, and the entry array starts
-// the (page-aligned) cache allocation, so no entry straddles two lines.
-func TestPlanCacheLineLayout(t *testing.T) {
-	if got := unsafe.Sizeof(planEntry{}); got != 64 {
-		t.Errorf("planEntry is %d bytes, want 64", got)
+// TestPlannerMemoKeys pins the one-entry memos' keys: the NumSub memo
+// and the interval-environment memo answer only for the exact
+// (f, λ, interval) and (f, λ) they hold. The same interval asked at the
+// other frequency or rate must be computed for that environment, never
+// served from the memo.
+func TestPlannerMemoKeys(t *testing.T) {
+	p := params(0.78, 1, 0.0014, 5, checkpoint.SCPSetting())
+	pl := NewPlanner(*NewAdaptDVSSCP(), p.CPUModel(), p.Costs, p.Task)
+	const itv = 400.0
+	envs := []struct{ f, lam float64 }{{1, 0.0014}, {2, 0.0014}, {1, 0.01}, {1, 0.0014}}
+	distinct := map[int]bool{}
+	for _, e := range envs {
+		want := analysis.NumSub(analysis.Params{Costs: p.Costs.Scaled(e.f), Lambda: e.lam}, checkpoint.SCP, itv)
+		distinct[want] = true
+		if got := pl.numSub(e.f, e.lam, itv); got != want {
+			t.Errorf("numSub(f=%v, λ=%v, %v) = %d, want %d", e.f, e.lam, itv, got, want)
+		}
+		wantItv, _ := policy.NewEnv(p.Costs.CSCPCycles()/e.f, e.lam).Interval(p.Task.Deadline, itv, 5)
+		if gotItv, _ := pl.envFor(e.f, e.lam).Interval(p.Task.Deadline, itv, 5); gotItv != wantItv {
+			t.Errorf("envFor(f=%v, λ=%v) interval %v, want %v", e.f, e.lam, gotItv, wantItv)
+		}
 	}
-	if got := unsafe.Offsetof(planCache{}.ents); got != 0 {
-		t.Errorf("planCache.ents at offset %d, want 0", got)
+	if len(distinct) < 3 {
+		t.Fatal("the environments share NumSub answers; the test would pin nothing")
 	}
 }

@@ -231,14 +231,14 @@ func (s *Adaptive) Run(p sim.Params, src *rng.Source) sim.Result {
 }
 
 // RunCtx implements sim.ContextScheme: like Run, but reusing the
-// context's engine buffers and its cached Planner (plan memo included)
-// across repetitions of the same cell.
+// context's engine buffers and its Planner (pooled per-(f, λ) planning
+// constants included) across repetitions of the same cell.
 func (s *Adaptive) RunCtx(rc *sim.RunContext, p sim.Params, src *rng.Source) sim.Result {
 	return s.run(rc.Engine(p, src), s.plannerFor(rc, p), p)
 }
 
 // run is the shared scheme body: a thin loop over the Planner and the
-// Engine. All planning logic lives in Planner.compute.
+// Engine. All planning logic lives in Planner.planIdx.
 func (s *Adaptive) run(e *sim.Engine, pl *Planner, p sim.Params) sim.Result {
 	rc := p.Task.Cycles
 	rf := p.Task.FaultBudget

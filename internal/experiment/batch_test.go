@@ -16,7 +16,7 @@ import (
 // kernels is identical — every summary bit — to the same grid forced
 // through the scalar reference loop. Table 1a sweeps λ with shared
 // planners and reuses worker contexts across cells, so this also
-// exercises the batch plan cache's cross-cell invalidation in the
+// exercises the planner's cross-cell rebuild and per-λ pools in the
 // exact shape production runs have.
 func TestTableBatchScalarEquivalence(t *testing.T) {
 	spec, err := TableByID("1a")
@@ -316,8 +316,8 @@ func TestImperfectCellsNeverFallBack(t *testing.T) {
 
 // TestWarmContextRerunBitStable pins context reuse across RunTable
 // calls: worker contexts are pooled to save their allocations only, so
-// a re-run may execute on a context whose plan cache still holds the
-// previous run's entries — and must still produce the identical table,
+// a re-run may execute on a context whose planner still holds the
+// previous run's pooled state — and must still produce the identical table,
 // bit for bit, run after run.
 func TestWarmContextRerunBitStable(t *testing.T) {
 	spec, err := TableByID("1a")

@@ -265,8 +265,10 @@ const (
 	MetricReps = "grid_reps_total"
 	// MetricCellSeconds is the per-cell wall-time histogram.
 	MetricCellSeconds = "grid_cell_seconds"
-	// MetricPlannerHits / MetricPlannerMisses are the plan-cache ledger
-	// drained from the workers' run contexts (core.PlannerCacheStats).
+	// MetricPlannerMisses counts the plans computed in the workers' run
+	// contexts (core.PlansComputed); every plan is computed directly, so
+	// MetricPlannerHits stays 0. The names predate the removal of the
+	// plan cache and are kept for existing dashboards and benchmarks.
 	MetricPlannerHits   = "planner_cache_hits_total"
 	MetricPlannerMisses = "planner_cache_misses_total"
 	// MetricShards counts executed shard units (including skipped shards
@@ -480,7 +482,7 @@ func (s Spec) NewTable(reps int, schemes []sim.Scheme) Table {
 // remaining cells still drain, and the partial table is returned
 // alongside the first error so completed cells are not lost. Cells
 // execute as rep-shard units across a work-stealing pool of workers,
-// each owning a private run context (engine, rng stream and plan caches
+// each owning a private run context (engine, rng stream and planner
 // reused, never shared); results depend only on per-rep seeds, so worker
 // count, shard size and steal order cannot affect any Summary bit.
 func (r Runner) runTable(ctx context.Context, spec Spec, schemes []sim.Scheme) (Table, error) {

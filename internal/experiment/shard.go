@@ -110,14 +110,14 @@ type cellState struct {
 	paramsErr      error
 	seed           uint64
 
-	mu           sync.Mutex
-	agg          stats.Shard
-	remaining    int // shards not yet accounted for
-	recovered    int // reps restored from checkpoints, not executed
-	started      bool
-	failed       bool
-	t0           time.Time // first shard start; only set when a sink observes
-	hits, misses uint64    // planner-cache deltas attributed to this cell
+	mu        sync.Mutex
+	agg       stats.Shard
+	remaining int // shards not yet accounted for
+	recovered int // reps restored from checkpoints, not executed
+	started   bool
+	failed    bool
+	t0        time.Time // first shard start; only set when a sink observes
+	plans     uint64    // plans computed for this cell
 }
 
 func (r Runner) newCellState(spec Spec, rowIdx, colIdx int, u, lambda float64, scheme sim.Scheme) *cellState {
@@ -209,7 +209,7 @@ func (r Runner) runShards(ctx context.Context, cells []*cellState, onDone func(*
 		return nil
 	}
 	// Contiguous block distribution: each worker starts on a run of
-	// same-cell shards (warm plan cache); imbalance is what stealing is
+	// same-cell shards (warm planner); imbalance is what stealing is
 	// for.
 	for w := 0; w < nw; w++ {
 		lo, hi := w*len(units)/nw, (w+1)*len(units)/nw
@@ -227,9 +227,9 @@ func (s *sched) worker(w int) {
 	defer s.wg.Done()
 	sc := sim.GetContexts()
 	var scratch stats.Shard
-	// A pooled context carries cache counters from previous runs; the
-	// per-shard telemetry deltas must start from its current totals.
-	seenHits, seenMisses := core.PlannerCacheStats(&sc.Run)
+	// A pooled context carries a plan count from previous runs; the
+	// per-shard telemetry deltas must start from its current total.
+	seenPlans := core.PlansComputed(&sc.Run)
 	// Private store-activity accumulator: the engine writes into cur
 	// without sharing; seen holds the last flushed snapshot so each
 	// shard reports only its delta.
@@ -243,11 +243,11 @@ func (s *sched) worker(w int) {
 			sim.PutContexts(sc)
 			return
 		}
-		if panicked(s.runUnit(u, &sc.Run, &sc.Batch, &scratch, &seenHits, &seenMisses, &storeCur, &storeSeen)) {
+		if panicked(s.runUnit(u, &sc.Run, &sc.Batch, &scratch, &seenPlans, &storeCur, &storeSeen)) {
 			// The pool's policy: a pair a scheme panicked in is dropped,
 			// never reused or returned.
 			sc = sim.GetContexts()
-			seenHits, seenMisses = core.PlannerCacheStats(&sc.Run)
+			seenPlans = core.PlansComputed(&sc.Run)
 		}
 	}
 }
@@ -314,7 +314,7 @@ func (s *sched) steal(w int) (shardUnit, bool) {
 // runUnit executes one shard and merges it into its cell, handling
 // chaos retries, failure propagation and last-shard completion. It
 // returns the shard's execution error (nil for a skipped shard).
-func (s *sched) runUnit(u shardUnit, rctx *sim.RunContext, bctx *sim.BatchContext, scratch *stats.Shard, seenHits, seenMisses *uint64, storeCur, storeSeen *store.Stats) error {
+func (s *sched) runUnit(u shardUnit, rctx *sim.RunContext, bctx *sim.BatchContext, scratch *stats.Shard, seenPlans *uint64, storeCur, storeSeen *store.Stats) error {
 	c := s.cells[u.cell]
 	c.mu.Lock()
 	if !c.started {
@@ -350,17 +350,15 @@ func (s *sched) runUnit(u shardUnit, rctx *sim.RunContext, bctx *sim.BatchContex
 		}
 	}
 
-	var dh, dm uint64
+	var plans uint64
 	if s.sink != nil {
 		s.sink.Count(MetricShards, 1)
 		if scalar {
 			s.sink.Count(MetricShardsScalar, 1)
 		}
-		hits, misses := core.PlannerCacheStats(rctx)
-		dh, dm = hits-*seenHits, misses-*seenMisses
-		*seenHits, *seenMisses = hits, misses
-		s.sink.Count(MetricPlannerHits, int64(dh))
-		s.sink.Count(MetricPlannerMisses, int64(dm))
+		total := core.PlansComputed(rctx)
+		plans, *seenPlans = total-*seenPlans, total
+		s.sink.Count(MetricPlannerMisses, int64(plans))
 		flushStoreStats(s.sink, storeCur, storeSeen)
 	}
 
@@ -373,8 +371,7 @@ func (s *sched) runUnit(u shardUnit, rctx *sim.RunContext, bctx *sim.BatchContex
 	crashpoint.Hit("shard.merge")
 
 	c.mu.Lock()
-	c.hits += dh
-	c.misses += dm
+	c.plans += plans
 	newlyFailed := false
 	if err != nil && !c.failed {
 		c.failed = true
@@ -506,9 +503,8 @@ func (s *sched) finishCell(c *cellState) {
 		if sec > 0 {
 			attrs["reps_per_sec"] = float64(reps) / sec
 		}
-		if c.hits+c.misses > 0 {
-			attrs["planner_hits"] = c.hits
-			attrs["planner_misses"] = c.misses
+		if c.plans > 0 {
+			attrs["plans_computed"] = c.plans
 		}
 		if c.recovered > 0 {
 			attrs["reps_recovered"] = c.recovered

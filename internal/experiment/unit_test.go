@@ -119,8 +119,8 @@ var raceDetector bool
 
 // TestExecUnitAllocBound guards the per-unit heap cost of a worker: warm
 // 200-rep Table 1a units, cycling columns and U, must allocate no more
-// than 64 KiB each on average. A context built per unit allocates a
-// 1 MiB plan cache for every adaptive-column unit and fails this.
+// than 64 KiB each on average: units draw pooled contexts, so engine
+// buffers, planners and kernel scratch are not re-allocated per unit.
 func TestExecUnitAllocBound(t *testing.T) {
 	if raceDetector {
 		t.Skip("sync.Pool drops items at random under the race detector")

@@ -215,15 +215,15 @@ func RunCtx(ctx context.Context, cfg Config, seed uint64) (Report, error) {
 	degraded := false
 
 	// One run context serves every frame: frames are sequential, so the
-	// engine and plan caches are reused mission-long. Each frame's stream
+	// engine and the planner are reused mission-long. Each frame's stream
 	// is the f-th member of the counter-based seed family rng.Stream(seed,
 	// f) — a pure function of (seed, frame index), the same derivation the
 	// experiment runner uses per repetition — so frame streams no longer
 	// chain through the mission source and future frame-sharding can
 	// reconstruct any frame's stream independently. (The mission source
 	// still serves the permanent-fault draws above.) The context comes
-	// from sim's shared pool: its plan cache is a 1 MiB array, too large
-	// to allocate per mission, and reuse is bit-identical to a fresh
+	// from sim's shared pool, so a mission does not re-allocate engine
+	// buffers and planner pools, and reuse is bit-identical to a fresh
 	// context. It goes back on both returns below; a panicking scheme
 	// skips them, which drops the pair as the pool's policy requires.
 	sc := sim.GetContexts()

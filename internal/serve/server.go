@@ -182,14 +182,27 @@ func (m *serveMetrics) snapshot() CounterSnapshot {
 	}
 }
 
+// retainedTerminalJobs bounds how many terminal jobs a Server keeps
+// queryable. Past the bound the job that became terminal first is
+// evicted and a GET of its id answers 404, so the ledger's memory stays
+// flat over a long-running service instead of growing with every job
+// served. Unfinished jobs are never evicted.
+const retainedTerminalJobs = 1024
+
 // Server is the resilient simulation job service. Create with New,
 // expose Handler over HTTP, stop with Shutdown.
 type Server struct {
 	cfg Config
 
-	mu       sync.Mutex
-	jobs     map[string]*Job
-	order    []string
+	mu   sync.Mutex
+	jobs map[string]*Job
+	// order lists job ids in admission order. Evicted ids stay in it
+	// until the next compaction (retire), so readers skip ids jobs no
+	// longer holds.
+	order []string
+	// terminal lists the retained terminal jobs' ids, in the order they
+	// became terminal: the eviction queue of retire.
+	terminal []string
 	queue    chan *Job
 	draining bool
 	nextID   int
@@ -249,13 +262,22 @@ func New(cfg Config) *Server {
 }
 
 // applyRecovery restores the replayed journal state into the live
-// ledger: terminal jobs come back queryable (with their results and
-// their places in the counters), unfinished jobs re-enter the queue
+// ledger: terminal jobs keep their places in the counters and the
+// result cache, and the newest retainedTerminalJobs of them come back
+// queryable with their results; unfinished jobs re-enter the queue
 // marked Resumed, carrying their shard checkpoints. Runs before the
 // workers start; the queue was sized to hold every unfinished job.
 func (s *Server) applyRecovery(rec *Recovery) {
 	s.met.journalCorrupt.Add(int64(rec.Corrupt))
 	s.met.replaySeconds.Set(rec.ReplayDuration.Seconds())
+	// Terminal jobs older than the newest retainedTerminalJobs would be
+	// evicted as soon as they were restored: skip them up front.
+	skipTerminal := -retainedTerminalJobs
+	for i := range rec.Jobs {
+		if rec.Jobs[i].State.Terminal() {
+			skipTerminal++
+		}
+	}
 	resumed := 0
 	for i := range rec.Jobs {
 		rj := &rec.Jobs[i]
@@ -285,6 +307,10 @@ func (s *Server) applyRecovery(rec *Recovery) {
 			case StateCanceled:
 				s.met.canceled.Inc()
 			}
+			if skipTerminal > 0 {
+				skipTerminal--
+				continue
+			}
 		} else {
 			job.State = StateQueued
 			job.Resumed = true
@@ -298,6 +324,9 @@ func (s *Server) applyRecovery(rec *Recovery) {
 		}
 		s.jobs[job.ID] = job
 		s.order = append(s.order, job.ID)
+		if job.State.Terminal() {
+			s.retire(job)
+		}
 	}
 	s.trace("journal.replayed", map[string]any{
 		"jobs": len(rec.Jobs), "resumed": resumed,
@@ -388,6 +417,7 @@ func (s *Server) admitCached(job *Job, blob json.RawMessage) {
 	job.Started, job.Finished = job.Enqueued, job.Enqueued
 	s.jobs[job.ID] = job
 	s.order = append(s.order, job.ID)
+	s.retire(job)
 	s.met.accepted.Inc()
 	s.met.completed.Inc()
 	s.met.cacheHits.Inc()
@@ -398,6 +428,29 @@ func (s *Server) admitCached(job *Job, blob json.RawMessage) {
 	s.trace("job.done", map[string]any{
 		"id": job.ID, "state": string(StateDone), "attempts": 0, "seconds": 0.0, "cache_hit": true,
 	})
+}
+
+// retire enters a job that just became terminal into the eviction
+// queue and evicts the oldest terminal job past retainedTerminalJobs.
+// Evicted ids are compacted out of order once they make up half of it,
+// so both queues cost O(1) amortised per job. Called with s.mu held.
+func (s *Server) retire(job *Job) {
+	s.terminal = append(s.terminal, job.ID)
+	if len(s.terminal) <= retainedTerminalJobs {
+		return
+	}
+	delete(s.jobs, s.terminal[0])
+	s.terminal = s.terminal[1:]
+	if len(s.order) >= 2*len(s.jobs) {
+		live := s.order[:0]
+		for _, id := range s.order {
+			if _, ok := s.jobs[id]; ok {
+				live = append(live, id)
+			}
+		}
+		clear(s.order[len(live):])
+		s.order = live
+	}
 }
 
 // Lookup returns the view of a job by ID.
@@ -411,13 +464,16 @@ func (s *Server) Lookup(id string) (View, bool) {
 	return j.view(), true
 }
 
-// Jobs lists every accepted job's view in admission order.
+// Jobs lists the view of every retained job in admission order:
+// unfinished jobs and the newest retainedTerminalJobs terminal ones.
 func (s *Server) Jobs() []View {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]View, 0, len(s.order))
+	out := make([]View, 0, len(s.jobs))
 	for _, id := range s.order {
-		out = append(out, s.jobs[id].view())
+		if j, ok := s.jobs[id]; ok {
+			out = append(out, j.view())
+		}
 	}
 	return out
 }
@@ -442,6 +498,7 @@ func (s *Server) Cancel(id string) (View, bool) {
 		j.Finished = time.Now()
 		j.shards = nil
 		s.met.canceled.Inc()
+		s.retire(j)
 		if s.cfg.Journal != nil {
 			// Client intent is ledger truth: a queued-cancel must not
 			// resurrect on the next boot.
@@ -681,8 +738,13 @@ func (s *Server) finish(job *Job, result any, err error) {
 			s.cache.put(job.key, blob)
 		}
 	}
-	// Terminal: the banked checkpoints are no longer needed.
+	// Terminal: the banked checkpoints are no longer needed. A job
+	// aborted by shutdown stays out of the eviction queue: it is
+	// resumable, and the shutdown manifest must list it.
 	job.shards = nil
+	if !aborted {
+		s.retire(job)
+	}
 	var seconds float64
 	if !job.Started.IsZero() {
 		seconds = job.Finished.Sub(job.Started).Seconds()
@@ -777,8 +839,8 @@ func (s *Server) Shutdown(ctx context.Context) (Manifest, error) {
 	m := Manifest{Drained: drained}
 	s.mu.Lock()
 	for _, id := range s.order {
-		j := s.jobs[id]
-		if j.ShutdownAborted || !j.State.Terminal() {
+		j, ok := s.jobs[id]
+		if ok && (j.ShutdownAborted || !j.State.Terminal()) {
 			m.Jobs = append(m.Jobs, ManifestEntry{
 				ID: j.ID, Spec: j.Spec, State: j.State,
 				Attempts: j.Attempts, Error: j.Error,

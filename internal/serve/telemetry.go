@@ -140,8 +140,8 @@ func (s *Server) initTelemetry() {
 	reg.Counter(experiment.MetricCellsFailed, "grid cells failed or panicked across all jobs")
 	reg.Counter(experiment.MetricReps, "Monte-Carlo repetitions simulated across completed cells")
 	reg.Histogram(experiment.MetricCellSeconds, "per-grid-cell wall time", nil)
-	reg.Counter(experiment.MetricPlannerHits, "plan-cache hits drained from worker run contexts")
-	reg.Counter(experiment.MetricPlannerMisses, "plan-cache misses drained from worker run contexts")
+	reg.Counter(experiment.MetricPlannerHits, "always 0: plans are computed directly, without a plan cache")
+	reg.Counter(experiment.MetricPlannerMisses, "interval plans computed in worker run contexts")
 	reg.Counter(experiment.MetricShards, "rep-shard units executed by the work-stealing grid scheduler")
 	reg.Counter(experiment.MetricShardsScalar, "rep-shard units among grid_shards_total that ran the scalar reference loop instead of a batch kernel")
 	reg.Counter(experiment.MetricShardsStolen, "rep-shard units moved between worker deques by stealing")

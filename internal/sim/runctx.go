@@ -9,7 +9,7 @@ import (
 // RunContext is the per-worker reusable state behind a sequence of
 // simulated executions: one engine (with its meter, fault-process and
 // checkpoint-store buffers), one random stream, and a scratch slot that
-// schemes use to keep per-cell caches (package core parks its plan cache
+// schemes use to keep per-cell caches (package core parks its planner
 // there). A RunContext is strictly private to one goroutine — sharing it
 // would corrupt runs; the experiment runner gives each worker its own.
 //
@@ -29,7 +29,7 @@ func NewRunContext() *RunContext { return &RunContext{} }
 // Contexts is one goroutine's pair of reusable simulation contexts: a
 // RunContext for scalar runs and planning, and a BatchContext for the
 // batched kernel. Pairs come from one process-wide pool so that the
-// contexts' allocations — engine buffers, the plan cache, batch scratch
+// contexts' allocations — engine buffers, the planner, batch scratch
 // — are paid once per pooled pair, not once per run, work unit or sweep
 // point.
 type Contexts struct {
@@ -68,8 +68,8 @@ func (rc *RunContext) Engine(p Params, src *rng.Source) *Engine {
 }
 
 // Scratch returns the opaque per-context cache slot set by SetScratch
-// (nil initially). Schemes store per-cell state here — e.g. the plan
-// cache — and must key it on their full configuration, because one
+// (nil initially). Schemes store per-cell state here — e.g. the
+// adaptive schemes' planner — and must key it on their full configuration, because one
 // context serves many cells over its lifetime.
 func (rc *RunContext) Scratch() any { return rc.scratch }
 

@@ -70,8 +70,8 @@ func (c Config) cell(s sim.Scheme, p sim.Params, x float64) stats.Summary {
 }
 
 func (c Config) cellSeeded(s sim.Scheme, p sim.Params, pointSeed uint64) stats.Summary {
-	// A pooled context: a fresh one would allocate its 1 MiB plan cache
-	// for every point and scheme. A panicking scheme skips the Put and
+	// A pooled context: a fresh one would re-allocate its engine buffers
+	// and planner pools for every point and scheme. A panicking scheme skips the Put and
 	// so drops the pair.
 	sc := sim.GetContexts()
 	rctx := &sc.Run
@@ -79,7 +79,7 @@ func (c Config) cellSeeded(s sim.Scheme, p sim.Params, pointSeed uint64) stats.S
 	for i := 0; i < c.reps(); i++ {
 		// Each rep's stream is the i-th member of the counter-based seed
 		// family — the experiment runner's derivation — so any rep can be
-		// reconstructed in isolation; the engine and plan caches are
+		// reconstructed in isolation; the engine and the planner are
 		// reused across reps.
 		r := sim.RunScheme(rctx, s, p, rctx.Reseed(rng.Stream(pointSeed, i)))
 		cell.Observe(r.Completed, r.Energy, r.Time, float64(r.Faults), float64(r.Switches))

@@ -77,7 +77,7 @@ type Trace = sim.Trace
 
 // RunContext is a reusable per-worker execution context: one engine
 // (with its meter, fault-process and checkpoint-store buffers), one
-// random stream and the schemes' plan caches. Loops that simulate many
+// random stream and the schemes' planner. Loops that simulate many
 // runs on one goroutine reuse a context via RunWithContext to avoid
 // per-run allocation; results are bit-identical to the plain Run path.
 type RunContext = sim.RunContext
