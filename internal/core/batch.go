@@ -27,7 +27,10 @@
 // most of the batch). The eager-DVS ablation replans every interval, so
 // its fault-free trajectory carries evolving plan state the snapshots
 // do not capture — those cells run the live loop from the start, still
-// far cheaper than the scalar engine.
+// far cheaper than the scalar engine. The static interval rules of the
+// Poisson and k-f-t baselines never replan, so their image-free batches
+// take a narrower loop (runStatic): the same prefix jump over one
+// speed, one interval length and one span per interval.
 //
 // Post-fault replans, by contrast, start from continuous (rc, rd) states:
 // a fault's surviving work is quantised to span boundaries, but t (and
@@ -417,6 +420,23 @@ func buildSpeedCosts(dst []speedCosts, model *cpu.Model, costs checkpoint.Costs)
 	return dst
 }
 
+// prefixJump returns the interval a repetition's first arrival next
+// lands in: the largest index j of the prefix snapshots' x with
+// x[j] <= next (span consumption is strict next < end, so a boundary
+// arrival belongs to the next interval).
+func prefixJump(x []float64, next float64) int {
+	lo, hi := 0, len(x)-1
+	for lo < hi {
+		mid := int(uint(lo+hi+1) >> 1)
+		if x[mid] <= next {
+			lo = mid
+		} else {
+			hi = mid - 1
+		}
+	}
+	return lo
+}
+
 // batchable reports whether the parameters are inside the kernel
 // envelope: every configuration whose fault arrivals are the plain
 // Poisson process. Stores and the imperfect fault-tolerance model run
@@ -463,261 +483,12 @@ func arrivalHint(lambda, cycles, freq float64) int {
 	return h
 }
 
-// Both scheme families provide batch kernels.
-var (
-	_ sim.BatchScheme = (*FixedCSCP)(nil)
-	_ sim.BatchScheme = (*Adaptive)(nil)
-)
-
-// RunBatch implements sim.BatchScheme: the fixed-interval, fixed-speed
-// kernel. One operating point, one interval length, m = 1 everywhere —
-// the flattened equivalent of run() over the engine's m==1 fast path.
-func (s *FixedCSCP) RunBatch(rctx *sim.RunContext, b *sim.BatchContext, p sim.Params, seeds []uint64) bool {
-	n := len(seeds)
-	if !batchable(p) || !growOutputs(b, p, n) {
-		return false
-	}
-	model := p.CPUModel()
-	pt, err := model.AtFreq(s.Freq)
-	if err != nil {
-		// Scalar path: Finish(false, FailBadConfig) on a fresh engine —
-		// nothing metered, nothing drawn that the Result observes.
-		for i := 0; i < n; i++ {
-			b.Completed[i] = false
-			b.Energy[i], b.Time[i], b.Faults[i], b.Switches[i] = 0, 0, 0, 0
-		}
-		return true
-	}
-	f := pt.Freq
-	epc := pt.EnergyPerCycle()
-	itv := s.interval(p, f)
-	wallCSCP := p.Costs.AtSpeed(checkpoint.CSCP, f)
-	wallRB := p.Costs.Rollback / f
-	repl := float64(p.ReplicaCount())
-	// Per-charge energy increments are products of per-rep constants —
-	// computed once here, bit-identical to evaluating them at each
-	// charge site (same factors, same order).
-	eItv := (f * itv * repl) * epc
-	eCSCP := (f * wallCSCP * repl) * epc
-	eRB := (f * wallRB * repl) * epc
-	D := p.Task.Deadline
-	N := p.Task.Cycles
-	lam := p.Lambda
-	budget := p.MaxIntervalBudget()
-	src := b.Source()
-	st := batchScratch(b)
-	b.States.Reseed(seeds)
-
-	if ks := st.storeFor(p, b, lam); ks != nil {
-		// A cell that keeps images runs every repetition from t = 0
-		// through the ledger: the prefix snapshots below do not capture
-		// the checkpoint set. Each interval is the engine's RunInterval
-		// at m = 1.
-		ks.atSpeed(f, epc, repl)
-		for i := 0; i < n; i++ {
-			b.States.Load(src, i)
-			next := ks.begin()
-			var t, energy, x float64
-			rc := N
-			faults := 0
-			completed := false
-			for k := 0; k < budget; k++ {
-				rd := D - t
-				rcf := rc / f
-				if rcf > rd {
-					break // infeasible
-				}
-				cur := minPos(itv, rcf)
-				if cur <= 0 {
-					panic(fmt.Sprintf("sim: non-positive interval %v", cur))
-				}
-				eCur := eItv
-				if cur != itv {
-					eCur = (f * cur * repl) * epc
-				}
-				var kept float64
-				var nf int
-				energy, t, x, next, kept, nf, _ = ks.interval(energy, t, x, next, N-rc, cur, cur, eCur, 1, checkpoint.SCP)
-				faults += nf
-				rc -= kept
-				if rc <= sim.EpsWork {
-					completed = t <= D
-					break
-				}
-			}
-			b.Completed[i] = completed
-			b.Energy[i] = energy
-			b.Time[i] = t
-			b.Faults[i] = float64(faults)
-			b.Switches[i] = 0
-			if ks.led.Imperfect() {
-				b.Wrong[i] = ks.led.Wrong(completed)
-			}
-		}
-		return true
-	}
-
-	// Shared fault-free prefix (see the adaptive kernel for the full
-	// rationale): with one speed and one interval length every
-	// repetition follows the same deterministic trajectory until its
-	// first fault arrival. Walk it once with the live loop's exact
-	// operation sequence, snapshotting (t, energy, rc, x) at each
-	// interval top; a repetition jumps to the interval its first
-	// arrival lands in, and a repetition whose first arrival falls
-	// after the end of execution is the shared trajectory verbatim.
-	hint := arrivalHint(lam, N, f)
-	arr := b.Arrivals()
-	pxT, pxE, pxRC, pxX := st.pxT[:0], st.pxE[:0], st.pxRC[:0], st.pxX[:0]
-	termValid, termCompleted := false, false
-	var termT, termE, xTotal float64
-	{
-		// The block scopes the walk's t, x, energy and rc: each
-		// repetition below starts its own.
-		var t, x, energy float64
-		rc := N
-		broke := false
-		for k := 0; k < budget; k++ {
-			pxT = append(pxT, t)
-			pxE = append(pxE, energy)
-			pxRC = append(pxRC, rc)
-			pxX = append(pxX, x)
-			rd := D - t
-			rcf := rc / f
-			if rcf > rd {
-				termValid, termT, termE = true, t, energy
-				broke = true
-				break // infeasible, completed stays false
-			}
-			cur := minPos(itv, rcf)
-			if cur <= 0 {
-				broke = true
-				break // guard truncation: table ends, no terminal
-			}
-			eCur := eItv
-			if cur != itv {
-				eCur = (f * cur * repl) * epc
-			}
-			energy += eCur
-			t += cur
-			x += cur
-			energy += eCSCP
-			t += wallCSCP
-			rc -= cur * f
-			if rc <= sim.EpsWork {
-				termValid, termCompleted, termT, termE = true, t <= D, t, energy
-				broke = true
-				break
-			}
-		}
-		if !broke {
-			// Interval budget exhausted without completing.
-			termValid, termT, termE = true, t, energy
-		}
-		xTotal = x
-	}
-	st.pxT, st.pxE, st.pxRC, st.pxX = pxT, pxE, pxRC, pxX
-	last := len(pxX) - 1
-
-	for i := 0; i < n; i++ {
-		b.States.Load(src, i)
-		// Engine.Reset's process switch: only a strictly positive λ gets
-		// a fault process; anything else (zero, or unvalidated junk)
-		// never fires and draws nothing. The zero-rate sentinel keeps
-		// the span walks branch-free.
-		times := infTimes
-		if lam > 0 {
-			arr.Reset(lam, src, hint)
-			times = arr.Times()
-		}
-		pos := 0
-		next := times[0]
-		if termValid && next >= xTotal {
-			b.Completed[i] = termCompleted
-			b.Energy[i] = termE
-			b.Time[i] = termT
-			b.Faults[i], b.Switches[i] = 0, 0
-			continue
-		}
-		// Largest snapshot index with x[j] <= next — the interval the
-		// first arrival lands in (span consumption is strict next < end).
-		it0 := 0
-		if last > 0 {
-			lo, hi := 0, last
-			for lo < hi {
-				mid := int(uint(lo+hi+1) >> 1)
-				if pxX[mid] <= next {
-					lo = mid
-				} else {
-					hi = mid - 1
-				}
-			}
-			it0 = lo
-		}
-		t, energy, rc, x := pxT[it0], pxE[it0], pxRC[it0], pxX[it0]
-		faults := 0
-		completed := false
-		for k := it0; k < budget; k++ {
-			rd := D - t
-			rcf := rc / f
-			if rcf > rd {
-				break // infeasible
-			}
-			cur := minPos(itv, rcf)
-			if cur <= 0 {
-				panic(fmt.Sprintf("sim: non-positive interval %v", cur))
-			}
-			eCur := eItv
-			if cur != itv {
-				eCur = (f * cur * repl) * epc
-			}
-			// ExecSpan(cur): consume every arrival inside the span — a
-			// straight-line walk over the pre-materialised times, with
-			// the pending arrival held in a register so the common
-			// fault-free span costs one compare, no load.
-			hit := false
-			end := x + cur
-			if next < end {
-				if times[len(times)-1] < end {
-					times = arr.EnsureBeyond(end)
-				}
-				p0 := pos
-				for times[pos] < end {
-					pos++
-				}
-				faults += pos - p0
-				next = times[pos]
-				hit = true
-			}
-			energy += eCur
-			t += cur
-			x = end
-			// Closing CSCP.
-			energy += eCSCP
-			t += wallCSCP
-			if !hit {
-				rc -= cur * f
-			} else {
-				// Detection at the CSCP: rollback, nothing kept.
-				energy += eRB
-				t += wallRB
-			}
-			if rc <= sim.EpsWork {
-				completed = t <= D
-				break
-			}
-		}
-		b.Completed[i] = completed
-		b.Energy[i] = energy
-		b.Time[i] = t
-		b.Faults[i] = float64(faults)
-		b.Switches[i] = 0 // one speed throughout: the meter never counts a switch
-	}
-	return true
-}
+var _ sim.BatchScheme = (*Adaptive)(nil)
 
 // RunBatch implements sim.BatchScheme: the adaptive kernel — planned
 // intervals, optional sub-checkpoints, optional DVS, online λ
-// estimation and the eager-DVS ablation — planned by rctx's planner.
+// estimation, the eager-DVS ablation and the baselines' static interval
+// rules — planned by rctx's planner.
 func (s *Adaptive) RunBatch(rctx *sim.RunContext, b *sim.BatchContext, p sim.Params, seeds []uint64) bool {
 	return s.RunBatchArrival(rctx, b, p, seeds, p.Lambda)
 }
@@ -778,6 +549,10 @@ func (s *Adaptive) RunBatchArrival(rctx *sim.RunContext, b *sim.BatchContext, p 
 	}
 	if ks := st.storeFor(p, b, arrival); ks != nil {
 		s.runKeepingImages(b, st, ks, pl, p, sc0, itv0, sub0, lam0, pseudo)
+		return true
+	}
+	if s.static() {
+		runStatic(b, st, p, sc0, itv0, arrival)
 		return true
 	}
 	hint := arrivalHint(arrival, N, sc0.pt.Freq)
@@ -907,7 +682,6 @@ func (s *Adaptive) RunBatchArrival(rctx *sim.RunContext, b *sim.BatchContext, p 
 		xTotal = x
 	}
 	st.pxT, st.pxE, st.pxRC, st.pxX = pxT, pxE, pxRC, pxX
-	last := len(pxX) - 1
 
 	for i := 0; i < n; i++ {
 		b.States.Load(src, i)
@@ -932,24 +706,11 @@ func (s *Adaptive) RunBatchArrival(rctx *sim.RunContext, b *sim.BatchContext, p 
 				b.Faults[i], b.Switches[i] = 0, 0
 				continue
 			}
-			// Jump to the interval containing the first arrival: the largest
-			// snapshot index j with x[j] <= next (span consumption uses a
-			// strict next < end, so a boundary arrival belongs to the next
-			// interval). A guard-truncated table routes past-the-end
-			// repetitions to the last snapshot, where the live loop stops at
-			// the same state the scalar path would.
-			if last > 0 {
-				lo, hi := 0, last
-				for lo < hi {
-					mid := int(uint(lo+hi+1) >> 1)
-					if pxX[mid] <= next {
-						lo = mid
-					} else {
-						hi = mid - 1
-					}
-				}
-				it0 = lo
-			}
+			// Jump to the interval containing the first arrival. A
+			// guard-truncated table routes past-the-end repetitions to the
+			// last snapshot, where the live loop stops at the same state
+			// the scalar path would.
+			it0 = prefixJump(pxX, next)
 			t, energy, rc, x = pxT[it0], pxE[it0], pxRC[it0], pxX[it0]
 		}
 		var faults, switches, det int
@@ -1210,8 +971,8 @@ func (s *Adaptive) RunBatchArrival(rctx *sim.RunContext, b *sim.BatchContext, p 
 // cells keep checkpoint images (a tiered store, the imperfect model):
 // every repetition from t = 0, each interval through the ledger
 // (kernelStore.interval), planned, switched and replanned exactly as
-// the image-free loop above — Adaptive.run over the engine. The
-// initial plan (sc0, itv0, sub0 at rate lam0) is the batch's; pseudo
+// the image-free loop above — Adaptive.run over the engine, a static
+// rule's single plan included. The initial plan (sc0, itv0, sub0 at rate lam0) is the batch's; pseudo
 // is the online estimator's pseudo-exposure.
 func (s *Adaptive) runKeepingImages(b *sim.BatchContext, st *batchState, ks *kernelStore, pl *Planner, p sim.Params, sc0 *speedCosts, itv0, sub0, lam0, pseudo float64) {
 	D := p.Task.Deadline
@@ -1220,6 +981,7 @@ func (s *Adaptive) runKeepingImages(b *sim.BatchContext, st *batchState, ks *ker
 	budget := p.MaxIntervalBudget()
 	estimate := s.EstimateLambdaPrior > 0
 	eager := s.DVS && s.EagerSpeedReeval
+	static := s.static()
 	src := b.Source()
 	for i := range b.Completed {
 		b.States.Load(src, i)
@@ -1280,13 +1042,15 @@ func (s *Adaptive) runKeepingImages(b *sim.BatchContext, st *batchState, ks *ker
 				if rf > 0 {
 					rf--
 				}
-				lamR := lam0
-				if estimate {
-					lamR = (1 + float64(det)) / (pseudo + x)
-				}
-				if pSC, pItv, pSub, pBad := st.plan(pl, rc, D-t, lamR, rf); !pBad {
-					sc, itv, subLen = pSC, pItv, pSub
-					f = sc.pt.Freq
+				if !static {
+					lamR := lam0
+					if estimate {
+						lamR = (1 + float64(det)) / (pseudo + x)
+					}
+					if pSC, pItv, pSub, pBad := st.plan(pl, rc, D-t, lamR, rf); !pBad {
+						sc, itv, subLen = pSC, pItv, pSub
+						f = sc.pt.Freq
+					}
 				}
 			}
 			if rc <= sim.EpsWork {
@@ -1302,5 +1066,167 @@ func (s *Adaptive) runKeepingImages(b *sim.BatchContext, st *batchState, ks *ker
 		if ks.led.Imperfect() {
 			b.Wrong[i] = ks.led.Wrong(completed)
 		}
+	}
+}
+
+// runStatic is the image-free loop of a static interval rule (the
+// Poisson and k-f-t baselines): one operating point, the initial plan's
+// interval itv throughout, m = 1 everywhere and no replan — the
+// flattened equivalent of Adaptive.run over the engine's m == 1 fast
+// path. With one speed and one interval length every repetition follows
+// the same deterministic trajectory until its first fault arrival, so
+// the shared prefix is walked once with the live loop's exact operation
+// sequence, snapshotting (t, energy, rc, x) at each interval top; a
+// repetition jumps to the interval its first arrival (drawn at rate
+// arrival) lands in, and a repetition whose first arrival falls after
+// the end of execution is the shared trajectory verbatim. A detection
+// rolls back and re-executes at the same speed and interval, so no
+// snapshot needs the plan state the adaptive loop carries.
+func runStatic(b *sim.BatchContext, st *batchState, p sim.Params, sc *speedCosts, itv, arrival float64) {
+	f := sc.pt.Freq
+	epc := sc.epc
+	wallCSCP := sc.wall[checkpoint.CSCP]
+	repl := float64(p.ReplicaCount())
+	// Per-charge energy increments are products of per-rep constants —
+	// computed once here, bit-identical to evaluating them at each
+	// charge site (same factors, same order).
+	eItv := (f * itv * repl) * epc
+	eCSCP := (f * wallCSCP * repl) * epc
+	eRB := (f * sc.rollback * repl) * epc
+	D := p.Task.Deadline
+	N := p.Task.Cycles
+	budget := p.MaxIntervalBudget()
+	src, arr := b.Source(), b.Arrivals()
+	hint := arrivalHint(arrival, N, f)
+
+	pxT, pxE, pxRC, pxX := st.pxT[:0], st.pxE[:0], st.pxRC[:0], st.pxX[:0]
+	termValid, termCompleted := false, false
+	var termT, termE, xTotal float64
+	{
+		// The block scopes the walk's t, x, energy and rc: each
+		// repetition below starts its own.
+		var t, x, energy float64
+		rc := N
+		broke := false
+		for k := 0; k < budget; k++ {
+			pxT = append(pxT, t)
+			pxE = append(pxE, energy)
+			pxRC = append(pxRC, rc)
+			pxX = append(pxX, x)
+			rd := D - t
+			rcf := rc / f
+			if rcf > rd {
+				termValid, termT, termE = true, t, energy
+				broke = true
+				break // infeasible, completed stays false
+			}
+			cur := minPos(itv, rcf)
+			if cur <= 0 {
+				broke = true
+				break // guard truncation: table ends, no terminal
+			}
+			eCur := eItv
+			if cur != itv {
+				eCur = (f * cur * repl) * epc
+			}
+			energy += eCur
+			t += cur
+			x += cur
+			energy += eCSCP
+			t += wallCSCP
+			rc -= cur * f
+			if rc <= sim.EpsWork {
+				termValid, termCompleted, termT, termE = true, t <= D, t, energy
+				broke = true
+				break
+			}
+		}
+		if !broke {
+			// Interval budget exhausted without completing.
+			termValid, termT, termE = true, t, energy
+		}
+		xTotal = x
+	}
+	st.pxT, st.pxE, st.pxRC, st.pxX = pxT, pxE, pxRC, pxX
+
+	for i := range b.Completed {
+		b.States.Load(src, i)
+		// Engine.Reset's process switch: only a strictly positive rate
+		// gets a fault process; anything else never fires and draws
+		// nothing. The zero-rate sentinel keeps the span walks
+		// branch-free.
+		times := infTimes
+		if arrival > 0 {
+			arr.Reset(arrival, src, hint)
+			times = arr.Times()
+		}
+		pos := 0
+		next := times[0]
+		if termValid && next >= xTotal {
+			b.Completed[i] = termCompleted
+			b.Energy[i] = termE
+			b.Time[i] = termT
+			b.Faults[i], b.Switches[i] = 0, 0
+			continue
+		}
+		it0 := prefixJump(pxX, next)
+		t, energy, rc, x := pxT[it0], pxE[it0], pxRC[it0], pxX[it0]
+		faults := 0
+		completed := false
+		for k := it0; k < budget; k++ {
+			rd := D - t
+			rcf := rc / f
+			if rcf > rd {
+				break // infeasible
+			}
+			cur := minPos(itv, rcf)
+			if cur <= 0 {
+				panic(fmt.Sprintf("sim: non-positive interval %v", cur))
+			}
+			eCur := eItv
+			if cur != itv {
+				eCur = (f * cur * repl) * epc
+			}
+			// ExecSpan(cur): consume every arrival inside the span — a
+			// straight-line walk over the pre-materialised times, with
+			// the pending arrival held in a register so the common
+			// fault-free span costs one compare, no load.
+			hit := false
+			end := x + cur
+			if next < end {
+				if times[len(times)-1] < end {
+					times = arr.EnsureBeyond(end)
+				}
+				p0 := pos
+				for times[pos] < end {
+					pos++
+				}
+				faults += pos - p0
+				next = times[pos]
+				hit = true
+			}
+			energy += eCur
+			t += cur
+			x = end
+			// Closing CSCP.
+			energy += eCSCP
+			t += wallCSCP
+			if !hit {
+				rc -= cur * f
+			} else {
+				// Detection at the CSCP: rollback, nothing kept.
+				energy += eRB
+				t += sc.rollback
+			}
+			if rc <= sim.EpsWork {
+				completed = t <= D
+				break
+			}
+		}
+		b.Completed[i] = completed
+		b.Energy[i] = energy
+		b.Time[i] = t
+		b.Faults[i] = float64(faults)
+		b.Switches[i] = 0 // one speed throughout: the meter never counts a switch
 	}
 }

@@ -77,20 +77,35 @@ func BenchmarkArrivalSpanWalk(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelBatch times the batch kernels per repetition (ns/op
+// is per repetition) on faulty Table 1a cells: the paper scheme through
+// the adaptive kernel, and a baseline through the static-rule loop
+// (runStatic), which is kept beside the adaptive live loop only because
+// it is faster on exactly this shape.
 func BenchmarkKernelBatch(b *testing.B) {
-	p := benchKernelParams(b)
-	s := NewAdaptDVSSCP()
-	rctx := sim.NewRunContext()
-	bctx := sim.NewBatchContext()
-	const batch = 128
-	seeds := make([]uint64, batch)
-	b.ResetTimer()
-	for i := 0; i < b.N; i += batch {
-		for j := range seeds {
-			seeds[j] = uint64(i+j) + 1
-		}
-		if !sim.RunBatch(rctx, bctx, s, p, seeds) {
-			b.Fatal("not batchable")
-		}
+	for _, bc := range []struct {
+		name   string
+		scheme sim.Scheme
+		u      float64
+	}{
+		{"A_D_S/U0.78", NewAdaptDVSSCP(), 0.78},
+		{"Poisson(f=1)/U0.76", NewPoissonScheme(1), 0.76},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			p := mustParams(b, bc.u, 1, 0.0014, 5, checkpoint.SCPSetting())
+			rctx := sim.NewRunContext()
+			bctx := sim.NewBatchContext()
+			const batch = 128
+			seeds := make([]uint64, batch)
+			b.ResetTimer()
+			for i := 0; i < b.N; i += batch {
+				for j := range seeds {
+					seeds[j] = uint64(i+j) + 1
+				}
+				if !sim.RunBatch(rctx, bctx, bc.scheme, p, seeds) {
+					b.Fatal("not batchable")
+				}
+			}
+		})
 	}
 }

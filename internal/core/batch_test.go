@@ -387,7 +387,8 @@ func TestBatchFreeStoreParity(t *testing.T) {
 // TestBatchPlannerLedger pins that batch planning flows through the
 // context's plan count, so the telemetry ledger stays meaningful: a
 // fault-free batch computes its hoisted initial plan once for the whole
-// batch, and a faulty batch adds its post-fault replans on top.
+// batch, a faulty batch adds its post-fault replans on top, and the
+// static baselines plan exactly once per batch or scalar run.
 func TestBatchPlannerLedger(t *testing.T) {
 	seeds, _ := shardSeeds(7, 128)
 	rctx, bctx := sim.NewRunContext(), sim.NewBatchContext()
@@ -402,6 +403,37 @@ func TestBatchPlannerLedger(t *testing.T) {
 	}
 	if n := PlansComputed(rctx); n <= 2 {
 		t.Fatalf("faulty batch left the plan count at %d, want its replans counted", n)
+	}
+
+	// The static baselines never replan: one plan per batch and one per
+	// scalar run, faulty or not — the property that lets them skip the
+	// post-detection replan bit-exactly.
+	for _, s := range []sim.Scheme{NewPoissonScheme(1), NewKFTScheme(1)} {
+		for _, lambda := range []float64{0, 0.01} {
+			p := mustParams(t, 0.76, 1, lambda, 5, checkpoint.SCPSetting())
+			before := PlansComputed(rctx)
+			if !sim.RunBatch(rctx, bctx, s, p, seeds) {
+				t.Fatalf("%s λ=%g: kernel refused a batchable configuration", s.Name(), lambda)
+			}
+			faults := 0.0
+			for _, f := range bctx.Faults[:len(seeds)] {
+				faults += f
+			}
+			if lambda > 0 && faults == 0 {
+				t.Fatalf("%s λ=%g: batch saw no faults", s.Name(), lambda)
+			}
+			if n := PlansComputed(rctx) - before; n != 1 {
+				t.Errorf("%s λ=%g: batch computed %d plans, want 1", s.Name(), lambda, n)
+			}
+			for _, seed := range seeds[:16] {
+				before := PlansComputed(rctx)
+				res := sim.RunScheme(rctx, s, p, rctx.Reseed(seed))
+				if n := PlansComputed(rctx) - before; n != 1 {
+					t.Errorf("%s λ=%g seed %d: scalar run with %d faults computed %d plans, want 1",
+						s.Name(), lambda, seed, res.Faults, n)
+				}
+			}
+		}
 	}
 }
 
@@ -423,6 +455,11 @@ func FuzzBatchScalarEquivalence(f *testing.F) {
 	f.Add(0.78, 0.0014, uint8(5), 2.0, 20.0, 0.0, uint8(4), uint8(15), uint64(3), uint8(0), uint8(1|1<<2|16))
 	f.Add(0.8, 0.002, uint8(5), 20.0, 2.0, 1.0, uint8(0), uint8(15), uint64(4), uint8(3), uint8(2|2<<2|16|32))
 	f.Add(0.9, 0.004, uint8(1), 2.0, 20.0, 0.0, uint8(5), uint8(11), uint64(6), uint8(8), uint8(3|1<<2))
+	// The baselines' +imp and store cells share the adaptive kernel's
+	// image-keeping loop: k-f-t(f=1) and Poisson(f=2) under non-ideal
+	// models over non-empty stores.
+	f.Add(0.78, 0.004, uint8(5), 2.0, 20.0, 0.0, uint8(2), uint8(15), uint64(11), uint8(8), uint8(1|1<<2|16))
+	f.Add(0.76, 0.01, uint8(1), 20.0, 2.0, 1.0, uint8(1), uint8(13), uint64(12), uint8(7), uint8(2|2<<2|32))
 	f.Fuzz(func(t *testing.T, u, lambda float64, k uint8, store, compare, rollback float64, schemeSel, reps uint8, seed uint64, storeSel, impSel uint8) {
 		// Sanitise into the validated-parameter envelope; the point is
 		// randomized coverage inside it, not crash-hunting outside it

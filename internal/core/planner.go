@@ -35,8 +35,9 @@ const badConfigIdx = -1
 const subEnvCap = 16
 
 // Planner computes interval plans for an Adaptive scheme: the speed
-// decision (paper §3), the DATE'03 interval() procedure and the optimal
-// sub-interval count of Fig. 2. Every plan is computed from its inputs
+// decision (paper §3), the DATE'03 interval() procedure (or a
+// baseline's static interval rule) and the optimal sub-interval count
+// of Fig. 2. Every plan is computed from its inputs
 // (rc, rd, λ, rf); everything else a plan depends on (scheme
 // configuration, CPU model, cost model, task) is fixed at construction,
 // and the per-(f, λ) constants — the TEst factors, the Fig. 4 interval
@@ -154,7 +155,9 @@ func (pl *Planner) Plan(rc, rd, lam float64, rf int) Plan {
 // planIdx is the planning procedure behind Plan and the batch kernels:
 // the chosen operating point as its index into model.Points() — the
 // kernels' speedCosts index — or badConfigIdx, with the interval and
-// sub-interval lengths.
+// sub-interval lengths. After the speed decision the scheme's interval
+// rule sizes the interval: the DATE'03 procedure over the state, or a
+// static baseline rule over the task alone.
 func (pl *Planner) planIdx(rc, rd, lam float64, rf int) (idx int32, itv, subLen float64) {
 	pl.plans++
 	if pl.cfg.DVS {
@@ -170,7 +173,18 @@ func (pl *Planner) planIdx(rc, rd, lam float64, rf int) (idx int32, itv, subLen 
 		deg := math.Max(rc/f, sim.EpsWork)
 		return idx, deg, deg
 	}
-	itv, _ = pl.envFor(f, lam).Interval(rd, rc/f, rf)
+	switch pl.cfg.rule {
+	case rulePoisson:
+		itv = pl.task.Cycles / f // one interval: no faults expected
+		if lam != 0 {
+			itv = policy.I1(pl.costs.CSCPCycles()/f, lam)
+		}
+	case ruleKFT:
+		k := max(pl.task.FaultBudget, 1)
+		itv = policy.I2(pl.task.Cycles/f, float64(k), pl.costs.CSCPCycles()/f)
+	default:
+		itv, _ = pl.envFor(f, lam).Interval(rd, rc/f, rf)
+	}
 	itv = math.Min(itv, rc/f)
 	subLen = itv
 	if pl.cfg.UseSub {
@@ -179,12 +193,13 @@ func (pl *Planner) planIdx(rc, rd, lam float64, rf int) (idx int32, itv, subLen 
 	return idx, itv, subLen
 }
 
-// pickSpeedPre is Adaptive.pickSpeed over the planner's precomputed
-// TEst factors: the index of the slowest operating point with
-// (rc/f)·(1+s)/(1-s) ≤ rd — the identical doubles TEst produces, since
-// (1+s) and (1-s) are cached verbatim — or of the fastest point if none
-// fits. The factor table is rebuilt whenever the planning λ changes
-// (only online-λ schemes change it within a planner's lifetime).
+// pickSpeedPre is the speed decision (paper §3: "voltage scaling is
+// feasible if t_est ≤ Rd") over the planner's precomputed TEst factors:
+// the index of the slowest operating point with (rc/f)·(1+s)/(1-s) ≤ rd
+// — the identical doubles analysis.TEst produces, since (1+s) and (1-s)
+// are cached verbatim — or of the fastest point if none fits. The
+// factor table is rebuilt whenever the planning λ changes (only online-λ
+// schemes change it within a planner's lifetime).
 func (pl *Planner) pickSpeedPre(lam, rc, rd float64) int32 {
 	if lb := math.Float64bits(lam); !pl.teOK || pl.teLam != lb {
 		pl.buildTE(lam, lb)
@@ -298,9 +313,10 @@ func (s *Adaptive) plannerFor(ctx *sim.RunContext, p sim.Params) *Planner {
 	return pl
 }
 
-// PlansComputed reports how many plans the adaptive schemes computed
-// through ctx over its lifetime, on the scalar and the batch path
-// alike; a context that never ran an adaptive scheme reports zero. The
+// PlansComputed reports how many plans the schemes computed through
+// ctx over its lifetime, on the scalar and the batch path alike — one
+// per baseline run or batch, whose static rule never replans; a context
+// that never ran a scheme of this package reports zero. The
 // caller owns delta bookkeeping: the total is monotonic for a fixed
 // context.
 func PlansComputed(ctx *sim.RunContext) uint64 {

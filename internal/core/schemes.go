@@ -3,117 +3,50 @@
 // combined with dynamic voltage scaling (adapchp_dvs_SCP and
 // adapchp_dvs_CCP, paper Figs. 6–7), their fixed-speed variants (Fig. 3),
 // the DATE'03 comparator ADT_DVS, and the static Poisson-arrival and
-// k-fault-tolerant baselines. Each scheme drives the Monte-Carlo engine
-// of internal/sim.
+// k-fault-tolerant baselines. All of them are one scheme type, Adaptive,
+// which drives the Monte-Carlo engine of internal/sim; the baselines are
+// Adaptive configurations whose interval rule is static.
 package core
 
 import (
 	"fmt"
 	"math"
 
-	"repro/internal/analysis"
 	"repro/internal/checkpoint"
-	"repro/internal/cpu"
-	"repro/internal/policy"
 	"repro/internal/rng"
 	"repro/internal/sim"
 )
 
-// FixedCSCP is a static-interval, fixed-speed comparator scheme: CSCPs at
-// a constant interval, no DVS, no additional checkpoints. The paper's
-// "Poisson" and "k-f-t" baselines are both instances.
-type FixedCSCP struct {
-	name string
-	// Freq is the single operating frequency the scheme runs at.
-	Freq float64
-	// interval returns the constant wall-clock CSCP interval for the run.
-	interval func(p sim.Params, f float64) float64
-}
+// intervalRule selects how a scheme sizes its CSCP interval. The zero
+// value is the adaptive DATE'03 interval() procedure; the other rules
+// are the two terms that procedure blends, applied alone as the static
+// baselines of Tables 1–4.
+type intervalRule uint8
 
-// NewPoissonScheme returns the Poisson-arrival comparator at the given
-// fixed frequency: constant interval sqrt(2C/λ) with C = c/f.
-func NewPoissonScheme(freq float64) *FixedCSCP {
-	return &FixedCSCP{
-		name: fmt.Sprintf("Poisson(f=%g)", freq),
-		Freq: freq,
-		interval: func(p sim.Params, f float64) float64 {
-			if p.Lambda == 0 {
-				return p.Task.Cycles / f // one interval: no faults expected
-			}
-			return policy.I1(p.Costs.CSCPCycles()/f, p.Lambda)
-		},
-	}
-}
-
-// NewKFTScheme returns the k-fault-tolerant comparator at the given fixed
-// frequency: constant interval sqrt(N·C/k) in wall time at speed f.
-func NewKFTScheme(freq float64) *FixedCSCP {
-	return &FixedCSCP{
-		name: fmt.Sprintf("k-f-t(f=%g)", freq),
-		Freq: freq,
-		interval: func(p sim.Params, f float64) float64 {
-			k := p.Task.FaultBudget
-			if k < 1 {
-				k = 1
-			}
-			return policy.I2(p.Task.Cycles/f, float64(k), p.Costs.CSCPCycles()/f)
-		},
-	}
-}
-
-// Both scheme families support the reusable run-context path.
-var (
-	_ sim.ContextScheme = (*FixedCSCP)(nil)
-	_ sim.ContextScheme = (*Adaptive)(nil)
+const (
+	// ruleDATE03 is the DATE'03 interval() procedure, re-taken after
+	// every fault recovery.
+	ruleDATE03 intervalRule = iota
+	// rulePoisson is the Poisson-arrival interval sqrt(2C/λ), or the
+	// whole task N/f at λ = 0 (no faults expected).
+	rulePoisson
+	// ruleKFT is the k-fault-tolerant interval sqrt(N·C/max(k, 1)).
+	ruleKFT
 )
 
-// Name implements Scheme.
-func (s *FixedCSCP) Name() string { return s.name }
-
-// Run implements Scheme.
-func (s *FixedCSCP) Run(p sim.Params, src *rng.Source) sim.Result {
-	return s.run(sim.NewEngine(p, src), p)
-}
-
-// RunCtx implements sim.ContextScheme: like Run, but reusing the
-// context's engine buffers.
-func (s *FixedCSCP) RunCtx(rc *sim.RunContext, p sim.Params, src *rng.Source) sim.Result {
-	return s.run(rc.Engine(p, src), p)
-}
-
-func (s *FixedCSCP) run(e *sim.Engine, p sim.Params) sim.Result {
-	pt, err := p.CPUModel().AtFreq(s.Freq)
-	if err != nil {
-		return e.Finish(false, sim.FailBadConfig)
-	}
-	e.SetSpeed(pt)
-	itv := s.interval(p, pt.Freq)
-	rc := p.Task.Cycles
-	budget := p.MaxIntervalBudget()
-	for i := 0; i < budget; i++ {
-		rd := p.Task.Deadline - e.Now()
-		if rc/pt.Freq > rd {
-			return e.Finish(false, sim.FailInfeasible)
-		}
-		cur := minPos(itv, rc/pt.Freq)
-		kept, _ := e.RunInterval(cur, 1, checkpoint.SCP, p.Task.Cycles-rc)
-		rc -= kept
-		if rc <= sim.EpsWork {
-			if e.Now() <= p.Task.Deadline {
-				return e.Finish(true, sim.FailNone)
-			}
-			return e.Finish(false, sim.FailDeadline)
-		}
-	}
-	return e.Finish(false, sim.FailGuard)
-}
-
-// Adaptive is the unified adaptive checkpointing scheme of the paper:
-// CSCP intervals chosen by the DATE'03 interval() procedure, optionally
+// Adaptive is the unified checkpointing scheme of the paper: CSCP
+// intervals chosen by the DATE'03 interval() procedure, optionally
 // subdivided by additional SCPs or CCPs (num_SCP/num_CCP of Fig. 2),
-// optionally combined with two-speed DVS (Figs. 6 and 7).
+// optionally combined with two-speed DVS (Figs. 6 and 7). The Poisson
+// and k-fault-tolerant baselines are fixed-speed, CSCP-only instances
+// whose interval follows a static rule instead (NewPoissonScheme,
+// NewKFTScheme).
 type Adaptive struct {
 	name string
+	// rule is the interval rule, set only by the baseline constructors.
+	// A static rule's interval depends on nothing a fault changes, so
+	// those schemes plan once per run and never replan.
+	rule intervalRule
 	// Sub is the flavour of the additional checkpoints (SCP or CCP).
 	Sub checkpoint.Kind
 	// UseSub enables the additional checkpoints; false gives the
@@ -145,6 +78,26 @@ type Adaptive struct {
 	// require exactly this one-directional behaviour. The eager variant
 	// is the ablation knob behind BenchmarkAblationDVS.
 	EagerSpeedReeval bool
+}
+
+// NewPoissonScheme returns the Poisson-arrival baseline at the given
+// fixed frequency: CSCPs only, constant interval sqrt(2C/λ) with
+// C = c/f.
+func NewPoissonScheme(freq float64) *Adaptive {
+	return &Adaptive{
+		name: fmt.Sprintf("Poisson(f=%g)", freq), rule: rulePoisson,
+		Sub: checkpoint.SCP, FixedFreq: freq,
+	}
+}
+
+// NewKFTScheme returns the k-fault-tolerant baseline at the given fixed
+// frequency: CSCPs only, constant interval sqrt(N·C/k) in wall time at
+// speed f.
+func NewKFTScheme(freq float64) *Adaptive {
+	return &Adaptive{
+		name: fmt.Sprintf("k-f-t(f=%g)", freq), rule: ruleKFT,
+		Sub: checkpoint.SCP, FixedFreq: freq,
+	}
 }
 
 // NewADTDVS returns the DATE'03 comparator A_D: adaptive intervals,
@@ -204,18 +157,11 @@ func (s *Adaptive) WithEagerDVS() *Adaptive {
 	return &c
 }
 
-// pickSpeed returns the slowest operating point whose fault-aware time
-// estimate t_est fits the remaining deadline, or the fastest point if
-// none does (paper §3: "voltage scaling is feasible if t_est ≤ Rd").
-// c is the CSCP cost in minimum-speed cycles.
-func (s *Adaptive) pickSpeed(model *cpu.Model, c, lambda, rc, rd float64) cpu.OperatingPoint {
-	for _, pt := range model.Points() {
-		if analysis.TEst(rc, pt.Freq, c, lambda) <= rd {
-			return pt
-		}
-	}
-	return model.Max()
-}
+var _ sim.ContextScheme = (*Adaptive)(nil)
+
+// static reports whether the scheme's interval rule is a static
+// baseline rule: one plan per run, no replan after a detection.
+func (s *Adaptive) static() bool { return s.rule != ruleDATE03 }
 
 // Run implements Scheme.
 //
@@ -225,7 +171,10 @@ func (s *Adaptive) pickSpeed(model *cpu.Model, c, lambda, rc, rd float64) cpu.Op
 // every checkpoint. Re-planning each interval would shrink the
 // k-fault-tolerant interval sqrt(Rt·C/k) as Rt falls and double the
 // fault-free overhead (the ∫dRt/sqrt(Rt) effect), which contradicts the
-// fault-free completion probabilities the paper reports.
+// fault-free completion probabilities the paper reports. A static
+// interval rule plans once and never replans: the plan clamps its
+// interval I to N/f, and rc never exceeds N, so the loop's clamp to
+// rc/f yields min(I, rc/f) at every interval.
 func (s *Adaptive) Run(p sim.Params, src *rng.Source) sim.Result {
 	return s.run(sim.NewEngine(p, src), s.plannerFor(nil, p), p)
 }
@@ -248,6 +197,7 @@ func (s *Adaptive) run(e *sim.Engine, pl *Planner, p sim.Params) sim.Result {
 	// capped at one deadline: a belief weaker than "one fault per
 	// deadline window" should not outweigh a full window of observation.
 	detections := 0
+	static := s.static()
 	estimate := s.EstimateLambdaPrior > 0
 	var pseudo float64
 	if estimate {
@@ -305,7 +255,9 @@ func (s *Adaptive) run(e *sim.Engine, pl *Planner, p sim.Params) sim.Result {
 			if rf > 0 {
 				rf--
 			}
-			replan() // Fig. 6 lines 15–17
+			if !static {
+				replan() // Fig. 6 lines 15–17
+			}
 		}
 		if rc <= sim.EpsWork {
 			if e.Now() <= p.Task.Deadline {

@@ -220,6 +220,12 @@ type Server struct {
 	sink   telemetry.Sink
 	met    *serveMetrics
 
+	// recovered and cleanShutdown are what /statusz reports of the
+	// boot-time replay. The Recovery itself is not kept: it holds every
+	// replayed job with its result blob, far more than the bounded
+	// ledger retains.
+	recovered, cleanShutdown bool
+
 	start time.Time
 	mux   *http.ServeMux
 }
@@ -250,8 +256,10 @@ func New(cfg Config) *Server {
 	if cfg.Journal != nil {
 		cfg.Journal.SetSink(s.sink)
 	}
-	if cfg.Recovery != nil {
-		s.applyRecovery(cfg.Recovery)
+	if rec := cfg.Recovery; rec != nil {
+		s.recovered, s.cleanShutdown = true, rec.CleanShutdown
+		s.cfg.Recovery = nil
+		s.applyRecovery(rec)
 	}
 	s.initMux()
 	for w := 0; w < cfg.Workers; w++ {
@@ -1108,12 +1116,12 @@ func (s *Server) Status() Status {
 	if total > 0 {
 		st.Store = storeLedger
 	}
-	if s.cfg.Recovery != nil {
+	if s.recovered {
 		st.Recovery = &RecoveryStatus{
 			JobsRecovered:   s.met.jobsRecovered.Value(),
 			JobsResumed:     s.met.jobsResumed.Value(),
 			ShardsRecovered: s.met.shardsRecovered.Value(),
-			CleanShutdown:   s.cfg.Recovery.CleanShutdown,
+			CleanShutdown:   s.cleanShutdown,
 			ReplaySeconds:   s.met.replaySeconds.Value(),
 		}
 	}
