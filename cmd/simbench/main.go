@@ -17,11 +17,12 @@
 //   - SingleRunCtx: one execution of the headline scheme (A_D_S at the
 //     paper's anchor cell) through a reused RunContext — the simulator's
 //     warm inner-loop cost. Inherently serial; not swept.
-//   - ReseedBatch, SpanWalk: kernel sub-components — the batched
-//     per-repetition seed-stream setup and the structure-of-arrays
-//     arrival span walk — so a regression inside the batch kernel is
-//     attributable from the artefact alone. Reported per repetition
-//     and per span respectively; serial, not swept.
+//   - ReseedBatch, SpanWalk: sub-components — the kernels' batched
+//     per-repetition seed-stream setup and the bulk arrival queue's
+//     structure-of-arrays span walk (the kernels draw arrivals live) —
+//     so a regression is attributable from the artefact alone.
+//     Reported per repetition and per span respectively; serial, not
+//     swept.
 //
 // Sweep widths above the schedulable CPU count are skipped outright
 // (never recorded): on an undersized host they would measure scheduler
@@ -405,7 +406,7 @@ func benchReseedBatch() measurement {
 	return normalise("ReseedBatch", br, batch)
 }
 
-// benchSpanWalk times the kernels' structure-of-arrays arrival
+// benchSpanWalk times the bulk arrival queue's structure-of-arrays
 // consumption — the straight-line walk counting the fault arrivals in
 // each checkpoint span by index arithmetic — normalised per span.
 // Mirrors core.BenchmarkArrivalSpanWalk.

@@ -184,17 +184,26 @@ func ContinuousMinimizer(p Params, kind checkpoint.Kind, t float64) float64 {
 // the integers bracketing t/T̃ and walk downhill. The renewal curves are
 // unimodal in m, so the local minimum found is global. The walk also
 // repairs the expansion error of the CCP closed form.
+//
+// The sub-checkpoint kind must cost something: with a free kind the
+// renewal curve falls monotonically in m, so there is no optimal count
+// — more sub-checkpoints always look better — and a zero cost is a
+// configuration error, reported by panic like a non-positive T. The
+// planner plans a free kind with no sub-checkpoints at all (m = 1)
+// instead of asking.
+//
 // maxSubCount bounds the sub-interval count search. Sane environments
 // optimise to a handful of sub-intervals; the bound only bites in
 // degenerate corners — a T/T̃ ratio so large that rounding it would
-// overflow the int conversion, or a zero sub-checkpoint cost that makes
-// the renewal curve monotone decreasing so the integer walk would spin
-// until float differences vanish.
+// overflow the int conversion.
 const maxSubCount = 1 << 20
 
 func NumSub(p Params, kind checkpoint.Kind, t float64) int {
 	if !(t > 0) {
 		panic(fmt.Sprintf("analysis: NumSub requires T>0, got %v", t))
+	}
+	if c := p.Costs.Of(kind); !(c > 0) {
+		panic(fmt.Sprintf("analysis: NumSub requires a positive %v cost, got %v", kind, c))
 	}
 	f := func(m int) float64 { return intervalExpectedTime(p, kind, t, t/float64(m)) }
 	tilde := ContinuousMinimizer(p, kind, t)

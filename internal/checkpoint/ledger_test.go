@@ -48,9 +48,8 @@ func TestStorePushAndLatest(t *testing.T) {
 		t.Fatal("empty ledger has a latest image")
 	}
 	for _, w := range []float64{1, 2} {
-		writes, evicted := s.Insert(w, false)
-		if evicted || len(writes) != 1 || writes[0].Tier != 0 {
-			t.Fatalf("Insert(%v) = %+v, evicted %v; want one write into tier 0", w, writes, evicted)
+		if writes := s.Insert(w, false); writes != 1 {
+			t.Fatalf("Insert(%v) = %04b; want one write into tier 0", w, writes)
 		}
 	}
 	im, ok := latest(s)

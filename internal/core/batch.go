@@ -3,9 +3,8 @@
 // them rep-major through a loop that mirrors the scalar
 // Engine/RunInterval machinery expression for expression — same float
 // operations, same order — but with every layer of indirection removed:
-// fault arrivals pre-materialised in bulk (fault.Arrivals over
-// rng.ExpBatch) and consumed as straight-line walks over the times
-// slice (no per-fault calls), per-repetition generator states derived
+// fault arrivals drawn live, inline (below), with the pending one held
+// in a register, per-repetition generator states derived
 // in one structure-of-arrays pass (rng.StateBatch) instead of four
 // dependent finaliser rounds per repetition, energy metering inlined to
 // the two multiplies Meter.Segment performs, per-speed wall costs
@@ -42,14 +41,16 @@
 // the per-(f, λ) constants are pooled, and the hoisted initial plan is
 // computed once per batch.
 //
-// Cells that keep checkpoint images — a tiered store, the imperfect
-// fault-tolerance model — run every repetition from t = 0 through the
-// engine's own ledger (sim.FTLedger, see kernelStore), in live-draw
-// mode: each repetition draws its first arrival at the start and each
-// next one only when the previous is consumed, exactly as the engine's
-// Poisson process does, so the ledger's coverage, stable-storage and
-// tier write-corruption draws interleave with the arrivals on one
-// stream as they do in the engine.
+// Arrivals are live draws: each repetition draws its first arrival when
+// its stream is loaded and each next one only when the previous is
+// consumed, exactly as the engine's Poisson process does. These are the
+// doubles the bulk queue fault.Arrivals materialises, in the same
+// order, without its over-draw. Cells that keep checkpoint images — a
+// tiered store, the imperfect fault-tolerance model — run every
+// repetition from t = 0 through the engine's own ledger (sim.FTLedger,
+// see kernelStore), whose coverage, stable-storage and tier
+// write-corruption draws interleave with the arrivals on one stream as
+// they do in the engine.
 // Batches under the imperfect model can end in silent corruption, which
 // they report through the context's Wrong column; they run only when
 // the caller sized it (growOutputs).
@@ -62,6 +63,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/checkpoint"
 	"repro/internal/cpu"
@@ -104,14 +106,19 @@ type kernelStore struct {
 	src *rng.Source
 	lam float64
 
-	// Charges at the current operating point f, as wall time and
-	// energy: the engine's Spend(d) for each checkpoint kind, the
-	// rollback and each tier's write and read, computed once per speed
-	// with the same float expressions.
+	// Charges at the current operating point at (frequency f), as wall
+	// time and energy: the engine's Spend(d) for each checkpoint kind,
+	// the rollback and each tier's write and read, computed once per
+	// speed with the same float expressions.
+	at                   *speedCosts
 	f                    float64
 	op, eOp              [3]float64
 	rb, eRB              float64
 	wWall, wE, rWall, rE [store.MaxTiers]float64
+	// costly marks the tiers with a write cost: a write anywhere else
+	// charges +0, which leaves energy and time bit for bit where they
+	// are, so charge skips it.
+	costly store.TierMask
 }
 
 // storeFor returns the batch's image-keeping path, or nil for a batch
@@ -124,6 +131,12 @@ func (st *batchState) storeFor(p sim.Params, b *sim.BatchContext, arrival float6
 	ks := &st.store
 	ks.p, ks.cfg = p, cfg
 	ks.src, ks.lam = b.Source(), arrival
+	ks.at, ks.costly = nil, 0
+	for i, tier := range cfg.Tiers {
+		if tier.WriteCycles > 0 {
+			ks.costly |= 1 << i
+		}
+	}
 	return ks
 }
 
@@ -132,10 +145,21 @@ func (st *batchState) storeFor(p sim.Params, b *sim.BatchContext, arrival float6
 // Only a strictly positive rate draws (Engine.Reset's process switch).
 func (ks *kernelStore) begin() float64 {
 	ks.led.Reset(&ks.p, ks.src)
-	if !(ks.lam > 0) {
+	return firstArrival(ks.src, ks.lam)
+}
+
+// firstArrival draws a repetition's first fault arrival at rate lam
+// from its loaded stream, as Engine.Reset does: only a strictly
+// positive rate gets a fault process, and anything else never fires
+// (+Inf) and draws nothing. Each later arrival is the pending one plus
+// src.Exp(lam), drawn only when the pending one is consumed — the
+// engine's PoissonProcess.Next, and the same doubles in the same order
+// as the pre-drawn fault.Arrivals queue.
+func firstArrival(src *rng.Source, lam float64) float64 {
+	if !(lam > 0) {
 		return math.Inf(1)
 	}
-	return ks.src.Exp(ks.lam)
+	return src.Exp(lam)
 }
 
 // consume takes every arrival before end, next being the pending one,
@@ -149,10 +173,16 @@ func (ks *kernelStore) consume(next, end float64) (float64, int) {
 	return next, n
 }
 
-// atSpeed refreshes the charges for operating frequency f. A zero-cost
-// tier charges +0, which leaves energy and time bit for bit where the
-// engine, skipping the Spend, leaves them.
-func (ks *kernelStore) atSpeed(f, epc, repl float64) {
+// atSpeed refreshes the charges for operating point sc, unless they
+// are already sc's: every repetition of a batch starts at the same
+// point. A zero-cost tier charges +0, which leaves energy and time bit
+// for bit where the engine, skipping the Spend, leaves them.
+func (ks *kernelStore) atSpeed(sc *speedCosts, repl float64) {
+	if sc == ks.at {
+		return
+	}
+	ks.at = sc
+	f, epc := sc.pt.Freq, sc.epc
 	ks.f = f
 	for k := range ks.op {
 		d := ks.p.Costs.AtSpeed(checkpoint.Kind(k), f)
@@ -169,11 +199,18 @@ func (ks *kernelStore) atSpeed(f, epc, repl float64) {
 	}
 }
 
-// charge charges the tier writes of a push, in write order.
-func (ks *kernelStore) charge(energy, t float64, writes []store.Write) (float64, float64) {
-	for _, w := range writes {
-		energy += ks.wE[w.Tier]
-		t += ks.wWall[w.Tier]
+// charge charges the tier writes of a push, in write order (ascending
+// tier), skipping the free ones.
+func (ks *kernelStore) charge(energy, t float64, writes store.TierMask) (float64, float64) {
+	w := writes & ks.costly
+	if w == 1 {
+		// The fresh image alone, the common push.
+		return energy + ks.wE[0], t + ks.wWall[0]
+	}
+	for ; w != 0; w &= w - 1 {
+		i := bits.TrailingZeros8(uint8(w))
+		energy += ks.wE[i]
+		t += ks.wWall[i]
 	}
 	return energy, t
 }
@@ -209,16 +246,12 @@ func (ks *kernelStore) recover(energy, t, doneWork, idealKept float64) (float64,
 // interval runs one interval of wall length cur split into m spans of
 // length span (energy eSp each) with sub-checkpoints of flavour sub,
 // starting at task progress doneWork with the pending arrival next:
-// the engine's RunInterval on the paths that keep images, operation
-// for operation. It returns the advanced (energy, t, x, next), the kept
-// work relative to doneWork (negative when a recovery crosses the
-// interval start), the faults consumed and whether an error was
-// detected.
+// the engine's runIntervalStore — the ideal model over a tiered store —
+// operation for operation (imperfect is the imperfect model's). It
+// returns the advanced (energy, t, x, next), the kept work relative to
+// doneWork (negative when a recovery crosses the interval start), the
+// faults consumed and whether an error was detected.
 func (ks *kernelStore) interval(energy, t, x, next, doneWork, cur, span, eSp float64, m int, sub checkpoint.Kind) (float64, float64, float64, float64, float64, int, bool) {
-	if ks.led.Imperfect() {
-		return ks.imperfect(energy, t, x, next, doneWork, cur, span, eSp, m, sub)
-	}
-	// runIntervalStore: the ideal model over a tiered store.
 	f := ks.f
 	faults, n := 0, 0
 	switch {
@@ -235,7 +268,7 @@ func (ks *kernelStore) interval(energy, t, x, next, doneWork, cur, span, eSp flo
 		x = end
 		energy += ks.eOp[checkpoint.CSCP]
 		t += ks.op[checkpoint.CSCP]
-		energy, t = ks.charge(energy, t, ks.led.Record(doneWork+cur*f, hit))
+		energy, t = ks.charge(energy, t, ks.led.Store(doneWork+cur*f, hit))
 		if !hit {
 			return energy, t, x, next, cur * f, faults, false
 		}
@@ -260,12 +293,12 @@ func (ks *kernelStore) interval(energy, t, x, next, doneWork, cur, span, eSp flo
 			if j < m-1 {
 				energy += ks.eOp[checkpoint.SCP]
 				t += ks.op[checkpoint.SCP]
-				energy, t = ks.charge(energy, t, ks.led.Record(doneWork+float64(j+1)*span*f, firstOffset >= 0))
+				energy, t = ks.charge(energy, t, ks.led.Store(doneWork+float64(j+1)*span*f, firstOffset >= 0))
 			}
 		}
 		energy += ks.eOp[checkpoint.CSCP]
 		t += ks.op[checkpoint.CSCP]
-		energy, t = ks.charge(energy, t, ks.led.Record(doneWork+cur*f, firstOffset >= 0))
+		energy, t = ks.charge(energy, t, ks.led.Store(doneWork+cur*f, firstOffset >= 0))
 		if firstOffset < 0 {
 			return energy, t, x, next, cur * f, faults, false
 		}
@@ -291,7 +324,7 @@ func (ks *kernelStore) interval(energy, t, x, next, doneWork, cur, span, eSp flo
 			} else {
 				energy += ks.eOp[checkpoint.CSCP]
 				t += ks.op[checkpoint.CSCP]
-				energy, t = ks.charge(energy, t, ks.led.Record(doneWork+cur*f, hit))
+				energy, t = ks.charge(energy, t, ks.led.Store(doneWork+cur*f, hit))
 			}
 			if hit {
 				energy, t, kept := ks.recover(energy, t, doneWork, 0)
@@ -371,12 +404,6 @@ type speedCosts struct {
 	wall     [3]float64
 	rollback float64
 }
-
-// infTimes is the shared arrival view of a zero-rate repetition: a
-// single sentinel past every horizon, so the span walks run without a
-// rate branch and never index an empty slice. Read-only, shared by all
-// workers.
-var infTimes = []float64{math.Inf(1)}
 
 // batchScratch returns b's kernel scratch, allocating it on first use.
 func batchScratch(b *sim.BatchContext) *batchState {
@@ -464,25 +491,6 @@ func growOutputs(b *sim.BatchContext, p sim.Params, n int) bool {
 	return true
 }
 
-// arrivalHint estimates how many fault arrivals one repetition consumes
-// — λ times the fault-free useful execution time at the planned
-// frequency, plus slack for re-executed work — to size the
-// pre-materialised queue near the mean per-repetition fault count.
-// Over-drawing wastes exponentials on every repetition; under-drawing
-// costs only the tail repetitions one small bulk refill, so the hint
-// deliberately sits close to the mean rather than padding for the
-// worst case.
-func arrivalHint(lambda, cycles, freq float64) int {
-	if lambda == 0 {
-		return 0
-	}
-	h := int(lambda*(cycles/freq)*1.2) + 3
-	if h > 64 {
-		h = 64
-	}
-	return h
-}
-
 var _ sim.BatchScheme = (*Adaptive)(nil)
 
 // RunBatch implements sim.BatchScheme: the adaptive kernel — planned
@@ -498,7 +506,7 @@ func (s *Adaptive) RunBatch(rctx *sim.RunContext, b *sim.BatchContext, p sim.Par
 // the λ-knowledge ablation, whose scalar form runs a plain Poisson
 // process at the grid's true rate while the scheme plans with a scaled
 // belief. The arrival times are bit-identical to that process's (the
-// queue draws the same exponentials in the same order), so the
+// kernels draw the same exponentials in the same order), so the
 // experiment wrapper batches those cells by stripping its FaultProcess
 // and passing the true rate here. A nil rctx (no planner to plan
 // through) refuses the batch, as sim.RunBatch does.
@@ -519,7 +527,7 @@ func (s *Adaptive) RunBatchArrival(rctx *sim.RunContext, b *sim.BatchContext, p 
 	budget := p.MaxIntervalBudget()
 	useSub := s.UseSub
 	subCCP := s.Sub == checkpoint.CCP
-	src, arr := b.Source(), b.Arrivals()
+	src := b.Source()
 	b.States.Reseed(seeds)
 
 	// Planning rate: the given λ, or the online posterior mean when
@@ -555,7 +563,6 @@ func (s *Adaptive) RunBatchArrival(rctx *sim.RunContext, b *sim.BatchContext, p 
 		runStatic(b, st, p, sc0, itv0, arrival)
 		return true
 	}
-	hint := arrivalHint(arrival, N, sc0.pt.Freq)
 
 	// Shared fault-free prefix: until its first fault arrival, every
 	// repetition follows the same deterministic trajectory under the
@@ -580,14 +587,7 @@ func (s *Adaptive) RunBatchArrival(rctx *sim.RunContext, b *sim.BatchContext, p 
 	// same length with the same energy increments — identical inputs,
 	// identical doubles — so the Ceil/divide/multiply chain runs once
 	// per plan instead of once per interval.
-	m0 := 1
-	if useSub && sub0 > 0 {
-		m0 = int(math.Ceil(itv0/sub0 - 1e-9))
-		if m0 < 1 {
-			m0 = 1
-		}
-	}
-	span0 := itv0 / float64(m0)
+	m0, span0 := subdivide(itv0, sub0, useSub)
 	eSp0 := (f0 * span0 * repl) * e0pc
 	eItv0 := (f0 * itv0 * repl) * e0pc
 
@@ -625,14 +625,7 @@ func (s *Adaptive) RunBatchArrival(rctx *sim.RunContext, b *sim.BatchContext, p 
 			if cur == itv0 {
 				m, span, eSp, eItv = m0, span0, eSp0, eItv0
 			} else {
-				m = 1
-				if useSub && sub0 > 0 {
-					m = int(math.Ceil(cur/sub0 - 1e-9))
-					if m < 1 {
-						m = 1
-					}
-				}
-				span = cur / float64(m)
+				m, span = subdivide(cur, sub0, useSub)
 				eSp = (f0 * span * repl) * e0pc
 				eItv = (f0 * cur * repl) * e0pc
 			}
@@ -685,13 +678,7 @@ func (s *Adaptive) RunBatchArrival(rctx *sim.RunContext, b *sim.BatchContext, p 
 
 	for i := 0; i < n; i++ {
 		b.States.Load(src, i)
-		times := infTimes
-		if arrival > 0 {
-			arr.Reset(arrival, src, hint)
-			times = arr.Times()
-		}
-		pos := 0
-		next := times[0]
+		next := firstArrival(src, arrival)
 		var t, energy, x float64
 		rc := N
 		it0 := 0
@@ -788,14 +775,7 @@ func (s *Adaptive) RunBatchArrival(rctx *sim.RunContext, b *sim.BatchContext, p 
 			}
 			if reconst {
 				reconst = false
-				mF = 1
-				if useSub && subLen > 0 {
-					mF = int(math.Ceil(itv/subLen - 1e-9))
-					if mF < 1 {
-						mF = 1
-					}
-				}
-				spanF = itv / float64(mF)
+				mF, spanF = subdivide(itv, subLen, useSub)
 				eSpF = (f * spanF * repl) * epc
 				eItvF = (f * itv * repl) * epc
 			}
@@ -804,14 +784,7 @@ func (s *Adaptive) RunBatchArrival(rctx *sim.RunContext, b *sim.BatchContext, p 
 			if cur == itv {
 				m, span, eSp, eItv = mF, spanF, eSpF, eItvF
 			} else {
-				m = 1
-				if useSub && subLen > 0 {
-					m = int(math.Ceil(cur/subLen - 1e-9))
-					if m < 1 {
-						m = 1
-					}
-				}
-				span = cur / float64(m)
+				m, span = subdivide(cur, subLen, useSub)
 				eSp = (f * span * repl) * epc
 				eItv = (f * cur * repl) * epc
 			}
@@ -826,16 +799,12 @@ func (s *Adaptive) RunBatchArrival(rctx *sim.RunContext, b *sim.BatchContext, p 
 				hit := false
 				end := x + cur
 				if next < end {
-					if times[len(times)-1] < end {
-						times = arr.EnsureBeyond(end)
-					}
-					p0 := pos
-					for times[pos] < end {
-						pos++
-					}
-					faults += pos - p0
-					next = times[pos]
+					// One compare for the common fault-free span.
 					hit = true
+					for next < end {
+						faults++
+						next += src.Exp(arrival)
+					}
 				}
 				energy += eItv
 				t += cur
@@ -856,19 +825,14 @@ func (s *Adaptive) RunBatchArrival(rctx *sim.RunContext, b *sim.BatchContext, p 
 				for j := 0; j < m; j++ {
 					end := x + span
 					if next < end {
-						if times[len(times)-1] < end {
-							times = arr.EnsureBeyond(end)
-						}
 						if firstOffset < 0 {
 							// next still holds the span's earliest arrival.
 							firstOffset = float64(j)*span + (next - x)
 						}
-						p0 := pos
-						for times[pos] < end {
-							pos++
+						for next < end {
+							faults++
+							next += src.Exp(arrival)
 						}
-						faults += pos - p0
-						next = times[pos]
 					}
 					energy += eSp
 					t += span
@@ -896,16 +860,11 @@ func (s *Adaptive) RunBatchArrival(rctx *sim.RunContext, b *sim.BatchContext, p 
 					hit := false
 					end := x + span
 					if next < end {
-						if times[len(times)-1] < end {
-							times = arr.EnsureBeyond(end)
-						}
-						p0 := pos
-						for times[pos] < end {
-							pos++
-						}
-						faults += pos - p0
-						next = times[pos]
 						hit = true
+						for next < end {
+							faults++
+							next += src.Exp(arrival)
+						}
 					}
 					energy += eSp
 					t += span
@@ -970,10 +929,12 @@ func (s *Adaptive) RunBatchArrival(rctx *sim.RunContext, b *sim.BatchContext, p 
 // runKeepingImages is the adaptive kernel's loop for a batch whose
 // cells keep checkpoint images (a tiered store, the imperfect model):
 // every repetition from t = 0, each interval through the ledger
-// (kernelStore.interval), planned, switched and replanned exactly as
+// (kernelStore.interval or, under the imperfect model,
+// kernelStore.imperfect), planned, switched and replanned exactly as
 // the image-free loop above — Adaptive.run over the engine, a static
-// rule's single plan included. The initial plan (sc0, itv0, sub0 at rate lam0) is the batch's; pseudo
-// is the online estimator's pseudo-exposure.
+// rule's single plan included. The initial plan (sc0, itv0, sub0 at
+// rate lam0) is the batch's; pseudo is the online estimator's
+// pseudo-exposure.
 func (s *Adaptive) runKeepingImages(b *sim.BatchContext, st *batchState, ks *kernelStore, pl *Planner, p sim.Params, sc0 *speedCosts, itv0, sub0, lam0, pseudo float64) {
 	D := p.Task.Deadline
 	N := p.Task.Cycles
@@ -982,16 +943,26 @@ func (s *Adaptive) runKeepingImages(b *sim.BatchContext, st *batchState, ks *ker
 	estimate := s.EstimateLambdaPrior > 0
 	eager := s.DVS && s.EagerSpeedReeval
 	static := s.static()
+	imperfect := p.ImperfectFT() // the ledger takes the model at each begin
 	src := b.Source()
+	// The full-interval split at the initial plan, as the image-free
+	// loop hoists it: identical inputs, identical doubles.
+	m0, span0 := subdivide(itv0, sub0, s.UseSub)
+	eSp0 := (sc0.pt.Freq * span0 * repl) * sc0.epc
 	for i := range b.Completed {
 		b.States.Load(src, i)
 		next := ks.begin()
-		var t, energy, x, epc float64
+		var t, energy, x float64
 		rc := N
 		var faults, switches, det int
 		rf := p.Task.FaultBudget
 		sc := sc0
 		itv, subLen := itv0, sub0
+		// The full-interval split at the live plan, recomputed when a
+		// replan changes the plan (reconst) — the speed changes only
+		// with it.
+		mF, spanF, eSpF := m0, span0, eSp0
+		reconst := false
 		var lastSc *speedCosts
 		completed := false
 		f := sc.pt.Freq
@@ -1003,8 +974,11 @@ func (s *Adaptive) runKeepingImages(b *sim.BatchContext, st *batchState, ks *ker
 					lamE = (1 + float64(det)) / (pseudo + x)
 				}
 				if pSC, pItv, pSub, pBad := st.plan(pl, rc, rd, lamE, rf); !pBad {
-					sc, itv, subLen = pSC, pItv, pSub
-					f = sc.pt.Freq
+					if pSC != sc || pItv != itv || pSub != subLen {
+						sc, itv, subLen = pSC, pItv, pSub
+						f = sc.pt.Freq
+						reconst = true
+					}
 				}
 			}
 			rcf := rc / f
@@ -1020,21 +994,26 @@ func (s *Adaptive) runKeepingImages(b *sim.BatchContext, st *batchState, ks *ker
 					switches++
 				}
 				lastSc = sc
-				epc = sc.pt.EnergyPerCycle()
-				ks.atSpeed(f, epc, repl)
+				ks.atSpeed(sc, repl)
 			}
-			m := 1
-			if s.UseSub && subLen > 0 {
-				m = int(math.Ceil(cur/subLen - 1e-9))
-				if m < 1 {
-					m = 1
-				}
+			if reconst {
+				reconst = false
+				mF, spanF = subdivide(itv, subLen, s.UseSub)
+				eSpF = (f * spanF * repl) * sc.epc
 			}
-			span := cur / float64(m)
+			m, span, eSp := mF, spanF, eSpF
+			if cur != itv {
+				m, span = subdivide(cur, subLen, s.UseSub)
+				eSp = (f * span * repl) * sc.epc
+			}
 			var kept float64
 			var nf int
 			var detected bool
-			energy, t, x, next, kept, nf, detected = ks.interval(energy, t, x, next, N-rc, cur, span, (f*span*repl)*epc, m, s.Sub)
+			if imperfect {
+				energy, t, x, next, kept, nf, detected = ks.imperfect(energy, t, x, next, N-rc, cur, span, eSp, m, s.Sub)
+			} else {
+				energy, t, x, next, kept, nf, detected = ks.interval(energy, t, x, next, N-rc, cur, span, eSp, m, s.Sub)
+			}
 			faults += nf
 			rc -= kept
 			if detected {
@@ -1048,8 +1027,11 @@ func (s *Adaptive) runKeepingImages(b *sim.BatchContext, st *batchState, ks *ker
 						lamR = (1 + float64(det)) / (pseudo + x)
 					}
 					if pSC, pItv, pSub, pBad := st.plan(pl, rc, D-t, lamR, rf); !pBad {
-						sc, itv, subLen = pSC, pItv, pSub
-						f = sc.pt.Freq
+						if pSC != sc || pItv != itv || pSub != subLen {
+							sc, itv, subLen = pSC, pItv, pSub
+							f = sc.pt.Freq
+							reconst = true
+						}
 					}
 				}
 			}
@@ -1063,10 +1045,25 @@ func (s *Adaptive) runKeepingImages(b *sim.BatchContext, st *batchState, ks *ker
 		b.Time[i] = t
 		b.Faults[i] = float64(faults)
 		b.Switches[i] = float64(switches)
-		if ks.led.Imperfect() {
+		if imperfect {
 			b.Wrong[i] = ks.led.Wrong(completed)
 		}
 	}
+}
+
+// subdivide splits an interval of wall length cur into m spans of
+// length cur/m, with m = ⌈cur/subLen⌉ under the engine's tolerance, or
+// 1 without sub-checkpoints — Adaptive.run's and RunInterval's
+// expressions.
+func subdivide(cur, subLen float64, useSub bool) (int, float64) {
+	m := 1
+	if useSub && subLen > 0 {
+		m = int(math.Ceil(cur/subLen - 1e-9))
+		if m < 1 {
+			m = 1
+		}
+	}
+	return m, cur / float64(m)
 }
 
 // runStatic is the image-free loop of a static interval rule (the
@@ -1096,8 +1093,7 @@ func runStatic(b *sim.BatchContext, st *batchState, p sim.Params, sc *speedCosts
 	D := p.Task.Deadline
 	N := p.Task.Cycles
 	budget := p.MaxIntervalBudget()
-	src, arr := b.Source(), b.Arrivals()
-	hint := arrivalHint(arrival, N, f)
+	src := b.Source()
 
 	pxT, pxE, pxRC, pxX := st.pxT[:0], st.pxE[:0], st.pxRC[:0], st.pxX[:0]
 	termValid, termCompleted := false, false
@@ -1151,17 +1147,7 @@ func runStatic(b *sim.BatchContext, st *batchState, p sim.Params, sc *speedCosts
 
 	for i := range b.Completed {
 		b.States.Load(src, i)
-		// Engine.Reset's process switch: only a strictly positive rate
-		// gets a fault process; anything else never fires and draws
-		// nothing. The zero-rate sentinel keeps the span walks
-		// branch-free.
-		times := infTimes
-		if arrival > 0 {
-			arr.Reset(arrival, src, hint)
-			times = arr.Times()
-		}
-		pos := 0
-		next := times[0]
+		next := firstArrival(src, arrival)
 		if termValid && next >= xTotal {
 			b.Completed[i] = termCompleted
 			b.Energy[i] = termE
@@ -1187,23 +1173,17 @@ func runStatic(b *sim.BatchContext, st *batchState, p sim.Params, sc *speedCosts
 			if cur != itv {
 				eCur = (f * cur * repl) * epc
 			}
-			// ExecSpan(cur): consume every arrival inside the span — a
-			// straight-line walk over the pre-materialised times, with
+			// ExecSpan(cur): consume every arrival inside the span, with
 			// the pending arrival held in a register so the common
-			// fault-free span costs one compare, no load.
+			// fault-free span costs one compare.
 			hit := false
 			end := x + cur
 			if next < end {
-				if times[len(times)-1] < end {
-					times = arr.EnsureBeyond(end)
-				}
-				p0 := pos
-				for times[pos] < end {
-					pos++
-				}
-				faults += pos - p0
-				next = times[pos]
 				hit = true
+				for next < end {
+					faults++
+					next += src.Exp(arrival)
+				}
 			}
 			energy += eCur
 			t += cur

@@ -4,8 +4,10 @@ import (
 	"testing"
 
 	"repro/internal/checkpoint"
+	"repro/internal/fault"
 	"repro/internal/rng"
 	"repro/internal/sim"
+	"repro/internal/store"
 )
 
 func benchKernelParams(b testing.TB) sim.Params {
@@ -42,11 +44,12 @@ func BenchmarkReseedBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkArrivalSpanWalk isolates the kernels' structure-of-arrays
-// arrival consumption: a straight-line walk over the pre-materialised
-// arrival times, counting the faults in each checkpoint span by index
-// arithmetic — the inner loop both batch kernels run between
-// checkpoints. The reported ns/op is per span consumed.
+// BenchmarkArrivalSpanWalk isolates the bulk arrival queue's
+// structure-of-arrays consumption: a straight-line walk over the
+// pre-materialised arrival times, counting the faults in each
+// checkpoint span by index arithmetic — the fault layer's bulk path,
+// which the kernels replaced by live draws. The reported ns/op is per
+// span consumed.
 func BenchmarkArrivalSpanWalk(b *testing.B) {
 	p := benchKernelParams(b)
 	bctx := sim.NewBatchContext()
@@ -79,23 +82,32 @@ func BenchmarkArrivalSpanWalk(b *testing.B) {
 
 // BenchmarkKernelBatch times the batch kernels per repetition (ns/op
 // is per repetition) on faulty Table 1a cells: the paper scheme through
-// the adaptive kernel, and a baseline through the static-rule loop
+// the adaptive kernel, a baseline through the static-rule loop
 // (runStatic), which is kept beside the adaptive live loop only because
-// it is faster on exactly this shape.
+// it is faster on exactly this shape, and the paper scheme through the
+// image-keeping loop (runKeepingImages) under E4's k = 8 store and E3's
+// imperfect fault tolerance, whose cost is the checkpoint push.
 func BenchmarkKernelBatch(b *testing.B) {
+	e3 := fault.Imperfection{Coverage: 0.98, StoreCorruption: 0.08, CheckpointVulnerable: true}
 	for _, bc := range []struct {
 		name   string
 		scheme sim.Scheme
 		u      float64
+		store  *store.Config
+		imp    *fault.Imperfection
 	}{
-		{"A_D_S/U0.78", NewAdaptDVSSCP(), 0.78},
-		{"Poisson(f=1)/U0.76", NewPoissonScheme(1), 0.76},
+		{"A_D_S/U0.78", NewAdaptDVSSCP(), 0.78, nil, nil},
+		{"Poisson(f=1)/U0.76", NewPoissonScheme(1), 0.76, nil, nil},
+		{"A_D_S+store(k8)/U0.78", NewAdaptDVSSCP(), 0.78, store.DefaultConfig(8), nil},
+		{"A_D_S+imp/U0.78", NewAdaptDVSSCP(), 0.78, nil, &e3},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			p := mustParams(b, bc.u, 1, 0.0014, 5, checkpoint.SCPSetting())
+			p.Store, p.Imperfect = bc.store, bc.imp
 			rctx := sim.NewRunContext()
 			bctx := sim.NewBatchContext()
 			const batch = 128
+			bctx.GrowWrong(batch)
 			seeds := make([]uint64, batch)
 			b.ResetTimer()
 			for i := 0; i < b.N; i += batch {

@@ -460,6 +460,14 @@ func FuzzBatchScalarEquivalence(f *testing.F) {
 	// models over non-empty stores.
 	f.Add(0.78, 0.004, uint8(5), 2.0, 20.0, 0.0, uint8(2), uint8(15), uint64(11), uint8(8), uint8(1|1<<2|16))
 	f.Add(0.76, 0.01, uint8(1), 20.0, 2.0, 1.0, uint8(1), uint8(13), uint64(12), uint8(7), uint8(2|2<<2|32))
+	// The push path of E4's store columns: SCP sub-checkpoints under the
+	// k = 8 and k = 2 default stacks at a high fault rate, where the
+	// quasi-geometric victim, demotions, degraded recoveries and
+	// restarts all happen — ideal and under E3's imperfection.
+	f.Add(0.78, 0.02, uint8(5), 2.0, 20.0, 0.0, uint8(4), uint8(15), uint64(21), uint8(4), uint8(0))
+	f.Add(0.78, 0.02, uint8(5), 2.0, 20.0, 0.0, uint8(4), uint8(15), uint64(22), uint8(4), uint8(1|1<<2|16))
+	f.Add(0.78, 0.02, uint8(5), 2.0, 20.0, 0.0, uint8(6), uint8(15), uint64(23), uint8(2), uint8(0))
+	f.Add(0.78, 0.02, uint8(5), 2.0, 20.0, 0.0, uint8(6), uint8(15), uint64(24), uint8(2), uint8(1|1<<2|16))
 	f.Fuzz(func(t *testing.T, u, lambda float64, k uint8, store, compare, rollback float64, schemeSel, reps uint8, seed uint64, storeSel, impSel uint8) {
 		// Sanitise into the validated-parameter envelope; the point is
 		// randomized coverage inside it, not crash-hunting outside it

@@ -41,6 +41,9 @@ func FuzzPlannerChoose(f *testing.F) {
 	f.Add(1e9, 1.0, 0.5, 0, uint8(0b001))
 	f.Add(-3.0, -4.0, 0.1, 2, uint8(0b010))
 	f.Add(1e-6, 1e9, 1e-9, 100, uint8(0b101))
+	// A simplex frame's costs (compare-free) under a CCP-flavour DVS
+	// scheme: planned with no sub-checkpoints.
+	f.Add(7800.0, 10000.0, 0.0014, 5, uint8(0b11111))
 	// One context across inputs (a fuzz worker runs them sequentially):
 	// inputs with the same configuration share its planner, whose pools
 	// and memos then hold earlier inputs' (f, λ, interval) state, so
@@ -69,9 +72,13 @@ func FuzzPlannerChoose(f *testing.F) {
 			costs = checkpoint.CCPSetting()
 		case 2:
 			// Zero sub-checkpoint cost is valid per Costs.Validate and
-			// makes the renewal curve monotone — the NumSub walk must
-			// stay bounded.
+			// makes the renewal curve monotone: the planner must plan
+			// no sub-checkpoints rather than walk NumSub's bound.
 			costs = checkpoint.Costs{Store: 0, Compare: 5, Rollback: 1}
+		case 3:
+			// A simplex frame's costs: no comparison phase at all.
+			costs = checkpoint.SCPSetting()
+			costs.Compare = 0
 		}
 		if !cfg.DVS {
 			model := cpu.TwoSpeed()
@@ -101,6 +108,10 @@ func FuzzPlannerChoose(f *testing.F) {
 		if !(plan.SubLen > 0) || plan.SubLen > plan.Interval {
 			t.Fatalf("sub-interval %v outside (0, %v] (rc=%v rd=%v lam=%v rf=%d cfg=%+v)",
 				plan.SubLen, plan.Interval, rc, rd, lam, rf, cfg)
+		}
+		if !(costs.Of(cfg.Sub) > 0) && plan.SubLen != plan.Interval {
+			t.Fatalf("free %v sub-checkpoints planned: sub-interval %v of %v (costs=%+v)",
+				cfg.Sub, plan.SubLen, plan.Interval, costs)
 		}
 		if plan.Point.Freq <= 0 {
 			t.Fatalf("non-positive planned frequency %v", plan.Point.Freq)

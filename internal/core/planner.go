@@ -137,6 +137,13 @@ func NewPlanner(cfg Adaptive, model *cpu.Model, costs checkpoint.Costs, tk task.
 			}
 		}
 	}
+	if !(costs.Of(cfg.Sub) > 0) {
+		// A free sub-checkpoint kind has no optimal count
+		// (analysis.NumSub): plan none. A simplex frame's CCPs are free
+		// because they have no partner to compare against, and they
+		// detect nothing, so a CCP-flavour scheme flies it with m = 1.
+		pl.cfg.UseSub = false
+	}
 	return pl
 }
 

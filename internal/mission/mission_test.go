@@ -3,11 +3,13 @@ package mission
 import (
 	"math"
 	"testing"
+	"time"
 
 	"repro/internal/battery"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/task"
 	"repro/internal/telemetry"
@@ -217,6 +219,33 @@ func TestSimplexParams(t *testing.T) {
 	}
 	if err := q.Validate(); err != nil {
 		t.Fatalf("degraded frame invalid: %v", err)
+	}
+}
+
+// TestSimplexFrameBounded pins the cost of a degraded frame under a
+// CCP-flavour scheme: the simplex frame's CCPs are free (no partner to
+// compare against), so the planner flies it without them instead of
+// walking the sub-interval count to its 2^20 bound. Frames at the
+// degrade defaults (U=0.78, λ=0.0014, SCP setting, E3's knobs with
+// corrupt 0.2) take microseconds each in DMR; twenty simplex frames get
+// a generous second.
+func TestSimplexFrameBounded(t *testing.T) {
+	p := frame(t, 0.78, 0.0014)
+	p.Imperfect = &fault.Imperfection{Coverage: 0.95, StoreCorruption: 0.2, CheckpointVulnerable: true}
+	q := simplex(p)
+	rctx := sim.NewRunContext()
+	start := time.Now()
+	for f := 0; f < 20; f++ {
+		res := sim.RunScheme(rctx, core.NewAdaptDVSCCP(), q, rctx.Reseed(rng.Stream(1, f)))
+		if res.SubCheckpoints != 0 {
+			t.Fatalf("simplex frame %d took %d sub-checkpoints, want none", f, res.SubCheckpoints)
+		}
+		if res.CSCPs == 0 {
+			t.Fatalf("simplex frame %d took no checkpoints: %+v", f, res)
+		}
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("20 simplex frames took %v", d)
 	}
 }
 

@@ -103,7 +103,9 @@ func growF64(s []float64, n int) []float64 {
 func (b *BatchContext) Source() *rng.Source { return &b.src }
 
 // Arrivals returns the context's reusable pre-materialised fault
-// arrival queue, likewise reset per repetition.
+// arrival queue, likewise reset per repetition. The kernels draw their
+// arrivals live from Source; benchmarks and replays that time the
+// fault layer's bulk path use the queue.
 func (b *BatchContext) Arrivals() *fault.Arrivals { return &b.arr }
 
 // Scratch returns the opaque per-context cache slot set by SetScratch

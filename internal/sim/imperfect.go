@@ -63,6 +63,11 @@ import (
 type FTLedger struct {
 	StoreLedger
 	imp *fault.Imperfection // nil on the ideal model
+	// storeCorruption is the model's stable-storage corruption
+	// probability, 0 on the ideal model; draws is set when a push draws
+	// anything (it or a corruptible tier).
+	storeCorruption float64
+	draws           bool
 	// divergedAt is the absolute task progress at which the oldest
 	// currently-undetected divergence began (+Inf when clean).
 	divergedAt float64
@@ -74,9 +79,9 @@ type FTLedger struct {
 // p.StoreStats when the run has a Params.Store, otherwise into the
 // ledger's own scratch.
 func (l *FTLedger) Reset(p *Params, src *rng.Source) {
-	l.imp = nil
+	l.imp, l.storeCorruption = nil, 0
 	if p.ImperfectFT() {
-		l.imp = p.Imperfect
+		l.imp, l.storeCorruption = p.Imperfect, p.Imperfect.StoreCorruption
 	}
 	l.divergedAt = math.Inf(1)
 	l.missed = 0
@@ -85,6 +90,7 @@ func (l *FTLedger) Reset(p *Params, src *rng.Source) {
 		stats = p.StoreStats
 	}
 	l.StoreLedger.Reset(p.CheckpointStore(), stats, src)
+	l.draws = l.storeCorruption > 0 || l.corruptible
 }
 
 // Imperfect reports whether the repetition runs the imperfect model.
@@ -106,19 +112,29 @@ func (l *FTLedger) Strike(w float64) {
 	}
 }
 
-// Store pushes the image a storing checkpoint writes at absolute work.
-// It is diverged when the operation was struck or divergence began
-// before work — the two halves differ and the image fails its
-// consistency check for free at recovery time. A non-diverged image
-// draws the stable-storage corruption first: the damage passes the
-// consistency check and is unmasked only by a restore attempt. The
-// tier draws follow inside Record. It returns the writes to charge.
-func (l *FTLedger) Store(work float64, struck bool) []store.Write {
+// Store pushes the image a storing checkpoint writes at absolute work
+// — every push of a run, on both fault-tolerance models. The image is
+// diverged when the operation was struck or divergence began before
+// work: the two halves differ and the image fails its consistency check
+// for free at recovery time. A non-diverged image draws the
+// stable-storage corruption first (imperfect model only): the damage
+// passes the consistency check and is unmasked only by a restore
+// attempt. The tier write-corruption draws follow, in write order. The
+// set counts the eviction and the per-tier writes the insert caused. It
+// returns the physical writes — the fresh image and any demotions —
+// whose tier writes the caller charges in ascending tier order.
+func (l *FTLedger) Store(work float64, struck bool) store.TierMask {
 	diverged := struck || work > l.divergedAt
-	corrupted := !diverged && l.imp.StoreCorruption > 0 && l.src.Float64() < l.imp.StoreCorruption
-	writes := l.Record(work, diverged)
+	if !l.draws {
+		return l.set.Insert(work, diverged)
+	}
+	corrupted := !diverged && l.storeCorruption > 0 && l.src.Float64() < l.storeCorruption
+	writes := l.set.Insert(work, diverged)
+	if l.corruptible {
+		l.corruptWrites(writes)
+	}
 	if corrupted {
-		l.markCorrupted(writes[0].Index)
+		l.set.MarkCorrupted(l.set.Len() - 1)
 	}
 	return writes
 }
@@ -127,9 +143,15 @@ func (l *FTLedger) Store(work float64, struck bool) []store.Write {
 // reports that present divergence was flagged, missed that it slipped
 // through. With no divergence present nothing is drawn.
 func (l *FTLedger) Compare() (detected, missed bool) {
-	if math.IsInf(l.divergedAt, 1) {
+	if l.divergedAt > math.MaxFloat64 { // +Inf: clean
 		return false, false
 	}
+	return l.compareDiverged()
+}
+
+// compareDiverged is Compare with divergence present, kept apart so
+// that Compare's common clean case inlines.
+func (l *FTLedger) compareDiverged() (detected, missed bool) {
 	cov := l.imp.Coverage
 	if cov >= 1 || (cov > 0 && l.src.Float64() < cov) {
 		return true, false

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"math/bits"
 
 	"repro/internal/checkpoint"
 	"repro/internal/rng"
@@ -41,8 +42,8 @@ import (
 // and invulnerable, trajectories are bit-identical to the storeless
 // engine — pushes charge nothing and draw nothing, and every recovery
 // restores the analytically-ideal target. The parity trick is
-// lastGoodSeq: the ledger remembers the sequence number of the newest
-// non-diverged image; when that exact image survives, the recovery
+// store.Set.LastGood: the set remembers the sequence number of the
+// newest non-diverged image; when that exact image survives, the recovery
 // returns the *analytic* kept value (the same float expression the seed
 // path computes) instead of re-deriving it from the image, so no
 // floating-point re-association can creep in.
@@ -67,10 +68,6 @@ type StoreLedger struct {
 	// corruptible is false).
 	src         *rng.Source
 	corruptible bool
-	// lastGoodSeq is the sequence number of the newest non-diverged
-	// image: the analytic rollback target the storeless engine would
-	// restore.
-	lastGoodSeq uint64
 	walk        []int // attempt scratch returned by Walk
 }
 
@@ -89,7 +86,6 @@ func (l *StoreLedger) Reset(cfg *store.Config, stats *store.Stats, src *rng.Sour
 	}
 	l.set.Configure(cfg)
 	l.set.CountInto(stats)
-	l.lastGoodSeq = 0
 }
 
 // active reports whether the ledger models a store this repetition.
@@ -104,30 +100,17 @@ func (l *StoreLedger) Images() []store.Image { return l.set.Images() }
 // markCorrupted flags image i as silently damaged.
 func (l *StoreLedger) markCorrupted(i int) { l.set.MarkCorrupted(i) }
 
-// Record stores a checkpoint image at absolute work — every push of a
-// run — and draws the write corruption: each write into a tier with
-// Corruption > 0 draws that probability from the stream, in write
-// order, and a hit silently damages the written image. The set counts
-// the eviction and the per-tier writes the insert caused. It returns the
-// physical writes — the fresh image first, then demotions — whose tier
-// writes the caller charges in order (scratch, valid until the next
-// push).
-func (l *StoreLedger) Record(work float64, diverged bool) []store.Write {
-	writes, _ := l.set.Insert(work, diverged)
-	if !diverged {
-		// Recoveries check the analytic target's survival by this
-		// sequence number.
-		l.lastGoodSeq = l.set.Seq()
-	}
-	if l.corruptible {
-		tiers := l.set.Config().Tiers
-		for _, w := range writes {
-			if c := tiers[w.Tier].Corruption; c > 0 && l.src.Float64() < c {
-				l.set.MarkCorrupted(w.Index)
-			}
+// corruptWrites draws the write corruption of a push's writes: each
+// write into a tier with Corruption > 0 draws that probability from the
+// stream, in write order, and a hit silently damages the written image.
+func (l *StoreLedger) corruptWrites(writes store.TierMask) {
+	tiers := l.set.Config().Tiers
+	for ; writes != 0; writes &= writes - 1 {
+		t := bits.TrailingZeros8(uint8(writes))
+		if c := tiers[t].Corruption; c > 0 && l.src.Float64() < c {
+			l.set.MarkCorrupted(l.set.WriteIndex(t))
 		}
 	}
-	return writes
 }
 
 // corruptible reports whether a write into some tier of cfg can be
@@ -191,7 +174,7 @@ func (l *StoreLedger) Walk(budget int) (attempts []int, chosen int) {
 func (l *StoreLedger) SettleIdeal(chosen int, doneWork, idealKept float64) (kept, target float64, restarted bool) {
 	imgs := l.set.Images()
 	switch {
-	case chosen >= 0 && imgs[chosen].Seq == l.lastGoodSeq:
+	case chosen >= 0 && imgs[chosen].Seq == l.set.LastGood():
 		// The analytic rollback target survived: the trajectory is the
 		// storeless one, bit for bit (under zero-cost tiers).
 		limit := doneWork + idealKept
@@ -226,22 +209,22 @@ func (l *StoreLedger) truncateAfter(limit float64) {
 func (l *StoreLedger) restart() {
 	l.stats.Restarts++
 	l.set.Clear()
-	l.lastGoodSeq = 0
 }
 
 // pushImage stores a checkpoint image at absolute work through the
 // ledger (which draws the per-tier write corruption) and charges the
-// tier writes.
+// tier writes. On the ideal path the ledger's Store stores exactly the
+// image it is given.
 func (e *Engine) pushImage(work float64, diverged bool) {
-	e.chargeWrites(e.led.Record(work, diverged))
+	e.chargeWrites(e.led.Store(work, diverged))
 }
 
 // chargeWrites charges the tier write cost of each physical write, in
 // write order.
-func (e *Engine) chargeWrites(writes []store.Write) {
-	cfg := e.led.config()
-	for _, w := range writes {
-		if wc := cfg.Tiers[w.Tier].WriteCycles; wc > 0 {
+func (e *Engine) chargeWrites(writes store.TierMask) {
+	tiers := e.led.config().Tiers
+	for ; writes != 0; writes &= writes - 1 {
+		if wc := tiers[bits.TrailingZeros8(uint8(writes))].WriteCycles; wc > 0 {
 			e.Spend(wc / e.cur.Freq)
 		}
 	}

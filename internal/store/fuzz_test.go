@@ -52,7 +52,9 @@ func FuzzStoreConfig(f *testing.F) {
 // of its own brute-force policy reference, an image's tier is the
 // larger of its old tier and the tier its recency rank falls in, and
 // the writes are the fresh image, then every image whose tier grew,
-// newest first — each write and eviction counted into the set's Stats.
+// newest first — each into its own tier, as the returned TierMask and
+// WriteIndex report, and each write and eviction counted into the set's
+// Stats.
 //
 // The config comes from nTiers (1-4 tiers), caps (4 bits of capacity
 // per tier; 0 on the last tier means unlimited), k and quasi. Each op
@@ -68,6 +70,11 @@ func FuzzSetOps(f *testing.F) {
 	f.Add(uint8(0), uint16(0), uint8(0), false, []byte{0x20, 0x20, 0x02})
 	// DefaultConfig(4)'s shape: 2 fast + 2 slow slots, quasi-geometric.
 	f.Add(uint8(1), uint16(0x22), uint8(4), true, []byte{0x20, 0x20, 0x30, 0x20, 0x20, 0x40, 0x20, 0x17, 0x20, 0x20, 0x0e, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x03, 0x20, 0x20})
+	// DefaultConfig(8)'s shape: 2 fast + 6 slow slots, quasi-geometric,
+	// with long insert runs across truncations — the k8 column's
+	// steady state, where the victim is found without a rescan and a
+	// truncation or a deep eviction rebuilds the deep region.
+	f.Add(uint8(1), uint16(0x62), uint8(8), true, []byte{0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x0a, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x1e, 0x20, 0x30, 0x20, 0x30, 0x20, 0x30, 0x20, 0x30, 0x20, 0x30, 0x20, 0x30, 0x20, 0x30, 0x20, 0x30, 0x20, 0x30, 0x20, 0x30, 0x20, 0x30, 0x20, 0x30, 0x0e, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x0f, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x02, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20})
 	// Four tiers over an unlimited tail with an explicit bound.
 	f.Add(uint8(3), uint16(0x0321), uint8(9), false, []byte{0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x0a, 0x20, 0x20, 0x20})
 	f.Fuzz(func(t *testing.T, nTiers uint8, caps uint16, k uint8, quasi bool, ops []byte) {
@@ -156,26 +163,40 @@ func FuzzSetOps(f *testing.F) {
 				seq++
 				model = append(model, Image{Work: work, Seq: seq, Diverged: b&0x10 != 0})
 				n := len(model)
-				wantWrites := []Write{{Index: n - 1}}
+				// wantWrites[t] is the index of the image written into
+				// tier t, -1 for none: the fresh image into tier 0, and
+				// newest first each demoted image into a deeper tier than
+				// the last, which the TierMask's write order relies on.
+				wantWrites := [MaxTiers]int{n - 1, -1, -1, -1}
+				deepest := 0
 				for i := n - 2; i >= 0; i-- {
-					if rt := rankTier(n - 1 - i); rt > model[i].Tier {
-						model[i].Tier = rt
-						wantWrites = append(wantWrites, Write{Index: i, Tier: rt})
+					if rt := rankTier(n - 1 - i); rt > int(model[i].Tier) {
+						if rt <= deepest {
+							t.Fatalf("step %d: model demotes image %d into tier %d after a write into tier %d", step, i, rt, deepest)
+						}
+						model[i].Tier = uint8(rt)
+						wantWrites[rt], deepest = i, rt
 					}
 				}
-				writes, evicted := s.Insert(work, b&0x10 != 0)
-				if evicted != wantEvicted {
-					t.Fatalf("step %d: Insert evicted=%v, model %v", step, evicted, wantEvicted)
-				}
-				if !reflect.DeepEqual(writes, wantWrites) {
-					t.Fatalf("step %d: Insert writes %+v, model %+v", step, writes, wantWrites)
+				writes := s.Insert(work, b&0x10 != 0)
+				for ti, want := range wantWrites {
+					if got := writes&(1<<ti) != 0; got != (want >= 0) {
+						t.Fatalf("step %d: Insert writes %04b, model indices per tier %v", step, writes, wantWrites)
+					}
+					if want >= 0 && s.WriteIndex(ti) != want {
+						t.Fatalf("step %d: tier %d write at index %d, model %d", step, ti, s.WriteIndex(ti), want)
+					}
 				}
 				if wantEvicted {
 					wantStats.Evictions++
 				}
-				wantStats.Demotions += uint64(len(wantWrites) - 1)
-				for _, w := range wantWrites {
-					wantStats.TierWrites[w.Tier]++
+				for ti, want := range wantWrites {
+					if want >= 0 {
+						wantStats.TierWrites[ti]++
+						if ti > 0 {
+							wantStats.Demotions++
+						}
+					}
 				}
 				if stats != wantStats {
 					t.Fatalf("step %d: Insert counted %+v, model %+v", step, stats, wantStats)

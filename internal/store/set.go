@@ -7,7 +7,10 @@
 
 package store
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Image is one retained checkpoint image.
 type Image struct {
@@ -22,7 +25,9 @@ type Image struct {
 	// fastest tier up to its capacity and overflow cascades down.
 	// Tiers are sticky — an image is only ever demoted, never
 	// promoted, so no free "uplift" of old images into fast memory.
-	Tier int
+	// A byte keeps the image at 24 bytes: an eviction shifts the images
+	// newer than the victim down one slot.
+	Tier uint8
 	// Diverged marks an image stored after the replicas had silently
 	// diverged; it can never be restored from (its digests disagree).
 	Diverged bool
@@ -34,16 +39,14 @@ type Image struct {
 // Usable reports whether a rollback can restore from the image.
 func (im Image) Usable() bool { return !im.Diverged && !im.Corrupted }
 
-// Write is one physical image write performed by an Insert: the fresh
-// image plus any demotions its arrival cascaded into deeper tiers. The
-// engine charges Tier's write cost for each and draws that tier's
-// corruption probability against the image at Index.
-type Write struct {
-	// Index into Images() after the insert.
-	Index int
-	// Tier the image was (re)written into.
-	Tier int
-}
+// TierMask is the set of physical image writes one Insert performed:
+// bit t set means one image written into tier t. An insert writes at
+// most one image per tier, in ascending tier order — the fresh image
+// into tier 0, then each demotion one tier deeper than the last — so
+// the mask is also the write order. The engine charges each tier's
+// write cost and draws its corruption probability against the image
+// WriteIndex names.
+type TierMask uint8
 
 // Set is the per-repetition retained checkpoint set. The zero value is
 // inactive; Configure activates it for a run.
@@ -55,9 +58,16 @@ type Set struct {
 	prefix [MaxTiers]int // cumulative tier capacities
 	imgs   []Image
 	seq    uint64
-	writes [MaxTiers]Write // scratch returned by Insert: a fresh write and at most one demotion per deeper tier
-	stats  *Stats          // receives Insert's counts (CountInto)
-	own    Stats           // stats when the caller gave none
+	good   uint64 // sequence number of the newest non-diverged image
+	stats  *Stats // receives Insert's counts (CountInto)
+	// spaced is set under the quasi-geometric policy with a bound: the
+	// set then keeps the newest lowest level of its deep region — every
+	// image older than the second newest — as deepLevel at deepIdx
+	// (noLevel when the region is empty), so a victim needs no rescan.
+	spaced    bool
+	deepLevel int
+	deepIdx   int
+	own       Stats // stats when the caller gave none; last, off Insert's cache lines
 }
 
 // Configure prepares the set for a run under cfg (which must have been
@@ -75,6 +85,7 @@ func (s *Set) Configure(cfg *Config) {
 			}
 			s.policy = policy
 			s.bound = cfg.Bound()
+			s.spaced = policy == quasiGeometric && s.bound > 0
 			s.last = len(cfg.Tiers) - 1
 			sum := 0
 			for i, t := range cfg.Tiers {
@@ -107,6 +118,11 @@ func (s *Set) CountInto(st *Stats) {
 // Clear).
 func (s *Set) Seq() uint64 { return s.seq }
 
+// LastGood returns the sequence number of the newest image inserted
+// non-diverged since Clear (0 for none), whether or not it is still
+// retained.
+func (s *Set) LastGood() uint64 { return s.good }
+
 // Active reports whether the set models a store this run.
 func (s *Set) Active() bool { return s.cfg != nil }
 
@@ -117,7 +133,8 @@ func (s *Set) Config() *Config { return s.cfg }
 // segment, used at run start and on restart-from-scratch.
 func (s *Set) Clear() {
 	s.imgs = s.imgs[:0]
-	s.seq = 0
+	s.seq, s.good = 0, 0
+	s.deepLevel, s.deepIdx = noLevel, -1
 }
 
 // Len returns the number of retained images.
@@ -135,11 +152,9 @@ func (s *Set) MarkCorrupted(i int) { s.imgs[i].Corrupted = true }
 
 // Insert adds a fresh image at the given absolute work, evicting the
 // policy's victim first when the set is at its bound. It returns the
-// physical writes performed (the fresh image first, then demotions
-// newest-first) and whether an eviction happened, and counts all of it
-// (see CountInto). The returned slice is scratch, reused by the next
-// Insert.
-func (s *Set) Insert(work float64, diverged bool) (writes []Write, evicted bool) {
+// physical writes performed — the fresh image and any demotions — and
+// counts them and the eviction (see CountInto).
+func (s *Set) Insert(work float64, diverged bool) TierMask {
 	st := s.stats
 	imgs := s.imgs
 	n := len(imgs)
@@ -149,28 +164,56 @@ func (s *Set) Insert(work float64, diverged bool) (writes []Write, evicted bool)
 		// the length never changes at the bound. A set holds a handful
 		// of images, so the shift is an element loop, not a memmove.
 		v := 0
-		if s.policy == quasiGeometric {
-			v = quasiGeometricVictim(imgs)
+		if s.spaced && n > 1 {
+			// The quasi-geometric victim is the newest image of the
+			// lowest level but the head: the second newest, unless the
+			// deep region below it holds a lower level. In a run of
+			// inserts it is nearly always the second newest, which
+			// leaves the deep region as it was.
+			v = n - 2
+			if level(imgs[v].Seq) > s.deepLevel {
+				v = s.deepIdx
+			}
 		}
-		for i := v; i < n-1; i++ {
-			imgs[i] = imgs[i+1]
+		if v == n-2 {
+			imgs[v] = imgs[v+1]
+		} else {
+			for i := v; i < n-1; i++ {
+				imgs[i] = imgs[i+1]
+			}
 		}
-		evicted = true
+		if s.spaced && v < n-2 {
+			// The deep region lost an image: rescan it (inline, so the
+			// common path spills nothing for a call).
+			s.deepLevel, s.deepIdx = lowestLevel(imgs[:n-2])
+		}
 		st.Evictions++
 	} else {
-		imgs = append(imgs, Image{})
+		if n == cap(imgs) {
+			// A tail call, so the common path spills nothing for it.
+			return s.growInsert(work, diverged)
+		}
+		imgs = imgs[:n+1]
 		s.imgs = imgs
 		n++
+		if s.spaced && n >= 3 {
+			// The previous second newest joins the deep region.
+			if l := level(imgs[n-3].Seq); l <= s.deepLevel {
+				s.deepLevel, s.deepIdx = l, n-3
+			}
+		}
 	}
 	s.seq++
+	if !diverged {
+		s.good = s.seq
+	}
 	// The fresh image always lands in the fastest tier. Its fields are
 	// set in place: assigning a composite literal builds it on the stack
 	// first and stalls the copy-out on this per-store hot path.
 	im := &imgs[n-1]
 	im.Work, im.Seq, im.Tier, im.Diverged, im.Corrupted = work, s.seq, 0, diverged, false
-	s.writes[0] = Write{Index: n - 1}
 	st.TierWrites[0]++
-	nw := 1
+	writes := TierMask(1)
 	// Demotions: every older image whose recency rank now falls in a
 	// deeper tier than it resides in moves down to that tier (tiers are
 	// sticky). Every image already sits at or below its rank's tier, and
@@ -180,15 +223,41 @@ func (s *Set) Insert(work float64, diverged bool) (writes []Write, evicted bool)
 	// reaches one.
 	for t := 0; t < s.last && s.prefix[t] < n; t++ {
 		i := n - 1 - s.prefix[t]
-		if imgs[i].Tier <= t {
-			imgs[i].Tier = t + 1
-			s.writes[nw] = Write{Index: i, Tier: t + 1}
-			nw++
+		if int(imgs[i].Tier) <= t {
+			imgs[i].Tier = uint8(t + 1)
+			writes |= 2 << t
 			st.Demotions++
 			st.TierWrites[t+1]++
 		}
 	}
-	return s.writes[:nw], evicted
+	return writes
+}
+
+// growInsert is Insert into a set whose images fill their backing
+// array: grow it, then insert.
+func (s *Set) growInsert(work float64, diverged bool) TierMask {
+	s.imgs = slices.Grow(s.imgs, 1)
+	return s.Insert(work, diverged)
+}
+
+// WriteIndex returns the index into Images() of the image the last
+// Insert wrote into tier t, which must be in that Insert's TierMask:
+// the fresh image for tier 0, otherwise the image demoted there.
+func (s *Set) WriteIndex(t int) int {
+	n := len(s.imgs)
+	if t == 0 {
+		return n - 1
+	}
+	return n - 1 - s.prefix[t-1]
+}
+
+// rescanDeep recomputes the deep region's newest lowest level after
+// the region lost an image.
+func (s *Set) rescanDeep() {
+	s.deepLevel, s.deepIdx = noLevel, -1
+	if n := len(s.imgs); n >= 3 {
+		s.deepLevel, s.deepIdx = lowestLevel(s.imgs[:n-2])
+	}
 }
 
 // TruncateAfter drops every image whose Work exceeds limit — stale
@@ -202,5 +271,8 @@ func (s *Set) TruncateAfter(limit float64) int {
 		i--
 	}
 	s.imgs = s.imgs[:i]
+	if s.spaced && i < n {
+		s.rescanDeep()
+	}
 	return n - i
 }

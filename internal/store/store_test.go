@@ -170,22 +170,26 @@ func TestInsertWritesChargeable(t *testing.T) {
 	s.Configure(cfg)
 	totalWrites := 0
 	for i := 0; i < 20; i++ {
-		writes, _ := s.Insert(float64(i+1), false)
-		if len(writes) == 0 {
-			t.Fatalf("insert %d reported no writes", i)
+		writes := s.Insert(float64(i+1), false)
+		if writes&1 == 0 || s.WriteIndex(0) != s.Len()-1 || s.Images()[s.Len()-1].Tier != 0 {
+			t.Fatalf("insert %d: writes %04b, want the newest image written into tier 0", i, writes)
 		}
-		if w := writes[0]; w.Index != s.Len()-1 || w.Tier != 0 {
-			t.Fatalf("insert %d: fresh write = %+v, want newest image in tier 0", i, w)
+		if writes>>len(cfg.Tiers) != 0 {
+			t.Fatalf("insert %d: writes %04b name a tier past the %d configured", i, writes, len(cfg.Tiers))
 		}
-		for _, w := range writes {
-			if w.Index < 0 || w.Index >= s.Len() {
-				t.Fatalf("insert %d: write index %d out of range", i, w.Index)
+		for ti := 0; ti < len(cfg.Tiers); ti++ {
+			if writes&(1<<ti) == 0 {
+				continue
 			}
-			if got := s.Images()[w.Index].Tier; got != w.Tier {
-				t.Fatalf("insert %d: write tier %d disagrees with image tier %d", i, w.Tier, got)
+			w := s.WriteIndex(ti)
+			if w < 0 || w >= s.Len() {
+				t.Fatalf("insert %d: write index %d out of range", i, w)
 			}
+			if got := int(s.Images()[w].Tier); got != ti {
+				t.Fatalf("insert %d: write tier %d disagrees with image tier %d", i, ti, got)
+			}
+			totalWrites++
 		}
-		totalWrites += len(writes)
 	}
 	// 20 fresh writes plus at least one demotion once tier 0 overflowed.
 	if totalWrites <= 20 {
