@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race check golden bench bench-check determinism fuzz-smoke chaos kill-soak cluster-soak store-soak telemetry-overhead journal-overhead profile profile-smoke pgo perfbench-build perfbench-smoke
+.PHONY: build test vet race check golden bench-check artifacts-check determinism fuzz-smoke chaos kill-soak cluster-soak store-soak telemetry-overhead journal-overhead profile profile-smoke pgo perfbench-build perfbench-smoke
 
 build:
 	$(GO) build ./...
@@ -31,18 +31,23 @@ check: build vet test race
 golden:
 	$(GO) test -run 'TestGolden(Degraded)?Equivalence' -update .
 
-# Time the simulation stack (Table 1a/3a grids and the warm single-run
-# path), sweep the grid workloads across -cpu 1,2,4, and record the
-# numbers — appending the previous report to the history — in
-# BENCH_simstack.json.
-bench:
-	$(GO) run -pgo=default.pgo ./cmd/simbench -out BENCH_simstack.json
-
-# Regression gate: re-time the stack quickly and fail if any workload's
-# single-CPU ns_per_rep is >15% above the committed baseline. Writes to
-# a scratch file so the committed artefact only changes via `make bench`.
+# Same-host regression gate: check BASE (default: the merge-base with
+# origin/main) out in a git worktree and time it against this tree in
+# alternating pairs — the SingleRunCtx, ReseedBatch and ArrivalSpanWalk
+# micro rows (15% bound) and every BENCHMARK.json workload's end-to-end
+# metrics (the file's bounds). Fails when a row's median change/base
+# ratio is worse than its bound. Needs full git history.
+BASE ?=
 bench-check:
-	$(GO) run -pgo=default.pgo ./cmd/simbench -short -check -baseline BENCH_simstack.json -out /tmp/BENCH_simstack_check.json
+	python3 scripts/benchcheck.py $(BASE)
+
+# Regenerate the committed reproduction output (cmd/reproduce at its
+# defaults) into a temp dir and fail if it differs from artifacts/ —
+# an output-changing PR commits the new files in the same diff.
+artifacts-check:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	log=$$($(GO) run ./cmd/reproduce -out "$$tmp" 2>&1) || { echo "$$log"; exit 1; }; \
+	diff -r -x '*.pprof' -x '*.test' "$$tmp" artifacts && echo "artifacts-check: artifacts/ matches cmd/reproduce"
 
 # CPU-profile the Table 1a grid (the batch kernel's home workload) into
 # artifacts/: the .pprof plus the bench binary pprof needs to symbolise
@@ -65,10 +70,9 @@ profile-smoke:
 	test -s artifacts/profile_smoke.pprof
 
 # Refresh the checked-in PGO profile: re-profile the Table 1a grid and
-# verify the tree builds with profile-guided optimisation on. The bench
-# targets build simbench with this profile, so after any hot-path
-# change run `make pgo && make bench` to re-record with a fresh
-# profile (workflow: DESIGN.md §17).
+# verify the tree builds with profile-guided optimisation on. Nothing
+# timed here builds with it (perfbench, the deployed binaries and
+# bench-check all build with PGO off); see DESIGN.md §17.
 pgo: profile
 	cp artifacts/table1a_cpu.pprof default.pgo
 	$(GO) build -pgo=default.pgo ./...

@@ -64,7 +64,7 @@ func BenchmarkTable4a(b *testing.B) { benchTable(b, "4a") }
 func BenchmarkTable4b(b *testing.B) { benchTable(b, "4b") }
 
 // BenchmarkTable1aSinkOverhead quantifies the telemetry tax on the
-// Table 1a grid (the BENCH_simstack.json workload): "none" is the
+// Table 1a grid: "none" is the
 // uninstrumented baseline, "nop" attaches a do-nothing sink (the
 // nil-guard plus per-cell reporting path — budgeted at ≤2% over
 // "none"), and "registry" attaches the live registry+tracer sink simd

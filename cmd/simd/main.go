@@ -165,18 +165,25 @@ func run(args []string) error {
 		if err != nil {
 			return cli.Resourcef("opening journal %s: %v", *journalPath, err)
 		}
-		jl := serve.NewJournal(store, *journalSync)
-		defer jl.Close()
-		if *manifest != "" {
-			if err := migrateManifest(jl, *manifest); err != nil {
-				return err
-			}
-		}
-		data, err := store.ReadAll()
+		// Replay first: it cuts a torn tail off the file before the
+		// manifest migration or the server appends anything.
+		rec, err := serve.ReplayFileLog(store)
 		if err != nil {
 			return cli.Resourcef("reading journal %s: %v", *journalPath, err)
 		}
-		rec := serve.ReplayJournal(data)
+		jl := serve.NewJournal(store, *journalSync)
+		defer jl.Close()
+		if *manifest != "" {
+			size := store.Size()
+			if err := migrateManifest(jl, *manifest); err != nil {
+				return err
+			}
+			if store.Size() != size {
+				if rec, err = serve.ReplayFileLog(store); err != nil {
+					return cli.Resourcef("reading journal %s: %v", *journalPath, err)
+				}
+			}
+		}
 		log.Printf("journal %s: %d records (%d corrupt skipped), %d jobs, %d to resume, clean_shutdown=%v",
 			*journalPath, rec.Records, rec.Corrupt, len(rec.Jobs), rec.UnfinishedJobs(), rec.CleanShutdown)
 		cfg.Journal = jl

@@ -14,16 +14,6 @@ func benchKernelParams(b testing.TB) sim.Params {
 	return mustParams(b, 0.78, 1, 0.0014, 5, checkpoint.SCPSetting())
 }
 
-func BenchmarkKernelScalar(b *testing.B) {
-	p := benchKernelParams(b)
-	s := NewAdaptDVSSCP()
-	rctx := sim.NewRunContext()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = sim.RunScheme(rctx, s, p, rctx.Reseed(uint64(i)+1))
-	}
-}
-
 // BenchmarkReseedBatch isolates the batched seed-stream setup a shard
 // pays before its kernel runs: bulk counter-based seed derivation
 // (rng.StreamBatch) plus the one-pass generator-state materialisation
@@ -52,8 +42,7 @@ func BenchmarkReseedBatch(b *testing.B) {
 // span consumed.
 func BenchmarkArrivalSpanWalk(b *testing.B) {
 	p := benchKernelParams(b)
-	bctx := sim.NewBatchContext()
-	arr := bctx.Arrivals()
+	var arr fault.Arrivals
 	arr.Reset(p.Lambda, rng.New(1), 64)
 	const span = 0.05
 	times := arr.Times()

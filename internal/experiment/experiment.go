@@ -219,8 +219,7 @@ type Runner struct {
 	// results — shard size (like worker count and steal order) only
 	// shapes scheduling, never statistics. A shard is also the batch the
 	// structure-of-arrays kernel executes in one flat pass, so ShardSize
-	// doubles as the batch size (recorded alongside throughput in
-	// BENCH_simstack.json entries).
+	// doubles as the batch size.
 	ShardSize int
 	// DisableBatch forces every shard through the scalar reference loop
 	// instead of the batched structure-of-arrays kernel. The two paths

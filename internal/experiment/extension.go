@@ -134,9 +134,10 @@ func (m misbelievingScheme) RunCtx(rctx *sim.RunContext, p sim.Params, src *rng.
 
 // RunBatch implements sim.BatchScheme: the wrong-belief harness rides
 // the batch kernel by decoupling the rates instead of installing a
-// custom fault process. The kernel's pre-materialised queue at the true
-// rate draws the same exponentials in the same order as the scalar
-// path's plain Poisson process, so the shard payloads stay
+// custom fault process. The kernel's live arrival draws at the true
+// rate (next += src.Exp(truth)) are the same exponentials, in the same
+// order, as the scalar path's plain Poisson process, so the shard
+// payloads stay
 // byte-identical (pinned by the E2 equivalence test).
 func (m misbelievingScheme) RunBatch(rctx *sim.RunContext, b *sim.BatchContext, p sim.Params, seeds []uint64) bool {
 	truth := p.Lambda

@@ -8,7 +8,9 @@ import (
 )
 
 // Arrivals is a pre-materialised homogeneous Poisson arrival queue: the
-// batch execution path's replacement for PoissonProcess. Instead of one
+// fault layer's bulk counterpart of PoissonProcess, which perfbench's
+// traced replay and BenchmarkArrivalSpanWalk time (the batch kernels
+// draw their arrivals live). Instead of one
 // virtual Next call per fault, inter-arrival gaps are drawn in bulk
 // through rng.Source.ExpBatch and converted to absolute times up front;
 // the per-fault hot path is then a cursor increment.
@@ -22,8 +24,8 @@ import (
 // are simply discarded with the stream.
 //
 // The zero value is unusable; call Reset first. An Arrivals is reused
-// across repetitions (Reset keeps the backing arrays), which is how the
-// batch context amortises the queue to zero steady-state allocation.
+// across repetitions (Reset keeps the backing arrays), so a reused
+// queue reaches zero steady-state allocation.
 type Arrivals struct {
 	lambda float64
 	src    *rng.Source

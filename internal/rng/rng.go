@@ -118,10 +118,11 @@ func (r *Source) Exp(rate float64) float64 {
 
 // ExpBatch fills dst with successive exponentially distributed values
 // with the given rate — exactly the sequence len(dst) successive Exp
-// calls would produce, draw for draw and bit for bit. It exists for the
-// batch execution path, which pre-materialises a repetition's fault
-// inter-arrival times in one bulk fill instead of one virtual call per
-// fault. Same panic contract as Exp.
+// calls would produce, draw for draw and bit for bit. It fills the bulk
+// fault arrival queue (fault.Arrivals), which perfbench's traced replay
+// and BenchmarkArrivalSpanWalk use to time the fault layer's bulk path;
+// the batch kernels draw their arrivals live with Exp. Same panic
+// contract as Exp.
 func (r *Source) ExpBatch(rate float64, dst []float64) {
 	if !(rate > 0) {
 		panic("rng: Exp with non-positive or NaN rate")

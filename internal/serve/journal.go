@@ -392,6 +392,10 @@ type Recovery struct {
 	// TruncatedTail is true when the journal ended mid-frame (torn final
 	// write) — expected after a crash, tolerated silently.
 	TruncatedTail bool
+	// End is the offset just past the last whole frame. Bytes beyond it
+	// are the torn tail: replay can never read past them, so they must
+	// be cut before the next append (ReplayFileLog).
+	End int64
 	// ReplayDuration is the wall time of the replay scan.
 	ReplayDuration time.Duration
 }
@@ -516,8 +520,26 @@ func ReplayJournal(data []byte) *Recovery {
 			// Unknown record type: a newer writer. Skip, don't fail.
 		}
 	}
+	rec.End = int64(off)
 	rec.ReplayDuration = time.Since(t0)
 	return rec
+}
+
+// ReplayFileLog replays the journal in l and cuts any torn tail off the
+// file, so this life's appends follow the last whole frame instead of
+// bytes that end every future replay. Call it before the first append.
+func ReplayFileLog(l *storage.FileLog) (*Recovery, error) {
+	data, err := l.ReadAll()
+	if err != nil {
+		return nil, err
+	}
+	rec := ReplayJournal(data)
+	if rec.End < rec.Bytes {
+		if err := l.Truncate(rec.End); err != nil {
+			return nil, err
+		}
+	}
+	return rec, nil
 }
 
 // validShardRecord structurally validates a shard record's payload:

@@ -8,6 +8,8 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -142,6 +144,81 @@ func TestJournalReplayTruncatedTail(t *testing.T) {
 		if len(rec.Jobs) > len(full.Jobs) {
 			t.Fatalf("cut %d: truncation invented jobs", cut)
 		}
+	}
+}
+
+// TestJournalNextLifeAfterTornTail is the crash-then-restart sequence:
+// whole records, then a frame cut short (a write torn by SIGKILL), then
+// a new life that reopens the file, appends and shuts down cleanly.
+// Replay stops at the first cut-short frame, so unless start-up cuts
+// the torn bytes off first, every record of the new life, the
+// clean-shutdown record included, is invisible to every later replay.
+func TestJournalNextLifeAfterTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "simd.journal")
+	store, err := storage.OpenFileLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jl := serve.NewJournal(store, 1)
+	writeSampleJournal(t, jl)
+	if err := jl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A frame header promising 64 payload bytes, followed by 10.
+	torn := binary.LittleEndian.AppendUint32(nil, 64)
+	torn = binary.LittleEndian.AppendUint32(torn, 0xdeadbeef)
+	torn = append(torn, make([]byte, 10)...)
+	if err := os.WriteFile(path, append(whole, torn...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	store2, err := storage.OpenFileLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := serve.ReplayFileLog(store2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !first.TruncatedTail || first.End != int64(len(whole)) {
+		t.Fatalf("replay of the torn journal: truncated=%v end=%d, want true/%d",
+			first.TruncatedTail, first.End, len(whole))
+	}
+	jl2 := serve.NewJournal(store2, 1)
+	spec := serve.JobSpec{Kind: serve.JobSingle, Scheme: "A_D_S", U: 0.78, Lambda: 0.0014, Seed: 9}
+	if err := jl2.AppendAccepted("job-000004", spec); err != nil {
+		t.Fatal(err)
+	}
+	if err := jl2.AppendFinished("job-000004", serve.StateDone, "", 1, json.RawMessage(`{"time":2}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := jl2.AppendShutdown(true, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := jl2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := serve.ReplayJournal(data)
+	if rec.TruncatedTail || rec.Corrupt != 0 {
+		t.Errorf("second replay: truncated=%v corrupt=%d, want a clean journal", rec.TruncatedTail, rec.Corrupt)
+	}
+	if !rec.CleanShutdown {
+		t.Error("the new life's clean-shutdown record is invisible")
+	}
+	if len(rec.Jobs) != 4 || rec.Jobs[3].ID != "job-000004" || rec.Jobs[3].State != serve.StateDone {
+		t.Fatalf("replayed %d jobs: the new life's completed job is missing", len(rec.Jobs))
+	}
+	if rec.Records != first.Records+3 {
+		t.Errorf("replayed %d records, want %d (every record of the new life)", rec.Records, first.Records+3)
 	}
 }
 

@@ -81,13 +81,14 @@ func killChildMain() int {
 	if err != nil {
 		return fail("open journal: %v", err)
 	}
-	// Small fsync batches so the journal.fsync crashpoint fires early.
-	jl := serve.NewJournal(store, 4)
-	data, err := store.ReadAll()
+	// Replay (cutting a torn tail) before this life's first append, as
+	// simd does; small fsync batches so the journal.fsync crashpoint
+	// fires early.
+	rec, err := serve.ReplayFileLog(store)
 	if err != nil {
 		return fail("read journal: %v", err)
 	}
-	rec := serve.ReplayJournal(data)
+	jl := serve.NewJournal(store, 4)
 	srv := serve.New(serve.Config{
 		QueueDepth: 4, Workers: 1, GridWorkers: 2,
 		DefaultTimeout: 2 * time.Minute,

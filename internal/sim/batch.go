@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"repro/internal/fault"
-	"repro/internal/rng"
-)
+import "repro/internal/rng"
 
 // BatchContext is the per-worker state behind batched execution: one
 // batch runs K repetitions of the same cell through a scheme's flat
@@ -52,7 +49,6 @@ type BatchContext struct {
 	States rng.StateBatch
 
 	src     rng.Source
-	arr     fault.Arrivals
 	scratch any
 }
 
@@ -101,12 +97,6 @@ func growF64(s []float64, n int) []float64 {
 // rep-major, so one stream serves the whole batch: Reseed per
 // repetition, exactly like the scalar RunContext path.
 func (b *BatchContext) Source() *rng.Source { return &b.src }
-
-// Arrivals returns the context's reusable pre-materialised fault
-// arrival queue, likewise reset per repetition. The kernels draw their
-// arrivals live from Source; benchmarks and replays that time the
-// fault layer's bulk path use the queue.
-func (b *BatchContext) Arrivals() *fault.Arrivals { return &b.arr }
 
 // Scratch returns the opaque per-context cache slot set by SetScratch
 // (nil initially). Package core parks its kernel scratch here.

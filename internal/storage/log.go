@@ -89,6 +89,19 @@ func (l *FileLog) Sync() error {
 	return l.f.Sync()
 }
 
+// Truncate cuts the file to size bytes, so the next append lands at
+// that offset. Start-up uses it to drop a torn tail before the first
+// append of a new life (see serve.ReplayFileLog).
+func (l *FileLog) Truncate(size int64) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err := l.f.Truncate(size); err != nil {
+		return fmt.Errorf("storage: truncate log: %w", err)
+	}
+	l.size = size
+	return nil
+}
+
 // Size implements LogStore.
 func (l *FileLog) Size() int64 {
 	l.mu.Lock()

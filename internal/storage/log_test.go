@@ -48,6 +48,30 @@ func TestFileLogAppendReadRoundtrip(t *testing.T) {
 	}
 }
 
+func TestFileLogTruncate(t *testing.T) {
+	l, err := OpenFileLog(filepath.Join(t.TempDir(), "journal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	l.Append([]byte("whole|torn"))
+	if err := l.Truncate(6); err != nil {
+		t.Fatalf("truncate: %v", err)
+	}
+	if l.Size() != 6 {
+		t.Fatalf("size after truncate = %d, want 6", l.Size())
+	}
+	// The next append lands at the cut, not after the dropped bytes.
+	l.Append([]byte("next"))
+	got, err := l.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != "whole|next" {
+		t.Fatalf("contents = %q, want %q", got, "whole|next")
+	}
+}
+
 func TestOpenFileLogBadPath(t *testing.T) {
 	if _, err := OpenFileLog(t.TempDir()); err == nil {
 		t.Fatal("opening a directory as a log succeeded")

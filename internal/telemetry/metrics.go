@@ -7,8 +7,8 @@
 // The design constraint is the simulator's hot path: instrumentation is
 // attached at cell/frame/job granularity, never per simulated interval,
 // and every hook is nil-guarded with a no-op default, so an
-// uninstrumented run stays zero-alloc (pinned by the sink-overhead
-// benchmark against BENCH_simstack.json).
+// uninstrumented run stays zero-alloc (BenchmarkTable1aSinkOverhead
+// times the none / nop / live-sink cases on the Table 1a grid).
 package telemetry
 
 import (
